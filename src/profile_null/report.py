@@ -62,6 +62,13 @@ def fmt6(x: float) -> str:
     return str(d)
 
 
+def _sig12(x: float) -> float:
+    """``x`` rounded to 12 significant digits. Fitted parameters are written
+    at this precision because the numba and numpy kernels sum in different
+    orders and can differ in the last few bits."""
+    return float(f"{x:.12g}")
+
+
 # ---------------------------------------------------------------------------
 # input files
 
@@ -326,13 +333,13 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
                 continue
             payload.append({
                 "measure_id": fit.measure_id,
-                "phi_hat": fit.phi_hat,
-                "pi0_hat": fit.pi0_hat,
-                "sigma2_alpha_hat": fit.sigma2_alpha_hat,
-                "phi_init": fit.phi_init,
-                "v": fit.v,
+                "phi_hat": _sig12(fit.phi_hat),
+                "pi0_hat": _sig12(fit.pi0_hat),
+                "sigma2_alpha_hat": _sig12(fit.sigma2_alpha_hat),
+                "phi_init": _sig12(fit.phi_init),
+                "v": _sig12(fit.v),
                 "n_null_set": fit.n_null_set,
-                "loglik": fit.loglik,
+                "loglik": _sig12(fit.loglik),
             })
         fit_path = out / "null_fit.json"
         _write_text(fit_path, json.dumps(payload, indent=2) + "\n")

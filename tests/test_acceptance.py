@@ -36,7 +36,6 @@ from profile_null import (
     winsorize,
     z_empirical_null,
 )
-from profile_null._kernels import backend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -256,8 +255,6 @@ def test_criterion_8_property_suite():
 
 # -- 9: pipeline golden test -----------------------------------------------
 
-@pytest.mark.skipif(backend() != "numba",
-                    reason="golden bytes are pinned for the numba backend")
 def test_criterion_9_pipeline_golden(tmp_path):
     start = time.time()
     from profile_null.cli import main
