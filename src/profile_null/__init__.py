@@ -12,7 +12,6 @@ from .baselines import (
     fit_method_of_moments,
     mom_phi,
     winsorize,
-    z_method_of_moments,
 )
 from .composite import (
     CompositeConfig,
@@ -21,7 +20,6 @@ from .composite import (
     composite_score,
     composite_table,
     correlation_matrix,
-    direction_align,
     flag,
     inverse_corr_weights,
     published_weights,
@@ -38,9 +36,8 @@ from .empirical_null import (
 )
 from .errors import ConvergenceError, FittingError, InputError, ProfileNullError
 from .measures import (
-    CenterStat,
+    CenterTable,
     MeasureSpec,
-    ZScore,
     group_variance_diagnostic,
     measure_ratio,
     z_fixed_effects,
@@ -70,14 +67,13 @@ __version__ = "0.1.0"
 __all__ = [
     "backend",
     "MomFit", "fit_method_of_moments", "mom_phi", "winsorize",
-    "z_method_of_moments",
     "CompositeConfig", "CompositeResult", "capped_corr_weights",
     "composite_score", "composite_table", "correlation_matrix",
-    "direction_align", "flag", "inverse_corr_weights", "published_weights",
+    "flag", "inverse_corr_weights", "published_weights",
     "EnConfig", "NullFit", "control_limits", "fit_empirical_null",
     "initial_phi", "null_loglik", "truncation_bounds", "z_empirical_null",
     "ConvergenceError", "FittingError", "InputError", "ProfileNullError",
-    "CenterStat", "MeasureSpec", "ZScore", "group_variance_diagnostic",
+    "CenterTable", "MeasureSpec", "group_variance_diagnostic",
     "measure_ratio", "z_fixed_effects",
     "OptimResult", "RobustLocationScale", "nelder_mead_minimize",
     "robust_intercept_scale", "std_normal_cdf", "std_normal_quantile",

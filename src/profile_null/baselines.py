@@ -8,7 +8,6 @@ inflation at the cost of bias when there is no contamination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,13 +71,3 @@ def fit_method_of_moments(
 ) -> MomFit:
     """Winsorize then estimate: the full baseline pipeline."""
     return mom_phi(winsorize(z, q_percent), sizes, q_percent=q_percent, a_psi=a_psi)
-
-
-def z_method_of_moments(z_fe: float, size: float, phi_mom: float) -> float:
-    """Corrected score z / sqrt(1 + phi_mom * size), the same corrective form
-    as the empirical null with the moment estimate substituted."""
-    if phi_mom < 0:
-        raise InputError(f"phi_mom must be nonnegative, got {phi_mom}")
-    if size < 0:
-        raise InputError(f"size must be nonnegative, got {size}")
-    return z_fe / math.sqrt(1.0 + phi_mom * size)

@@ -88,15 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_inputs(args):
-    measures = read_measure_config(args.measures)
-    stats = read_center_stats(args.centers, measures)
-    return measures, stats
+def _load_table(args):
+    return read_center_stats(args.centers, read_measure_config(args.measures))
 
 
 def _cmd_standardize(args) -> int:
-    measures, stats = _load_inputs(args)
-    run = standardize(measures, stats, method=args.method, mom_q=args.mom_q)
+    run = standardize(_load_table(args), method=args.method, mom_q=args.mom_q)
     written = write_scores_report(run, args.out)
     for path in written:
         print(path)
@@ -104,15 +101,15 @@ def _cmd_standardize(args) -> int:
 
 
 def _cmd_composite(args) -> int:
-    measures, stats = _load_inputs(args)
-    run = standardize(measures, stats, method=args.method, mom_q=args.mom_q)
+    table = _load_table(args)
+    run = standardize(table, method=args.method, mom_q=args.mom_q)
     written = write_scores_report(run, args.out)
     center_ids, aligned = align_scores(run)
     config = CompositeConfig(weight_scheme=args.weight_scheme,
                              flag_lower=args.flag_lower,
                              flag_upper=args.flag_upper)
     results, skipped = composite_table(center_ids, aligned,
-                                       [m.measure_id for m in measures], config)
+                                       [m.measure_id for m in table.measures], config)
     written.append(write_composite_report(results, Path(args.out) / "composite.csv"))
     if skipped:
         print(f"note: {len(skipped)} centers had fewer than 2 measures and "
@@ -123,17 +120,17 @@ def _cmd_composite(args) -> int:
 
 
 def _cmd_funnel(args) -> int:
-    measures, stats = _load_inputs(args)
-    run = standardize(measures, stats, method="en")
+    table = _load_table(args)
+    run = standardize(table, method="en")
     alphas = args.alpha_z if args.alpha_z else [1.96]
     written = []
-    for spec in measures:
+    for spec in table.measures:
         fit = run.null_fits.get(spec.measure_id)
         if fit is None:
             print(f"note: no usable centers for {spec.measure_id}",
                   file=sys.stderr)
             continue
-        written += emit_funnel(stats, spec, fit, alphas, args.out)
+        written += emit_funnel(table, spec, fit, alphas, args.out)
     for path in written:
         print(path)
     return EXIT_OK
@@ -153,8 +150,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    measures, stats = _load_inputs(args)
-    path = write_diagnostics(measures, stats,
+    path = write_diagnostics(_load_table(args),
                              Path(args.out) / "diagnostics.csv",
                              n_groups=args.groups)
     print(path)

@@ -15,10 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .measures import MeasureSpec, ZScore
 
 WEIGHT_SCHEMES = ("inverse_corr_sum", "capped_corr_reciprocal", "user_supplied")
-LABELS = ("poor", "average", "good")
 
 MIN_PAIR_COMPLETE = 3
 COND_LIMIT = 1e12
@@ -57,13 +55,6 @@ class CompositeResult:
     correlation: np.ndarray
     measures_used: tuple[str, ...]
     partial: bool = False
-
-
-def direction_align(z: ZScore, spec: MeasureSpec) -> float:
-    """Return the score oriented so that lower means worse quality of care."""
-    if spec.direction == "higher_is_better":
-        return z.value
-    return -z.value
 
 
 def correlation_matrix(
@@ -132,22 +123,32 @@ def inverse_corr_weights(corr: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.inv(c), axis=1)
 
 
-def composite_score(
-    z_row: Sequence[float],
-    w: Sequence[float],
-    corr: np.ndarray,
-) -> float:
-    """Correlation-normalized weighted sum:
-    (sum_kl w_k w_l c_kl)^(-1/2) * sum_k w_k z_k."""
-    z = np.asarray(z_row, dtype=np.float64)
-    wv = np.asarray(w, dtype=np.float64)
-    c = _validate_corr(corr)
-    if not (z.shape == wv.shape and z.shape[0] == c.shape[0]):
-        raise InputError("z_row, w, and corr dimensions must agree")
-    quad = float(wv @ c @ wv)
+def _normalized_sums(z: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The composite of each row of ``z`` for a validated correlation
+    matrix ``c``."""
+    quad = float(w @ c @ w)
     if quad <= 0:
         raise InputError(f"weight quadratic form must be positive, got {quad:.6g}")
-    return float(wv @ z) / math.sqrt(quad)
+    # vecdot takes the same per-row dot product as w @ z_row, bit for bit,
+    # where a matrix-vector product may round differently
+    return np.vecdot(z, w) / math.sqrt(quad)
+
+
+def composite_score(
+    z: Sequence[float] | np.ndarray,
+    w: Sequence[float],
+    corr: np.ndarray,
+) -> float | np.ndarray:
+    """Correlation-normalized weighted sum
+    (sum_kl w_k w_l c_kl)^(-1/2) * sum_k w_k z_k of one center's scores, or
+    of each row of a centers x measures block."""
+    zv = np.asarray(z, dtype=np.float64)
+    wv = np.asarray(w, dtype=np.float64)
+    c = _validate_corr(corr)
+    if not (zv.ndim in (1, 2) and zv.shape[-1:] == wv.shape and wv.shape[0] == c.shape[0]):
+        raise InputError("z, w, and corr dimensions must agree")
+    scores = _normalized_sums(zv, wv, c)
+    return float(scores) if zv.ndim == 1 else scores
 
 
 def published_weights(w: Sequence[float], corr: np.ndarray) -> np.ndarray:
@@ -195,8 +196,9 @@ def composite_table(
 
     Weights and correlations come from the full table. Centers missing some
     measures are scored on the matching sub-blocks of the weights and
-    correlation matrix and marked partial; centers with fewer than 2
-    available measures are skipped and their ids returned separately.
+    correlation matrix and marked partial, one block per pattern of missing
+    measures; centers with fewer than 2 available measures are skipped and
+    their ids returned separately.
     """
     cfg = config if config is not None else CompositeConfig()
     mat = np.asarray(aligned, dtype=np.float64)
@@ -204,28 +206,37 @@ def composite_table(
     names = tuple(measure_ids)
     if mat.ndim != 2 or mat.shape[0] != len(ids) or mat.shape[1] != len(names):
         raise InputError("aligned table shape must match center and measure ids")
+    # correlation_matrix builds a valid matrix, which the weight schemes
+    # check once; the per-pattern blocks below are not checked again
     corr = correlation_matrix(mat, names)
     w = weights_for(corr, cfg)
+
+    patterns, pattern_of = np.unique(np.isfinite(mat), axis=0, return_inverse=True)
+    pattern_of = pattern_of.reshape(-1)
+    skip = (patterns.sum(axis=1) < 2) & (len(names) > 1)
+    z_cs = np.full(len(ids), np.nan)
+    for p, avail in enumerate(patterns):
+        if not skip[p]:
+            idx = np.flatnonzero(avail)
+            rows = np.flatnonzero(pattern_of == p)
+            z_cs[rows] = _normalized_sums(mat[np.ix_(rows, idx)], w[idx],
+                                          corr[np.ix_(idx, idx)])
 
     results: list[CompositeResult] = []
     skipped: list[str] = []
     for i, cid in enumerate(ids):
-        avail = np.isfinite(mat[i])
-        n_avail = int(avail.sum())
-        if n_avail < 2 and len(names) > 1:
+        if skip[pattern_of[i]]:
             skipped.append(cid)
             continue
-        idx = np.flatnonzero(avail)
-        sub_corr = corr[np.ix_(idx, idx)]
-        sub_w = w[idx]
-        z_cs = composite_score(mat[i, idx], sub_w, sub_corr)
+        idx = np.flatnonzero(patterns[pattern_of[i]])
+        score = float(z_cs[i])
         results.append(CompositeResult(
             center_id=cid,
-            z_cs=z_cs,
-            label=flag(z_cs, cfg),
-            weights=tuple(float(x) for x in sub_w),
+            z_cs=score,
+            label=flag(score, cfg),
+            weights=tuple(float(x) for x in w[idx]),
             correlation=corr,
             measures_used=tuple(names[j] for j in idx),
-            partial=n_avail < len(names),
+            partial=len(idx) < len(names),
         ))
     return results, skipped

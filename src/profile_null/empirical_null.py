@@ -50,9 +50,15 @@ class EnConfig:
             raise InputError("optimizer_tol must be positive and max_iter >= 1")
 
     def pi0_grid(self) -> np.ndarray:
-        n = int(round((self.pi0_grid_hi - self.pi0_grid_lo) / self.pi0_grid_step))
-        grid = self.pi0_grid_lo + self.pi0_grid_step * np.arange(n + 1)
-        return np.clip(grid, self.pi0_grid_lo, self.pi0_grid_hi)
+        """lo + k * step for every point up to hi, then hi itself when the
+        last step falls short of it. A point that misses hi only by binary
+        rounding of the step counts as reaching it."""
+        lo, hi, step = self.pi0_grid_lo, self.pi0_grid_hi, self.pi0_grid_step
+        n = math.floor((hi - lo) / step + 1e-9)
+        grid = np.minimum(lo + step * np.arange(n + 1), hi)
+        if hi - grid[-1] > 1e-9 * step:
+            grid = np.append(grid, hi)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -201,32 +207,44 @@ def fit_empirical_null(
     )
 
 
-def z_empirical_null(z_fe: float, size: float, phi_hat: float) -> float:
-    """Empirical-null corrected score: z / sqrt(1 + phi_hat * size)."""
+def z_empirical_null(
+    z_fe: np.ndarray | float,
+    size: np.ndarray | float,
+    phi_hat: float,
+) -> np.ndarray:
+    """Corrected scores z / sqrt(1 + phi_hat * size), elementwise.
+
+    This is the one rescaling for every overdispersion estimate: the
+    empirical-null phi_hat, or the method-of-moments phi_mom.
+    """
     if phi_hat < 0:
         raise InputError(f"phi_hat must be nonnegative, got {phi_hat}")
-    if size < 0:
-        raise InputError(f"size must be nonnegative, got {size}")
-    return z_fe / math.sqrt(1.0 + phi_hat * size)
+    n = np.asarray(size, dtype=np.float64)
+    if np.any(n < 0):
+        raise InputError(f"size must be nonnegative, got {np.min(n)}")
+    return z_fe / np.sqrt(1.0 + phi_hat * n)
 
 
 def control_limits(
     phi: float,
-    expected: float,
-    size: float,
+    expected: np.ndarray | float,
+    size: np.ndarray | float,
     a_psi: float = 1.0,
     alpha_z: float = 1.96,
-) -> tuple[float, float]:
-    """Funnel-plot control limits on the observed/expected ratio scale.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Funnel-plot control limits on the observed/expected ratio scale,
+    elementwise over centers.
 
     Inverts the fixed-effects standardization and the empirical-null
     correction at |Z| = alpha_z:
     1 +/- alpha_z * sqrt(a_psi * size * (1 + phi * size)) / expected.
     phi = 0 gives the fixed-effects limits.
     """
-    if expected <= 0 or size <= 0:
+    e = np.asarray(expected, dtype=np.float64)
+    n = np.asarray(size, dtype=np.float64)
+    if np.any(e <= 0) or np.any(n <= 0):
         raise InputError("expected and size must be positive")
     if alpha_z <= 0:
         raise InputError(f"alpha_z must be positive, got {alpha_z}")
-    half = alpha_z * math.sqrt(a_psi * size * (1.0 + phi * size)) / expected
+    half = alpha_z * np.sqrt(a_psi * n * (1.0 + phi * n)) / e
     return (1.0 - half, 1.0 + half)

@@ -1,5 +1,6 @@
-"""Measure/center data model, naive fixed-effects Z-scores, and size-group
-diagnostics computed from center-level summary statistics.
+"""Measure specs and the center x measure table, naive fixed-effects
+Z-scores, and size-group diagnostics computed from center-level summary
+statistics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .errors import InputError
 
 FAMILIES = ("normal", "binomial", "poisson")
 DIRECTIONS = ("higher_is_better", "lower_is_better")
-METHODS = ("fixed_effects", "empirical_null", "method_of_moments")
 
 FLAG_Z = 1.96
 
@@ -49,60 +49,107 @@ class MeasureSpec:
                              f"(measure {self.measure_id!r})")
 
 
-@dataclass(frozen=True)
-class CenterStat:
-    """One center's summary statistics for one measure: observed event sum,
-    model-expected sum, and effective size (summed conditional variance of
-    the outcome under the null, which equals the expected count for poisson).
+class CenterTable:
+    """Center x measure summary statistics: one row per (center, measure)
+    pair with the observed event sum, the model-expected sum, and the
+    effective size (summed conditional variance of the outcome under the
+    null, which equals the expected count for poisson).
+
+    Rows keep their input order. ``center`` and ``measure`` index each row
+    into ``center_ids`` (first-appearance order) and ``measures`` (declared
+    order). The constructor is where rows are checked: every value finite,
+    every measure declared, no (center, measure) pair twice, poisson sizes
+    equal to the expected count and binomial sizes within [0, expected].
+    ``row_numbers`` labels the rows in error messages (default 1, 2, ...).
     """
 
-    center_id: str
-    measure_id: str
-    observed: float
-    expected: float
-    effective_size: float
+    def __init__(
+        self,
+        measures: Sequence[MeasureSpec],
+        center_ids: Sequence[str],
+        measure_ids: Sequence[str],
+        observed: Sequence[float],
+        expected: Sequence[float],
+        size: Sequence[float],
+        row_numbers: Sequence[int] | None = None,
+    ) -> None:
+        self.measures = tuple(measures)
+        self.observed = np.asarray(observed, dtype=np.float64)
+        self.expected = np.asarray(expected, dtype=np.float64)
+        self.size = np.asarray(size, dtype=np.float64)
+        n = len(center_ids)
+        if not (len(measure_ids) == n and self.observed.shape == self.expected.shape
+                == self.size.shape == (n,)):
+            raise InputError("center table columns must be 1-d and of equal length")
+        if n == 0:
+            raise InputError("center table holds no rows")
+        rows = range(1, n + 1) if row_numbers is None else list(row_numbers)
 
-    def __post_init__(self) -> None:
-        for name in ("observed", "expected", "effective_size"):
-            if not np.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite for center "
-                                 f"{self.center_id!r}/{self.measure_id!r}")
+        by_id = {m.measure_id: k for k, m in enumerate(self.measures)}
+        self.measure = np.array([by_id.get(mid, -1) for mid in measure_ids], dtype=np.intp)
+        first_seen: dict[str, int] = {}
+        self.center = np.array([first_seen.setdefault(c, len(first_seen))
+                                for c in center_ids], dtype=np.intp)
+        self.center_ids = tuple(first_seen)
+
+        def reject(bad: np.ndarray, message: str) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise InputError(f"row {rows[i]} (center {center_ids[i]!r}, "
+                                 f"measure {measure_ids[i]!r}): {message}")
+
+        reject(self.measure < 0, "measure_id is not declared in the measures file")
+        for name, col in (("observed", self.observed), ("expected", self.expected),
+                          ("effective_size", self.size)):
+            reject(~np.isfinite(col), f"{name} must be finite")
+        family = np.array([m.family for m in self.measures])[self.measure]
+        # the tolerance of math.isclose(size, expected, rel_tol=1e-9, abs_tol=1e-9)
+        tol = np.maximum(1e-9 * np.maximum(np.abs(self.size), np.abs(self.expected)), 1e-9)
+        reject((family == "poisson") & (np.abs(self.size - self.expected) > tol),
+               "poisson effective_size must equal expected")
+        reject((family == "binomial") & ~((0.0 <= self.size) & (self.size <= self.expected)),
+               "binomial effective_size must lie in [0, expected]")
+        first = np.unique(self.center * len(self.measures) + self.measure,
+                          return_index=True)[1]
+        reject(~np.isin(np.arange(n), first), "duplicate center/measure pair")
+
+    def __len__(self) -> int:
+        return len(self.center)
+
+    def row_ids(self, i: int) -> tuple[str, str]:
+        """(center_id, measure_id) of row ``i``."""
+        return (self.center_ids[self.center[i]],
+                self.measures[self.measure[i]].measure_id)
 
 
-@dataclass(frozen=True)
-class ZScore:
-    center_id: str
-    measure_id: str
-    method: str
-    value: float
-
-
-def z_fixed_effects(stat: CenterStat, spec: MeasureSpec) -> ZScore:
-    """Naive standardized score (observed - expected) / sqrt(a_psi * size).
+def z_fixed_effects(
+    observed: np.ndarray | float,
+    expected: np.ndarray | float,
+    size: np.ndarray | float,
+    a_psi: np.ndarray | float = 1.0,
+) -> np.ndarray:
+    """Naive standardized scores (observed - expected) / sqrt(a_psi * size),
+    elementwise.
 
     Raises InputError for non-positive effective size; callers exclude such
     centers and record them in a skipped-centers diagnostic.
     """
-    if stat.effective_size <= 0:
-        raise InputError(f"effective_size must be positive for center "
-                         f"{stat.center_id!r}/{stat.measure_id!r}, got "
-                         f"{stat.effective_size}")
-    value = (stat.observed - stat.expected) / np.sqrt(spec.a_psi * stat.effective_size)
-    return ZScore(center_id=stat.center_id, measure_id=stat.measure_id,
-                  method="fixed_effects", value=float(value))
+    n = np.asarray(size, dtype=np.float64)
+    if np.any(n <= 0):
+        raise InputError(f"effective_size must be positive, got {np.min(n)}")
+    return (np.asarray(observed, dtype=np.float64) - expected) / np.sqrt(a_psi * n)
 
 
-def measure_ratio(stat: CenterStat) -> float:
-    """Observed-over-expected ratio, the published measure scale."""
-    if stat.expected <= 0:
-        raise InputError(f"expected must be positive for center "
-                         f"{stat.center_id!r}/{stat.measure_id!r}, got "
-                         f"{stat.expected}")
-    return stat.observed / stat.expected
+def measure_ratio(observed: np.ndarray | float, expected: np.ndarray | float) -> np.ndarray:
+    """Observed-over-expected ratios, the published measure scale."""
+    e = np.asarray(expected, dtype=np.float64)
+    if np.any(e <= 0):
+        raise InputError(f"expected must be positive, got {np.min(e)}")
+    return np.asarray(observed, dtype=np.float64) / e
 
 
 def group_variance_diagnostic(
-    z: Sequence[float] | Sequence[ZScore],
+    z: Sequence[float],
     sizes: Sequence[float],
     n_groups: int,
     flag_z: float = FLAG_Z,
@@ -116,9 +163,7 @@ def group_variance_diagnostic(
     group variances sit near 1; variances that grow with size indicate
     overdispersion from unobserved confounding.
     """
-    zvals = np.asarray(
-        [zi.value if isinstance(zi, ZScore) else zi for zi in z], dtype=np.float64
-    )
+    zvals = np.asarray(z, dtype=np.float64)
     svals = np.asarray(sizes, dtype=np.float64)
     if zvals.shape != svals.shape or zvals.ndim != 1:
         raise InputError("z and sizes must be equal-length 1-d sequences")

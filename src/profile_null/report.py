@@ -8,6 +8,7 @@ rounding so golden-file comparisons are stable across platforms.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,12 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments, z_method_of_moments
+from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments
 from .composite import CompositeResult
 from .empirical_null import EnConfig, NullFit, control_limits, fit_empirical_null, z_empirical_null
 from .errors import InputError
 from .measures import (
-    CenterStat,
+    CenterTable,
     MeasureSpec,
     group_variance_diagnostic,
     measure_ratio,
@@ -69,6 +70,10 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _fmt6_or_blank(x: float) -> str:
+    return "" if math.isnan(x) else fmt6(x)
+
+
 # ---------------------------------------------------------------------------
 # input files
 
@@ -110,6 +115,11 @@ def read_measure_config(path: str | Path) -> list[MeasureSpec]:
             a_psi=float(entry.get("a_psi", 1.0)),
             en_config=en,
         )
+        # measure ids become parts of output file names
+        if any(ch in spec.measure_id for ch in "/\\\0"):
+            raise InputError(f"measures entry {i}: measure_id "
+                             f"{spec.measure_id!r} must not contain '/', '\\' "
+                             f"or NUL")
         if spec.measure_id in seen:
             raise InputError(f"duplicate measure_id {spec.measure_id!r} "
                              f"(entry {i})")
@@ -120,20 +130,17 @@ def read_measure_config(path: str | Path) -> list[MeasureSpec]:
 
 def _parse_float(raw: str, column: str, line: int) -> float:
     try:
-        val = float(raw)
+        return float(raw)
     except ValueError:
         raise InputError(f"row {line}: column {column!r} is not numeric: "
                          f"{raw!r}") from None
-    if not math.isfinite(val):
-        raise InputError(f"row {line}: column {column!r} must be finite")
-    return val
 
 
 def read_center_stats(
     path: str | Path,
     measures: Sequence[MeasureSpec],
-) -> list[CenterStat]:
-    """Parse the center statistics CSV.
+) -> CenterTable:
+    """Parse the center statistics CSV into a CenterTable.
 
     Header must be exactly center_id,measure_id,observed,expected,
     effective_size. Poisson rows may leave effective_size empty, in which
@@ -141,7 +148,7 @@ def read_center_stats(
     supply it. Errors carry the offending row number.
     """
     p = Path(path)
-    by_id = {m.measure_id: m for m in measures}
+    family = {m.measure_id: m.family for m in measures}
     try:
         text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -150,8 +157,7 @@ def read_center_stats(
     if not rows or rows[0] != CENTER_HEADER:
         raise InputError(f"centers file {p} must start with header "
                          f"{','.join(CENTER_HEADER)!r}")
-    stats: list[CenterStat] = []
-    seen: set[tuple[str, str]] = set()
+    parsed = []
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -161,37 +167,21 @@ def read_center_stats(
         center_id, measure_id, obs_raw, exp_raw, size_raw = (f.strip() for f in row)
         if not center_id or not measure_id:
             raise InputError(f"row {line}: center_id and measure_id are required")
-        spec = by_id.get(measure_id)
-        if spec is None:
-            raise InputError(f"row {line}: measure_id {measure_id!r} is not "
-                             f"declared in the measures file")
-        key = (center_id, measure_id)
-        if key in seen:
-            raise InputError(f"row {line}: duplicate center/measure pair "
-                             f"{key!r}")
-        seen.add(key)
         observed = _parse_float(obs_raw, "observed", line)
         expected = _parse_float(exp_raw, "expected", line)
         if size_raw == "":
-            if spec.family != "poisson":
+            # an undeclared measure is reported by CenterTable
+            if family.get(measure_id, "poisson") != "poisson":
                 raise InputError(f"row {line}: effective_size is required for "
-                                 f"{spec.family} measure {measure_id!r}")
+                                 f"{family[measure_id]} measure {measure_id!r}")
             size = expected
         else:
             size = _parse_float(size_raw, "effective_size", line)
-            if spec.family == "poisson" and not math.isclose(
-                    size, expected, rel_tol=1e-9, abs_tol=1e-9):
-                raise InputError(f"row {line}: poisson effective_size must "
-                                 f"equal expected ({expected!r}), got {size!r}")
-        if spec.family == "binomial" and not (0.0 <= size <= expected):
-            raise InputError(f"row {line}: binomial effective_size must lie "
-                             f"in [0, expected]")
-        stats.append(CenterStat(center_id=center_id, measure_id=measure_id,
-                                observed=observed, expected=expected,
-                                effective_size=size))
-    if not stats:
+        parsed.append((center_id, measure_id, observed, expected, size, line))
+    if not parsed:
         raise InputError(f"centers file {p} holds no data rows")
-    return stats
+    # columns: center ids, measure ids, observed, expected, size, row numbers
+    return CenterTable(measures, *zip(*parsed))
 
 
 # ---------------------------------------------------------------------------
@@ -200,101 +190,76 @@ def read_center_stats(
 
 @dataclass
 class StandardizationRun:
-    """Scores and fits from one standardization pass over a dataset."""
+    """Scores and fits from one standardization pass over a center table.
+
+    ``z_fe``, ``z_en`` and ``z_mom`` hold one score per table row, NaN where
+    the row was skipped or the method does not produce that score.
+    """
 
     method: str
-    measures: list[MeasureSpec]
-    stats: list[CenterStat]
-    z_fe: dict[tuple[str, str], float] = field(default_factory=dict)
-    z_en: dict[tuple[str, str], float] = field(default_factory=dict)
-    z_mom: dict[tuple[str, str], float] = field(default_factory=dict)
+    table: CenterTable
+    z_fe: np.ndarray
+    z_en: np.ndarray
+    z_mom: np.ndarray
     null_fits: dict[str, NullFit] = field(default_factory=dict)
     mom_fits: dict[str, MomFit] = field(default_factory=dict)
     skipped: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def scores_for(self, method: str) -> dict[tuple[str, str], float]:
-        return {"fe": self.z_fe, "en": self.z_en, "mom": self.z_mom}[method]
-
 
 def standardize(
-    measures: Sequence[MeasureSpec],
-    stats: Sequence[CenterStat],
+    table: CenterTable,
     method: str = "en",
     mom_q: float = DEFAULT_WINSOR_Q,
 ) -> StandardizationRun:
-    """Compute fixed-effects scores for every center/measure and, per the
+    """Compute fixed-effects scores for every table row and, per the
     requested method, the empirical-null or method-of-moments corrections.
 
-    Centers with non-positive effective size or expected count are excluded
+    Rows with non-positive effective size or expected count are excluded
     from all fitting and recorded in the skipped list.
     """
     if method not in RUN_METHODS:
         raise InputError(f"method must be one of {RUN_METHODS}, got {method!r}")
-    by_id = {m.measure_id: m for m in measures}
-    seen: set[tuple[str, str]] = set()
-    for st in stats:
-        if st.measure_id not in by_id:
-            raise InputError(f"center {st.center_id!r} references undeclared "
-                             f"measure {st.measure_id!r}")
-        key = (st.center_id, st.measure_id)
-        if key in seen:
-            raise InputError(f"duplicate center/measure pair {key!r}")
-        seen.add(key)
-    run = StandardizationRun(method=method, measures=list(measures),
-                             stats=list(stats))
-    for spec in measures:
-        mstats = [s for s in stats if s.measure_id == spec.measure_id]
-        usable: list[CenterStat] = []
-        for st in mstats:
-            if st.effective_size <= 0:
-                run.skipped.append((st.center_id, st.measure_id,
-                                    "effective_size <= 0"))
-            elif st.expected <= 0:
-                run.skipped.append((st.center_id, st.measure_id,
-                                    "expected <= 0"))
-            else:
-                usable.append(st)
-        if not usable:
+    t = table
+    no_size = t.size <= 0
+    usable = ~no_size & (t.expected > 0)
+    run = StandardizationRun(method, t, *(np.full(len(t), np.nan) for _ in range(3)))
+    a_psi = np.array([m.a_psi for m in t.measures])[t.measure]
+    run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
+                                       t.size[usable], a_psi[usable])
+    for k, spec in enumerate(t.measures):
+        rows = t.measure == k
+        for i in np.flatnonzero(rows & ~usable):
+            reason = "effective_size <= 0" if no_size[i] else "expected <= 0"
+            run.skipped.append((*t.row_ids(i), reason))
+        rows &= usable
+        if not rows.any():
             continue
-        z = np.array([z_fixed_effects(st, spec).value for st in usable])
-        sizes = np.array([st.effective_size for st in usable])
-        for st, zv in zip(usable, z):
-            run.z_fe[(st.center_id, st.measure_id)] = float(zv)
+        z, sizes = run.z_fe[rows], t.size[rows]
         if method == "en":
             fit = fit_empirical_null(z, sizes, spec.en_config,
                                      a_psi=spec.a_psi,
                                      measure_id=spec.measure_id)
             run.null_fits[spec.measure_id] = fit
-            for st, zv, n in zip(usable, z, sizes):
-                run.z_en[(st.center_id, st.measure_id)] = z_empirical_null(
-                    float(zv), float(n), fit.phi_hat)
+            run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
         elif method == "mom":
             mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
                                         a_psi=spec.a_psi)
             run.mom_fits[spec.measure_id] = mom
-            for st, zv, n in zip(usable, z, sizes):
-                run.z_mom[(st.center_id, st.measure_id)] = z_method_of_moments(
-                    float(zv), float(n), mom.phi_mom)
+            run.z_mom[rows] = z_empirical_null(z, sizes, mom.phi_mom)
     return run
 
 
 def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:
     """Centers x measures table of direction-aligned scores for the run's
-    method, NaN where a center lacks a measure."""
-    scores = run.scores_for(run.method)
-    center_ids: list[str] = []
-    for st in run.stats:
-        if st.center_id not in center_ids:
-            center_ids.append(st.center_id)
-    mat = np.full((len(center_ids), len(run.measures)), np.nan)
-    row = {cid: i for i, cid in enumerate(center_ids)}
-    for k, spec in enumerate(run.measures):
-        sign = 1.0 if spec.direction == "higher_is_better" else -1.0
-        for cid in center_ids:
-            val = scores.get((cid, spec.measure_id))
-            if val is not None:
-                mat[row[cid], k] = sign * val
-    return center_ids, mat
+    method (lower always means worse care), NaN where a center lacks a
+    measure."""
+    t = run.table
+    scores = {"fe": run.z_fe, "en": run.z_en, "mom": run.z_mom}[run.method]
+    sign = np.array([1.0 if m.direction == "higher_is_better" else -1.0
+                     for m in t.measures])
+    aligned = np.full((len(t.center_ids), len(t.measures)), np.nan)
+    aligned[t.center, t.measure] = sign[t.measure] * scores
+    return list(t.center_ids), aligned
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +271,33 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
+def _write_csv(path: Path, rows) -> None:
+    """Write rows of cells, quoting any cell that holds a comma, quote or
+    line break, so every id reads back unchanged."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
 def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Path]:
     """Write scores.csv (+ null_fit.json for empirical-null runs and
     skipped.csv when centers were excluded). Returns the paths written."""
-    if not run.stats:
-        raise InputError("no center statistics to report")
+    t = run.table
     out = Path(out_dir)
     written: list[Path] = []
 
-    lines = [",".join(SCORES_HEADER)]
-    for st in run.stats:
-        key = (st.center_id, st.measure_id)
-        cells = [st.center_id, st.measure_id]
-        for col in (run.z_fe, run.z_en, run.z_mom):
-            cells.append(fmt6(col[key]) if key in col else "")
-        lines.append(",".join(cells))
+    rows = [SCORES_HEADER]
+    for i, fe, en, mom in zip(range(len(t)), run.z_fe.tolist(), run.z_en.tolist(),
+                              run.z_mom.tolist()):
+        rows.append([*t.row_ids(i), _fmt6_or_blank(fe), _fmt6_or_blank(en),
+                     _fmt6_or_blank(mom)])
     scores_path = out / "scores.csv"
-    _write_text(scores_path, "\n".join(lines) + "\n")
+    _write_csv(scores_path, rows)
     written.append(scores_path)
 
     if run.null_fits:
         payload = []
-        for spec in run.measures:
+        for spec in t.measures:
             fit = run.null_fits.get(spec.measure_id)
             if fit is None:
                 continue
@@ -346,10 +316,8 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
         written.append(fit_path)
 
     if run.skipped:
-        rows = ["center_id,measure_id,reason"]
-        rows += [f"{c},{m},{reason}" for c, m, reason in run.skipped]
         skipped_path = out / "skipped.csv"
-        _write_text(skipped_path, "\n".join(rows) + "\n")
+        _write_csv(skipped_path, [["center_id", "measure_id", "reason"], *run.skipped])
         written.append(skipped_path)
     return written
 
@@ -371,92 +339,82 @@ def write_composite_report(
     poor/average/good percentages."""
     if not results:
         raise InputError("no composite results to report")
-    lines = ["center_id,z_cs,label,partial"]
+    rows = [["center_id", "z_cs", "label", "partial"]]
     counts = {"poor": 0, "average": 0, "good": 0}
     for res in results:
         counts[res.label] += 1
-        lines.append(f"{res.center_id},{fmt6(res.z_cs)},{res.label},"
-                     f"{'true' if res.partial else 'false'}")
+        rows.append([res.center_id, fmt6(res.z_cs), res.label,
+                     "true" if res.partial else "false"])
     total = len(results)
-    lines.append("summary,poor_pct,average_pct,good_pct")
-    lines.append("percent," + ",".join(
-        fmt6(100.0 * counts[k] / total) for k in ("poor", "average", "good")))
+    rows.append(["summary", "poor_pct", "average_pct", "good_pct"])
+    rows.append(["percent"] + [fmt6(100.0 * counts[k] / total)
+                               for k in ("poor", "average", "good")])
     path = Path(out_path)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, rows)
     return path
 
 
 def emit_funnel(
-    stats: Sequence[CenterStat],
+    table: CenterTable,
     spec: MeasureSpec,
     null_fit: NullFit,
     alpha_z_list: Sequence[float] = (1.96,),
     out_dir: str | Path = ".",
 ) -> list[Path]:
-    """Funnel CSV and SVG for one measure: per-center O/E ratios with
-    fixed-effects (phi = 0) and empirical-null (phi = phi_hat) control
-    limits at each requested |Z| threshold."""
+    """Funnel CSV and SVG for one measure of the table: per-center O/E
+    ratios with fixed-effects (phi = 0) and empirical-null (phi = phi_hat)
+    control limits at each requested |Z| threshold."""
     if not alpha_z_list:
         raise InputError("alpha_z_list must not be empty")
-    usable = [st for st in stats
-              if st.measure_id == spec.measure_id
-              and st.expected > 0 and st.effective_size > 0]
-    if not usable:
+    t = table
+    in_measure = np.array([m.measure_id == spec.measure_id for m in t.measures])[t.measure]
+    rows = np.flatnonzero(in_measure & (t.expected > 0) & (t.size > 0))
+    if not rows.size:
         raise InputError(f"no plottable centers for measure "
                          f"{spec.measure_id!r}")
-    usable.sort(key=lambda st: (st.effective_size, st.center_id))
+    rows = np.array(sorted(rows.tolist(), key=lambda i: (t.size[i], t.row_ids(i)[0])))
+    size, expected = t.size[rows], t.expected[rows]
+    ratio = measure_ratio(t.observed[rows], expected)
     out = Path(out_dir)
     written: list[Path] = []
     multi = len(alpha_z_list) > 1
     for alpha_z in alpha_z_list:
-        rows = []
-        for st in usable:
-            ratio = measure_ratio(st)
-            fe_lo, fe_hi = control_limits(0.0, st.expected, st.effective_size,
-                                          spec.a_psi, alpha_z)
-            en_lo, en_hi = control_limits(null_fit.phi_hat, st.expected,
-                                          st.effective_size, spec.a_psi, alpha_z)
-            rows.append((st.effective_size, ratio, fe_lo, fe_hi, en_lo, en_hi))
+        fe_lo, fe_hi = control_limits(0.0, expected, size, spec.a_psi, alpha_z)
+        en_lo, en_hi = control_limits(null_fit.phi_hat, expected, size,
+                                      spec.a_psi, alpha_z)
+        cols = [c.tolist() for c in (size, ratio, fe_lo, fe_hi, en_lo, en_hi)]
         suffix = f"_z{fmt6(alpha_z).rstrip('0').rstrip('.')}" if multi else ""
         csv_path = out / f"funnel_{spec.measure_id}{suffix}.csv"
-        lines = [",".join(FUNNEL_HEADER)]
-        lines += [",".join(fmt6(v) for v in row) for row in rows]
-        _write_text(csv_path, "\n".join(lines) + "\n")
+        _write_csv(csv_path, [FUNNEL_HEADER] + [[fmt6(v) for v in row]
+                                                for row in zip(*cols)])
         written.append(csv_path)
 
         svg_path = out / f"funnel_{spec.measure_id}{suffix}.svg"
-        cols = list(zip(*rows))
         _write_text(svg_path, funnel_svg(
-            f"{spec.measure_id} funnel (|Z| = {alpha_z:g})",
-            cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]))
+            f"{spec.measure_id} funnel (|Z| = {alpha_z:g})", *cols))
         written.append(svg_path)
     return written
 
 
 def write_diagnostics(
-    measures: Sequence[MeasureSpec],
-    stats: Sequence[CenterStat],
+    table: CenterTable,
     out_path: str | Path,
     n_groups: int = 3,
 ) -> Path:
     """Size-grouped Z-score variance table per measure (fixed-effects
     scores), the overdispersion diagnostic."""
-    run = standardize(measures, stats, method="fe")
-    lines = ["measure_id,group,mean_size,z_variance,flag_proportion"]
-    for spec in measures:
-        pairs = [(run.z_fe[(st.center_id, st.measure_id)], st.effective_size)
-                 for st in run.stats
-                 if st.measure_id == spec.measure_id
-                 and (st.center_id, st.measure_id) in run.z_fe]
-        if not pairs:
+    run = standardize(table, method="fe")
+    rows = [["measure_id", "group", "mean_size", "z_variance", "flag_proportion"]]
+    for k, spec in enumerate(table.measures):
+        scored = (table.measure == k) & ~np.isnan(run.z_fe)
+        if not scored.any():
             continue
-        z, sizes = zip(*pairs)
-        groups = group_variance_diagnostic(list(z), list(sizes), n_groups)
-        for g, (mean_size, var, prop) in enumerate(groups, start=1):
-            lines.append(f"{spec.measure_id},{g},{fmt6(mean_size)},"
-                         f"{fmt6(var)},{fmt6(prop)}")
+        groups = group_variance_diagnostic(run.z_fe[scored], table.size[scored],
+                                           n_groups)
+        rows += [[spec.measure_id, g, fmt6(mean_size), fmt6(var), fmt6(prop)]
+                 for g, (mean_size, var, prop) in enumerate(groups, start=1)]
     path = Path(out_path)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, rows)
     return path
 
 
@@ -505,54 +463,42 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
 
 def write_sim_result(result: SimResult, out_dir: str | Path) -> list[Path]:
     """Plot-ready curve tables for a simulation result."""
-    out = Path(out_dir)
-    written: list[Path] = []
     if result.kind == "flagging":
-        lines = ["gamma,n_effective,n_failed,fe_rate,fe_se,mom_rate,mom_se,"
-                 "en_rate,en_se"]
+        name = "flag_curves.csv"
+        rows = ["gamma,n_effective,n_failed,fe_rate,fe_se,mom_rate,mom_se,"
+                "en_rate,en_se".split(",")]
         for gi, gamma in enumerate(result.gamma_grid):
-            cells = [fmt6(gamma), str(int(result.n_effective[gi])),
-                     str(int(result.n_failed[gi]))]
+            cells = [fmt6(gamma), int(result.n_effective[gi]), int(result.n_failed[gi])]
             for m in ("fe", "mom", "en"):
                 cells.append(fmt6(float(result.flag_rates[m][gi])))
                 cells.append(fmt6(float(result.flag_se[m][gi])))
-            lines.append(",".join(cells))
-        path = out / "flag_curves.csv"
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+            rows.append(cells)
     elif result.kind == "tuning":
-        lines = ["q,n_effective,en_sigma2_mean,en_sigma2_sd,en_flag_rate,"
-                 "en_flag_se,mom_sigma2_mean,mom_sigma2_sd,mom_flag_rate,"
-                 "mom_flag_se"]
-
-        def cell(x: float) -> str:
-            return "" if math.isnan(x) else fmt6(x)
-
+        name = "tuning_curves.csv"
+        rows = ["q,n_effective,en_sigma2_mean,en_sigma2_sd,en_flag_rate,"
+                "en_flag_se,mom_sigma2_mean,mom_sigma2_sd,mom_flag_rate,"
+                "mom_flag_se".split(",")]
         for qi, q in enumerate(result.q_grid):
-            cells = [fmt6(q), str(int(result.n_effective[qi]))]
+            cells = [fmt6(q), int(result.n_effective[qi])]
             for m in ("en", "mom"):
-                cells.append(cell(float(result.sigma2_mean[m][qi])))
-                cells.append(cell(float(result.sigma2_sd[m][qi])))
-                cells.append(cell(float(result.flag_rates[m][qi])))
-                cells.append(cell(float(result.flag_se[m][qi])))
-            lines.append(",".join(cells))
-        path = out / "tuning_curves.csv"
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+                cells.append(_fmt6_or_blank(float(result.sigma2_mean[m][qi])))
+                cells.append(_fmt6_or_blank(float(result.sigma2_sd[m][qi])))
+                cells.append(_fmt6_or_blank(float(result.flag_rates[m][qi])))
+                cells.append(_fmt6_or_blank(float(result.flag_se[m][qi])))
+            rows.append(cells)
     elif result.kind == "composite":
-        lines = ["gamma,center,n_effective,fe_rate,fe_se,mom_rate,mom_se,"
-                 "en_rate,en_se"]
+        name = "composite_curves.csv"
+        rows = ["gamma,center,n_effective,fe_rate,fe_se,mom_rate,mom_se,"
+                "en_rate,en_se".split(",")]
         for gi, gamma in enumerate(result.gamma_grid):
             for ci in range(4):
-                cells = [fmt6(gamma), f"Center{ci + 1}",
-                         str(int(result.n_effective[gi]))]
+                cells = [fmt6(gamma), f"Center{ci + 1}", int(result.n_effective[gi])]
                 for m in ("fe", "mom", "en"):
                     cells.append(fmt6(float(result.focal_flag_rates[m][ci, gi])))
                     cells.append(fmt6(float(result.focal_flag_se[m][ci, gi])))
-                lines.append(",".join(cells))
-        path = out / "composite_curves.csv"
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+                rows.append(cells)
     else:
         raise InputError(f"unknown simulation result kind {result.kind!r}")
-    return written
+    path = Path(out_dir) / name
+    _write_csv(path, rows)
+    return [path]

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import fit_method_of_moments, z_method_of_moments
+from .baselines import fit_method_of_moments
 from .empirical_null import EnConfig, fit_empirical_null, z_empirical_null
 from .errors import ConvergenceError, FittingError, InputError
-from .measures import FLAG_Z, CenterStat
+from .measures import FLAG_Z, z_fixed_effects
 
 METHOD_KEYS = ("fe", "mom", "en")
 ENV_THREADS = "PROFILE_NULL_THREADS"
@@ -92,15 +92,7 @@ class SimDataset:
     alpha: np.ndarray
 
     def z_fixed_effects(self) -> np.ndarray:
-        return (self.observed - self.expected) / np.sqrt(self.effective_size)
-
-    def to_center_stats(self, measure_id: str = "SIM") -> list[CenterStat]:
-        return [
-            CenterStat(center_id=f"C{i + 1:04d}", measure_id=measure_id,
-                       observed=float(o), expected=float(e), effective_size=float(n))
-            for i, (o, e, n) in enumerate(
-                zip(self.observed, self.expected, self.effective_size))
-        ]
+        return z_fixed_effects(self.observed, self.expected, self.effective_size)
 
 
 @dataclass(frozen=True)
@@ -253,7 +245,7 @@ def _flagging_iteration(iteration: int, config: SimConfig, gamma: float):
         zi, ni = float(z[idx]), float(sizes[idx])
         out += [
             abs(zi) > FLAG_Z,
-            abs(z_method_of_moments(zi, ni, mom.phi_mom)) > FLAG_Z,
+            abs(z_empirical_null(zi, ni, mom.phi_mom)) > FLAG_Z,
             abs(z_empirical_null(zi, ni, fit.phi_hat)) > FLAG_Z,
         ]
     return tuple(out)
@@ -329,7 +321,7 @@ def _tuning_iteration(iteration: int, config: SimConfig, gamma: float):
     for qi, q in enumerate(config.q_grid):
         mom = fit_method_of_moments(z, sizes, q_percent=float(q))
         mom_s2[qi] = mom.sigma2_alpha_hat
-        mom_flag[qi] = abs(z_method_of_moments(z1, n1, mom.phi_mom)) > FLAG_Z
+        mom_flag[qi] = abs(z_empirical_null(z1, n1, mom.phi_mom)) > FLAG_Z
         if q > 0:
             # the empirical-null interval needs a finite quantile, so q = 0
             # applies to the method-of-moments arm only
@@ -445,25 +437,22 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
 
     o1 = rng.poisson(n1 * np.exp(g1 + alpha1)).astype(np.float64)
     o2 = rng.poisson(n2 * np.exp(g2 + alpha2)).astype(np.float64)
-    z1 = (o1 - n1) / np.sqrt(n1)
-    z2 = (o2 - n2) / np.sqrt(n2)
+    z1 = z_fixed_effects(o1, n1, n1)
+    z2 = z_fixed_effects(o2, n2, n2)
     try:
         fit1, mom1 = _fit_three_methods(z1, n1, config)
         fit2, mom2 = _fit_three_methods(z2, n2, config)
     except (FittingError, ConvergenceError):
         return None
 
+    phis = {"fe": (0.0, 0.0), "mom": (mom1.phi_mom, mom2.phi_mom),
+            "en": (fit1.phi_hat, fit2.phi_hat)}
     flags = np.zeros((len(METHOD_KEYS), N_PROBES), dtype=np.float64)
     for mi, m in enumerate(METHOD_KEYS):
-        if m == "fe":
-            s1v, s2v = z1, z2
-        elif m == "mom":
-            s1v = z1 / np.sqrt(1.0 + mom1.phi_mom * n1)
-            s2v = z2 / np.sqrt(1.0 + mom2.phi_mom * n2)
-        else:
-            s1v = z1 / np.sqrt(1.0 + fit1.phi_hat * n1)
-            s2v = z2 / np.sqrt(1.0 + fit2.phi_hat * n2)
-        comp = (s1v[:N_PROBES] - s2v[:N_PROBES]) / math.sqrt(2.0)
+        phi1, phi2 = phis[m]
+        s1v = z_empirical_null(z1[:N_PROBES], n1[:N_PROBES], phi1)
+        s2v = z_empirical_null(z2[:N_PROBES], n2[:N_PROBES], phi2)
+        comp = (s1v - s2v) / math.sqrt(2.0)
         flags[mi] = np.abs(comp) > FLAG_Z
     return flags
 

@@ -13,7 +13,6 @@ from profile_null import (
     fit_method_of_moments,
     mom_phi,
     winsorize,
-    z_method_of_moments,
 )
 
 
@@ -132,16 +131,3 @@ class TestMomPhi:
             mom_means.append(fit_method_of_moments(z, n, q_percent=0.0).phi_mom)
             en_means.append(fit_empirical_null(z, n).phi_hat)
         assert float(np.mean(mom_means)) > float(np.mean(en_means))
-
-
-class TestZMethodOfMoments:
-    def test_identity_cases(self):
-        assert z_method_of_moments(1.7, 100.0, 0.0) == 1.7
-        assert z_method_of_moments(1.7, 0.0, 0.5) == 1.7
-
-    def test_hand_value(self):
-        assert z_method_of_moments(3.0, 100.0, 0.15) == pytest.approx(0.75, abs=1e-10)
-
-    def test_negative_phi_rejected(self):
-        with pytest.raises(InputError):
-            z_method_of_moments(1.0, 10.0, -0.01)

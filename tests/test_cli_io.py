@@ -1,15 +1,21 @@
 """File parsing, report writing, CLI dispatch, exit codes, and determinism."""
 
+import csv
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from profile_null import CenterTable
 from profile_null.cli import main
 from profile_null.errors import InputError
 from profile_null.report import (
@@ -26,6 +32,17 @@ from profile_null.report import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _write_rows(path, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _read_rows(path):
+    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +51,7 @@ def measures():
 
 
 @pytest.fixture(scope="module")
-def stats(measures):
+def table(measures):
     return read_center_stats(FIXTURES / "centers.csv", measures)
 
 
@@ -83,21 +100,38 @@ class TestReadMeasureConfig:
         with pytest.raises(InputError, match="not found"):
             read_measure_config(FIXTURES / "nope.json")
 
+    @pytest.mark.parametrize("bad_id", ["a/../../escaped", "..\\escaped", "a\0b"])
+    def test_path_characters_in_measure_id_exit_2(self, tmp_path, capsys, bad_id):
+        # measure ids name the funnel files, so they must not leave --out
+        spec = json.loads((FIXTURES / "measures.json").read_text())
+        spec[1]["measure_id"] = bad_id
+        measures = tmp_path / "measures.json"
+        measures.write_text(json.dumps(spec))
+        rows = _read_rows(FIXTURES / "centers.csv")
+        _write_rows(tmp_path / "centers.csv",
+                    [[c, bad_id if m == "SAR" else m, *rest] for c, m, *rest in rows])
+        out = tmp_path / "x" / "y"
+        code = main(["funnel", "--centers", str(tmp_path / "centers.csv"),
+                     "--measures", str(measures), "--out", str(out)])
+        assert code == 2
+        assert "measures entry 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestReadCenterStats:
     def test_poisson_fill_rule(self, measures, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("center_id,measure_id,observed,expected,effective_size\n"
                      "C001,TRR,50,40,\n")
-        stats = read_center_stats(f, measures)
-        assert stats[0].effective_size == 40.0
+        table = read_center_stats(f, measures)
+        assert table.size[0] == 40.0
 
     def test_explicit_binomial_size(self, measures, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("center_id,measure_id,observed,expected,effective_size\n"
                      "C001,SAR,30,25,18.2\n")
-        stats = read_center_stats(f, measures)
-        assert stats[0].effective_size == 18.2
+        table = read_center_stats(f, measures)
+        assert table.size[0] == 18.2
 
     @pytest.mark.parametrize("name,match", [
         ("bad_header.csv", "header"),
@@ -113,22 +147,22 @@ class TestReadCenterStats:
         with pytest.raises(InputError, match=match):
             read_center_stats(FIXTURES / "malformed" / name, measures)
 
-    def test_fixture_loads(self, stats):
-        assert len(stats) == 848
-        assert all(s.effective_size > 0 for s in stats)
+    def test_fixture_loads(self, table):
+        assert len(table) == 848
+        assert len(table.center_ids) == 212
+        assert np.all(table.size > 0)
 
 
 class TestScoresReport:
-    def test_en_report_roundtrips_at_printed_precision(self, measures, stats,
-                                                       tmp_path):
-        run = standardize(measures, stats, method="en")
+    def test_en_report_roundtrips_at_printed_precision(self, table, tmp_path):
+        run = standardize(table, method="en")
         write_scores_report(run, tmp_path)
         rows = read_scores_csv(tmp_path / "scores.csv")
         assert len(rows) == 848
-        for row in rows[:50]:
-            key = (row["center_id"], row["measure_id"])
-            assert row["z_fe"] == fmt6(run.z_fe[key])
-            assert row["z_en"] == fmt6(run.z_en[key])
+        for i, row in enumerate(rows[:50]):
+            assert (row["center_id"], row["measure_id"]) == table.row_ids(i)
+            assert row["z_fe"] == fmt6(run.z_fe[i])
+            assert row["z_en"] == fmt6(run.z_en[i])
             assert row["z_mom"] == ""
         fit_payload = json.loads((tmp_path / "null_fit.json").read_text())
         assert [f["measure_id"] for f in fit_payload] == ["TRR", "SAR", "PSMR",
@@ -148,25 +182,22 @@ class TestScoresReport:
             lines.append(f"R{i:04d},TRR,{o:.6f},{e:.6f},")
         f = tmp_path / "null.csv"
         f.write_text("\n".join(lines) + "\n")
-        stats = read_center_stats(f, measures)
-        run = standardize(measures, stats, method="en")
+        run = standardize(read_center_stats(f, measures), method="en")
         assert run.null_fits["TRR"].phi_hat < 0.002
-        for key, z in list(run.z_fe.items())[:20]:
-            assert run.z_en[key] == pytest.approx(z, rel=0.25)
+        assert run.z_en[:20] == pytest.approx(run.z_fe[:20], rel=0.25)
 
     def test_skipped_centers_reported(self, measures, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("center_id,measure_id,observed,expected,effective_size\n"
                      "C001,SAR,30,25,18.2\n"
                      "C002,SAR,0,25,0\n")
-        stats = read_center_stats(f, measures)
-        run = standardize(measures, stats, method="fe")
+        run = standardize(read_center_stats(f, measures), method="fe")
         assert run.skipped == [("C002", "SAR", "effective_size <= 0")]
         write_scores_report(run, tmp_path)
         assert (tmp_path / "skipped.csv").exists()
 
-    def test_mom_method_fills_mom_column(self, measures, stats, tmp_path):
-        run = standardize(measures, stats, method="mom", mom_q=10.0)
+    def test_mom_method_fills_mom_column(self, table, tmp_path):
+        run = standardize(table, method="mom", mom_q=10.0)
         write_scores_report(run, tmp_path)
         rows = read_scores_csv(tmp_path / "scores.csv")
         assert rows[0]["z_mom"] != ""
@@ -181,8 +212,8 @@ class TestScoresReport:
 
 
 class TestCompositeReport:
-    def test_summary_percentages_partition(self, measures, stats, tmp_path):
-        run = standardize(measures, stats, method="en")
+    def test_summary_percentages_partition(self, measures, table, tmp_path):
+        run = standardize(table, method="en")
         ids, aligned = align_scores(run)
         from profile_null import composite_table
         results, skipped = composite_table(ids, aligned,
@@ -207,10 +238,10 @@ class TestCompositeReport:
 
 
 class TestEmitFunnel:
-    def test_csv_values_and_svg(self, measures, stats, tmp_path):
-        run = standardize(measures, stats, method="en")
+    def test_csv_values_and_svg(self, measures, table, tmp_path):
+        run = standardize(table, method="en")
         spec = measures[0]
-        paths = emit_funnel(stats, spec, run.null_fits["TRR"], [1.96], tmp_path)
+        paths = emit_funnel(table, spec, run.null_fits["TRR"], [1.96], tmp_path)
         csv_path = [p for p in paths if p.suffix == ".csv"][0]
         svg_path = [p for p in paths if p.suffix == ".svg"][0]
         lines = csv_path.read_text().splitlines()
@@ -230,23 +261,23 @@ class TestEmitFunnel:
         f = tmp_path / "c.csv"
         f.write_text("center_id,measure_id,observed,expected,effective_size\n"
                      "C001,TRR,100,100,\n")
-        stats = read_center_stats(f, measures)
+        table = read_center_stats(f, measures)
         fit = NullFit(measure_id="TRR", phi_hat=0.14, pi0_hat=1.0,
                       phi_init=0.1, v=1.645, interval_bounds=np.zeros((1, 2)),
                       null_set=np.ones(1, bool), loglik=0.0,
                       sigma2_alpha_hat=0.14)
-        paths = emit_funnel(stats, measures[0], fit, [1.96], tmp_path)
+        paths = emit_funnel(table, measures[0], fit, [1.96], tmp_path)
         row = paths[0].read_text().splitlines()[1].split(",")
         assert [float(x) for x in row[2:]] == pytest.approx(
             [0.804, 1.196, 0.241, 1.759], abs=1e-3)
 
-    def test_fe_curves_match_en_at_zero_phi(self, measures, stats, tmp_path):
+    def test_fe_curves_match_en_at_zero_phi(self, measures, table, tmp_path):
         from profile_null.empirical_null import NullFit
         fit = NullFit(measure_id="TRR", phi_hat=0.0, pi0_hat=1.0, phi_init=0.0,
                       v=1.645, interval_bounds=np.zeros((1, 2)),
                       null_set=np.ones(1, bool), loglik=0.0,
                       sigma2_alpha_hat=0.0)
-        paths = emit_funnel(stats, measures[0], fit, [1.96], tmp_path)
+        paths = emit_funnel(table, measures[0], fit, [1.96], tmp_path)
         for line in paths[0].read_text().splitlines()[1:]:
             cells = line.split(",")
             assert cells[2] == cells[4] and cells[3] == cells[5]
@@ -370,17 +401,16 @@ class TestCliDispatch:
 
 class TestValidationEdges:
     def test_standardize_rejects_duplicates(self, measures):
-        from profile_null import CenterStat
-        dup = [CenterStat("C1", "TRR", 10, 10, 10),
-               CenterStat("C1", "TRR", 11, 10, 10)]
+        # the table standardize takes cannot hold a pair twice
         with pytest.raises(InputError, match="duplicate"):
-            standardize(measures, dup, method="fe")
+            standardize(CenterTable(measures, ["C1", "C1"], ["TRR", "TRR"],
+                                    [10, 11], [10, 10], [10, 10]), method="fe")
 
     def test_write_scores_rejects_empty_run(self, measures, tmp_path):
-        from profile_null.report import StandardizationRun
-        run = StandardizationRun(method="fe", measures=list(measures), stats=[])
+        # an empty run cannot be built: its table must hold rows
         with pytest.raises(InputError):
-            write_scores_report(run, tmp_path)
+            write_scores_report(standardize(CenterTable(measures, [], [], [], [], [])),
+                                tmp_path)
 
     def test_degenerate_fit_exits_3(self, tmp_path, capsys):
         # a majority block of identical huge scores collapses the robust
@@ -411,8 +441,7 @@ class TestValidationEdges:
             lines.append(f"U{i:04d},TRR,{o:.6f},{e:.6f},")
         f = tmp_path / "c.csv"
         f.write_text("\n".join(lines) + "\n")
-        stats = read_center_stats(f, measures)
-        run = standardize(measures, stats, method="en")
+        run = standardize(read_center_stats(f, measures), method="en")
         assert run.null_fits["TRR"].phi_hat <= 1e-10
         write_scores_report(run, tmp_path)
         for row in read_scores_csv(tmp_path / "scores.csv"):
@@ -461,3 +490,67 @@ class TestAdditionalCliPaths:
                                  "q_percent": 2.5, "gamma_grid": [0.0]}))
         config, _ = read_sim_config(f)
         assert config.en_config.q_percent == 2.5
+
+
+class TestIdRoundTrip:
+    """Any id the readers accept comes back unchanged from every writer."""
+
+    @given(center=st.text(min_size=1, max_size=10),
+           measure=st.text(min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_ids_survive_every_report(self, center, measure):
+        rng = np.random.default_rng(0)
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "measures.json").write_text(json.dumps(
+                [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+                 for m in (measure, "Q", "R")]))
+            ids = [center] + [f"P{i}" for i in range(7)]
+            rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+            for cid in ids:
+                for m in (measure, "Q", "R"):
+                    # two zero-expected rows land in skipped.csv
+                    skip = (cid, m) in ((center, "R"), ("P0", measure))
+                    rows.append([cid, m, int(rng.integers(30, 70)), 0 if skip else 50, ""])
+            _write_rows(d / "centers.csv", rows)
+            try:
+                table = read_center_stats(d / "centers.csv",
+                                          read_measure_config(d / "measures.json"))
+            except InputError:
+                return
+            args = ["--centers", str(d / "centers.csv"),
+                    "--measures", str(d / "measures.json"), "--out", str(d / "out")]
+            assert main(["composite", "--method", "fe", *args]) == 0
+            assert main(["diagnose", "--groups", "2", *args]) == 0
+
+            accepted_center, accepted_measure = table.row_ids(0)
+            scores = _read_rows(d / "out" / "scores.csv")[1:]
+            assert [tuple(r[:2]) for r in scores] == [table.row_ids(i)
+                                                      for i in range(len(table))]
+            skipped = _read_rows(d / "out" / "skipped.csv")[1:]
+            assert [tuple(r[:2]) for r in skipped] == [("P0", accepted_measure),
+                                                       (accepted_center, "R")]
+            composite = _read_rows(d / "out" / "composite.csv")[1:-2]
+            assert [r[0] for r in composite] == list(table.center_ids)
+            diagnostics = _read_rows(d / "out" / "diagnostics.csv")[1:]
+            assert [r[0] for r in diagnostics] == [accepted_measure] * 2 + ["Q"] * 2 + ["R"] * 2
+
+
+class TestRowOrderInvariance:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_centers_give_the_same_lines(self, tmp_path, seed):
+        # the golden outputs come from the fixture in its own row order
+        header, *rows = (FIXTURES / "centers.csv").read_text().splitlines()
+        order = np.random.default_rng(seed).permutation(len(rows))
+        centers = tmp_path / "centers.csv"
+        centers.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+        for cmd in ("composite", "funnel", "diagnose"):
+            assert main([cmd, "--centers", str(centers),
+                         "--measures", str(FIXTURES / "measures.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        golden = sorted(p.name for p in (GOLDEN / "pipeline").iterdir())
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == golden
+        for name in golden:
+            produced = (tmp_path / "out" / name).read_text().splitlines()
+            expected = (GOLDEN / "pipeline" / name).read_text().splitlines()
+            assert sorted(produced) == sorted(expected), name

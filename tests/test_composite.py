@@ -7,19 +7,20 @@ import numpy as np
 import pytest
 
 from profile_null import (
+    CenterTable,
     CompositeConfig,
     InputError,
     MeasureSpec,
-    ZScore,
     capped_corr_weights,
     composite_score,
     composite_table,
     correlation_matrix,
-    direction_align,
     flag,
     inverse_corr_weights,
     published_weights,
 )
+import profile_null.composite as composite_module
+from profile_null.report import align_scores, standardize
 
 # sample correlations among the four transplant measures, with published
 # weights (0.39, 0.40, 0.37, 0.38)
@@ -32,24 +33,38 @@ TABLE_CORR = np.array([
 TABLE_WEIGHTS = (0.39, 0.40, 0.37, 0.38)
 
 
-def _zs(value, measure="M"):
-    return ZScore(center_id="C", measure_id=measure, method="empirical_null",
-                  value=value)
-
-
-def _spec(direction, measure="M"):
-    return MeasureSpec(measure_id=measure, family="poisson", direction=direction)
+def _aligned(direction, observed):
+    """align_scores of fixed-effects scores for one center and two measures
+    of the given direction, each with expected = size = 100."""
+    specs = [MeasureSpec(measure_id=m, family="poisson", direction=direction)
+             for m in ("M1", "M2")]
+    table = CenterTable(specs, ["C", "C"], ["M1", "M2"], observed, [100, 100],
+                        [100, 100])
+    ids, aligned = align_scores(standardize(table, method="fe"))
+    assert ids == ["C"]
+    return aligned[0].tolist()
 
 
 class TestDirectionAlign:
     def test_higher_is_better_identity(self):
-        assert direction_align(_zs(1.3), _spec("higher_is_better")) == 1.3
+        assert _aligned("higher_is_better", [113, 87]) == [1.3, -1.3]
 
     def test_lower_is_better_flips(self):
-        assert direction_align(_zs(1.3), _spec("lower_is_better")) == -1.3
+        assert _aligned("lower_is_better", [113, 87]) == [-1.3, 1.3]
 
     def test_zero_fixed_point(self):
-        assert direction_align(_zs(0.0), _spec("lower_is_better")) == 0.0
+        assert _aligned("lower_is_better", [100, 100]) == [0.0, 0.0]
+
+    def test_missing_measure_stays_nan(self):
+        spec = MeasureSpec(measure_id="M", family="poisson",
+                           direction="lower_is_better")
+        table = CenterTable([spec, MeasureSpec("N", "poisson", "higher_is_better")],
+                            ["A", "B", "B"], ["M", "M", "N"], [5, 6, 7], [4, 4, 4],
+                            [4, 4, 4])
+        ids, aligned = align_scores(standardize(table, method="fe"))
+        assert ids == ["A", "B"]
+        assert aligned[0, 0] == -0.5 and np.isnan(aligned[0, 1])
+        assert aligned[1].tolist() == [-1.0, 1.5]
 
 
 class TestCorrelationMatrix:
@@ -157,6 +172,14 @@ class TestCompositeScore:
         scores = [composite_score(row, w, c) for row in mat]
         assert float(np.var(scores, ddof=1)) == pytest.approx(1.0, abs=0.1)
 
+    def test_block_matches_rows_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        mat = rng.normal(size=(300, 4))
+        c = correlation_matrix(mat)
+        w = capped_corr_weights(c)
+        block = composite_score(mat, w, c)
+        assert block.tolist() == [composite_score(row, w, c) for row in mat]
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
         mat = rng.normal(size=(60, 4))
@@ -226,6 +249,25 @@ class TestCompositeTable:
         assert by_id["C0"].partial
         assert by_id["C0"].measures_used == ("A", "B")
         assert not by_id["C2"].partial
+
+    def test_validates_correlations_once_per_table(self, monkeypatch):
+        calls = []
+        real = composite_module._validate_corr
+        monkeypatch.setattr(composite_module, "_validate_corr",
+                            lambda c: calls.append(1) or real(c))
+        rng = np.random.default_rng(24)
+        mat = rng.normal(size=(60, 3))
+        mat[:5, 0] = np.nan
+        mat[5:9, 2] = np.nan
+        results, _ = composite_table([f"C{i}" for i in range(60)], mat,
+                                     ["A", "B", "C"])
+        assert len(calls) == 1
+        c = correlation_matrix(mat)
+        w = capped_corr_weights(c)
+        for i in (0, 6, 20):
+            idx = np.flatnonzero(np.isfinite(mat[i]))
+            assert results[i].z_cs == composite_score(mat[i, idx], w[idx],
+                                                      c[np.ix_(idx, idx)])
 
     def test_user_weights_pass_through(self):
         rng = np.random.default_rng(23)

@@ -171,10 +171,26 @@ class TestFitEmpiricalNull:
 class TestZEmpiricalNull:
     def test_identity_at_zero_phi(self):
         assert z_empirical_null(2.3, 500.0, 0.0) == 2.3
+        assert z_empirical_null(1.7, 0.0, 0.5) == 1.7
 
     def test_hand_values(self):
         assert z_empirical_null(3.0, 100.0, 0.14) == pytest.approx(0.774597, abs=1e-5)
         assert z_empirical_null(-2.5, 50.0, 0.24) == pytest.approx(-0.693375, abs=1e-5)
+        # a method-of-moments estimate rescales the same way
+        assert z_empirical_null(3.0, 100.0, 0.15) == pytest.approx(0.75, abs=1e-10)
+
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(5)
+        z, n = rng.normal(0, 3, 50), rng.uniform(0, 500, 50)
+        out = z_empirical_null(z, n, 0.14)
+        assert out.tolist() == [z_empirical_null(float(a), float(b), 0.14)
+                                for a, b in zip(z, n)]
+
+    def test_validation(self):
+        with pytest.raises(InputError):
+            z_empirical_null(1.0, 10.0, -0.01)
+        with pytest.raises(InputError):
+            z_empirical_null([1.0, 1.0], [10.0, -1.0], 0.1)
 
     @given(st.floats(-30, 30, allow_nan=False),
            st.floats(0, 1e4, allow_nan=False),
@@ -236,6 +252,22 @@ class TestEnConfig:
         assert grid[0] == pytest.approx(0.80)
         assert grid[-1] == pytest.approx(1.00)
         assert len(grid) == 41
+
+    def test_default_grid_unchanged(self):
+        # the grid every fit used before the grid was defined as lo + k*step
+        old = np.clip(0.80 + 0.005 * np.arange(41), 0.80, 1.00)
+        assert EnConfig().pi0_grid().tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("step,expected", [
+        (0.09, [0.80, 0.89, 0.98, 1.00]),
+        (0.3, [0.80, 1.00]),
+        (0.1, [0.80, 0.90, 1.00]),
+    ])
+    def test_grid_always_ends_at_hi(self, step, expected):
+        grid = EnConfig(pi0_grid_step=step).pi0_grid()
+        assert grid == pytest.approx(expected)
+        assert grid[-1] == 1.0
+        assert np.all(np.diff(grid) > 0)
 
     def test_validation(self):
         with pytest.raises(InputError):

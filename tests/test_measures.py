@@ -1,4 +1,4 @@
-"""Center data model, fixed-effects scores, ratios, and group diagnostics."""
+"""Center table, fixed-effects scores, ratios, and group diagnostics."""
 
 import math
 
@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 
 from profile_null import (
-    CenterStat,
+    CenterTable,
     InputError,
     MeasureSpec,
-    ZScore,
     group_variance_diagnostic,
     measure_ratio,
     z_fixed_effects,
 )
 
-
-def _stat(observed, expected, size, measure="TRR"):
-    return CenterStat(center_id="C1", measure_id=measure, observed=observed,
-                      expected=expected, effective_size=size)
-
-
 POISSON = MeasureSpec(measure_id="TRR", family="poisson",
                       direction="higher_is_better")
 BINOMIAL = MeasureSpec(measure_id="SAR", family="binomial",
                        direction="higher_is_better")
+
+
+def _table(rows, row_numbers=None):
+    centers, measures, o, e, n = zip(*rows)
+    return CenterTable([POISSON, BINOMIAL], centers, measures, o, e, n, row_numbers)
 
 
 class TestMeasureSpec:
@@ -49,52 +47,77 @@ class TestMeasureSpec:
             MeasureSpec(measure_id="X", family="poisson", direction="up")
 
 
+class TestCenterTable:
+    def test_indexes_centers_in_first_appearance_order(self):
+        t = _table([("B", "TRR", 5, 4, 4), ("A", "SAR", 3, 4, 2),
+                    ("B", "SAR", 2, 4, 1)])
+        assert t.center_ids == ("B", "A")
+        assert t.center.tolist() == [0, 1, 0]
+        assert t.measure.tolist() == [0, 1, 1]
+        assert len(t) == 3
+        assert t.row_ids(1) == ("A", "SAR")
+
+    @pytest.mark.parametrize("rows,match", [
+        ([("A", "TRR", 5, 4, 4), ("A", "XYZ", 5, 4, 4)], "row 2 .*'XYZ'.*not declared"),
+        ([("A", "TRR", 5, 4, 4), ("B", "TRR", 5, 4, 4), ("A", "TRR", 6, 4, 4)],
+         "row 3 .*duplicate"),
+        ([("A", "TRR", 5, 4, 4), ("B", "TRR", math.nan, 4, 4)], "row 2 .*observed"),
+        ([("A", "SAR", 5, 4, math.inf)], "row 1 .*effective_size must be finite"),
+        ([("A", "TRR", 5, 4, 3)], "row 1 .*poisson"),
+        ([("A", "SAR", 5, 4, 4.5)], "row 1 .*binomial"),
+    ])
+    def test_rejects_bad_rows_naming_the_row(self, rows, match):
+        with pytest.raises(InputError, match=match):
+            _table(rows)
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(InputError, match="no rows"):
+            CenterTable([POISSON], [], [], [], [], [])
+
+    def test_row_numbers_label_errors(self):
+        with pytest.raises(InputError, match="row 7 .*duplicate"):
+            _table([("A", "TRR", 5, 4, 4), ("A", "TRR", 5, 4, 4)], row_numbers=[4, 7])
+
+
 class TestZFixedEffects:
     def test_null_center(self):
-        assert z_fixed_effects(_stat(40, 40, 40), POISSON).value == 0.0
+        assert z_fixed_effects(40, 40, 40) == 0.0
 
     def test_poisson_hand_value(self):
-        z = z_fixed_effects(_stat(50, 40, 40), POISSON)
-        assert z.value == pytest.approx(10 / math.sqrt(40), abs=1e-5)
-        assert z.value == pytest.approx(1.58114, abs=1e-5)
-        assert z.method == "fixed_effects"
+        z = z_fixed_effects(50, 40, 40)
+        assert z == pytest.approx(10 / math.sqrt(40), abs=1e-5)
+        assert z == pytest.approx(1.58114, abs=1e-5)
 
     def test_binomial_hand_value(self):
-        z = z_fixed_effects(_stat(30, 25, 18.2, "SAR"), BINOMIAL)
-        assert z.value == pytest.approx(5 / math.sqrt(18.2), abs=1e-5)
+        z = z_fixed_effects(30, 25, 18.2)
+        assert z == pytest.approx(5 / math.sqrt(18.2), abs=1e-5)
 
     def test_normal_uses_dispersion(self):
-        spec = MeasureSpec(measure_id="N", family="normal",
-                           direction="higher_is_better", a_psi=4.0)
-        z = z_fixed_effects(_stat(12, 10, 25, "N"), spec)
-        assert z.value == pytest.approx(2 / math.sqrt(4.0 * 25))
+        z = z_fixed_effects([12, 12], [10, 10], [25, 25], a_psi=np.array([4.0, 1.0]))
+        assert z == pytest.approx([2 / math.sqrt(4.0 * 25), 2 / math.sqrt(25)])
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(InputError):
-            z_fixed_effects(_stat(5, 5, 0.0), POISSON)
+            z_fixed_effects([5, 5], [5, 5], [30, 0.0])
 
     def test_sign_follows_observed_minus_expected(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            o, e = rng.uniform(0, 100, 2)
-            z = z_fixed_effects(_stat(o, e, 30), POISSON)
-            assert (z.value > 0) == (o > e) or o == e
+        o, e = rng.uniform(0, 100, (2, 50))
+        z = z_fixed_effects(o, e, np.full(50, 30.0))
+        assert np.all((z > 0) == (o > e))
 
     def test_scale_law(self):
-        base = z_fixed_effects(_stat(45, 40, 40), POISSON).value
-        scaled = z_fixed_effects(_stat(40 + 3 * 5, 40, 40), POISSON).value
+        base, scaled = z_fixed_effects([45, 40 + 3 * 5], [40, 40], [40, 40])
         assert scaled == pytest.approx(3 * base)
 
 
 class TestMeasureRatio:
     def test_values(self):
-        assert measure_ratio(_stat(40, 40, 40)) == 1.0
-        assert measure_ratio(_stat(50, 40, 40)) == 1.25
-        assert measure_ratio(_stat(0, 40, 40)) == 0.0
+        assert measure_ratio([40, 50, 0], [40, 40, 40]).tolist() == [1.0, 1.25, 0.0]
 
     def test_nonpositive_expected(self):
         with pytest.raises(InputError):
-            measure_ratio(_stat(5, 0.0, 5))
+            measure_ratio([5, 5], [5, 0.0])
 
 
 class TestGroupVarianceDiagnostic:
@@ -151,14 +174,3 @@ class TestNullVarianceLaw:
         z = (observed - size) / math.sqrt(size)
         predicted = 1.0 + sigma2 * size
         assert float(np.var(z, ddof=1)) == pytest.approx(predicted, rel=0.05)
-
-
-class TestZScoreObjectsInDiagnostic:
-    def test_accepts_score_objects(self):
-        rng = np.random.default_rng(11)
-        sizes = rng.uniform(1, 100, 40)
-        scores = [ZScore(center_id=f"C{i}", measure_id="TRR",
-                         method="fixed_effects", value=float(v))
-                  for i, v in enumerate(rng.normal(size=40))]
-        out = group_variance_diagnostic(scores, sizes, 4)
-        assert len(out) == 4

@@ -76,14 +76,6 @@ class TestGenSingleMeasure:
         slope = np.polyfit(bin_n, bin_var, 1)[0]
         assert slope == pytest.approx(sigma2, abs=0.003)
 
-    def test_center_stats_roundtrip(self):
-        config = SimConfig(seed=4, n_centers=12)
-        data = gen_single_measure(config, np.random.default_rng(4))
-        stats = data.to_center_stats("TRR")
-        assert len(stats) == 12
-        assert stats[3].observed == data.observed[3]
-        assert stats[3].effective_size == data.effective_size[3]
-
 
 class TestExpectedEnZ:
     def test_null_center(self):
