@@ -273,7 +273,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_csv(path: Path, rows) -> None:
     """Write rows of cells, quoting any cell that holds a comma, quote or
-    line break, so every id reads back unchanged."""
+    newline, so every id reads back unchanged."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     _write_text(path, buf.getvalue())
@@ -287,10 +287,9 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
     written: list[Path] = []
 
     rows = [SCORES_HEADER]
-    for i, fe, en, mom in zip(range(len(t)), run.z_fe.tolist(), run.z_en.tolist(),
-                              run.z_mom.tolist()):
-        rows.append([*t.row_ids(i), _fmt6_or_blank(fe), _fmt6_or_blank(en),
-                     _fmt6_or_blank(mom)])
+    for i, scores in enumerate(zip(run.z_fe.tolist(), run.z_en.tolist(),
+                                   run.z_mom.tolist())):
+        rows.append([*t.row_ids(i), *map(_fmt6_or_blank, scores)])
     scores_path = out / "scores.csv"
     _write_csv(scores_path, rows)
     written.append(scores_path)

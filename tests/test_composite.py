@@ -56,11 +56,10 @@ class TestDirectionAlign:
         assert _aligned("lower_is_better", [100, 100]) == [0.0, 0.0]
 
     def test_missing_measure_stays_nan(self):
-        spec = MeasureSpec(measure_id="M", family="poisson",
-                           direction="lower_is_better")
-        table = CenterTable([spec, MeasureSpec("N", "poisson", "higher_is_better")],
-                            ["A", "B", "B"], ["M", "M", "N"], [5, 6, 7], [4, 4, 4],
-                            [4, 4, 4])
+        specs = [MeasureSpec("M", "poisson", "lower_is_better"),
+                 MeasureSpec("N", "poisson", "higher_is_better")]
+        table = CenterTable(specs, ["A", "B", "B"], ["M", "M", "N"], [5, 6, 7],
+                            [4, 4, 4], [4, 4, 4])
         ids, aligned = align_scores(standardize(table, method="fe"))
         assert ids == ["A", "B"]
         assert aligned[0, 0] == -0.5 and np.isnan(aligned[0, 1])
