@@ -13,6 +13,7 @@ from profile_null import (
     fit_method_of_moments,
     mom_phi,
     winsorize,
+    z_empirical_null,
 )
 
 
@@ -131,3 +132,21 @@ class TestMomPhi:
             mom_means.append(fit_method_of_moments(z, n, q_percent=0.0).phi_mom)
             en_means.append(fit_empirical_null(z, n).phi_hat)
         assert float(np.mean(mom_means)) > float(np.mean(en_means))
+
+
+class TestZMethodOfMoments:
+    """The method-of-moments estimate rescales scores through the same
+    z / sqrt(1 + phi * size) as the empirical null."""
+
+    def test_identity_cases(self):
+        clamped = mom_phi([0.5, -0.5], [3.0, 7.0]).phi_mom
+        assert z_empirical_null(1.7, 100.0, clamped) == 1.7
+        assert z_empirical_null(1.7, 0.0, 0.5) == 1.7
+
+    def test_hand_value(self):
+        phi = mom_phi([1.0, -1.0, 2.0, -2.0], [10.0] * 4).phi_mom
+        assert z_empirical_null(3.0, 100.0, phi) == pytest.approx(0.75, abs=1e-10)
+
+    def test_negative_phi_rejected(self):
+        with pytest.raises(InputError):
+            z_empirical_null(1.0, 10.0, -0.01)

@@ -2,6 +2,7 @@
 profile fit, corrected scores, and control limits."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,7 +203,10 @@ class TestZEmpiricalNull:
         if math.sqrt(1.0 + phi * size) == 1.0:
             assert corrected == z
         elif z != 0.0:
-            assert abs(corrected) < abs(z)
+            # strict shrinkage is representable only for normal floats:
+            # 5e-324 / sqrt(2) rounds back to 5e-324
+            if abs(z) >= sys.float_info.min:
+                assert abs(corrected) < abs(z)
             assert math.copysign(1, corrected) == math.copysign(1, z)
 
 
