@@ -31,7 +31,6 @@ from .empirical_null import (
     fit_empirical_null,
     initial_phi,
     null_loglik,
-    truncation_bounds,
     z_empirical_null,
 )
 from .errors import ConvergenceError, FittingError, InputError, ProfileNullError
@@ -71,7 +70,7 @@ __all__ = [
     "composite_score", "composite_table", "correlation_matrix",
     "flag", "inverse_corr_weights", "published_weights",
     "EnConfig", "NullFit", "control_limits", "fit_empirical_null",
-    "initial_phi", "null_loglik", "truncation_bounds", "z_empirical_null",
+    "initial_phi", "null_loglik", "z_empirical_null",
     "ConvergenceError", "FittingError", "InputError", "ProfileNullError",
     "CenterTable", "MeasureSpec", "group_variance_diagnostic",
     "measure_ratio", "z_fixed_effects",

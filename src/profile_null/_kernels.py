@@ -1,28 +1,17 @@
-"""Hot numeric kernels, numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels in numpy: the truncated-likelihood evaluation and the
+Tukey biweight IRLS.
 
-The truncated-likelihood evaluation and the biweight IRLS sit inside the
-Monte Carlo loops and dominate runtime, so both carry an ``@njit`` build and
-a vectorized numpy build. Which one backs the public dispatch names
-(``null_loglik_core``, ``neg_null_loglik_u``, ``biweight_irls``) is decided
-once at import time:
-
-* ``PROFILE_NULL_BACKEND=numba`` (default) uses the jitted kernels,
-  silently falling back to numpy when numba is not importable.
-* ``PROFILE_NULL_BACKEND=numpy`` forces the fallback path.
-
-Both builds stay importable regardless of the selection so that tests can
-assert their agreement and ``benchmarks/bench_backends.py`` can time them
-against each other.
+Both sit inside the Monte Carlo loops and dominate runtime. The empirical
+null fit reads ``neg_null_loglik_u`` and the robust scale reads
+``biweight_irls`` from this module at call time, so a profiler can wrap
+either by rebinding the module attribute.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-ENV_BACKEND = "PROFILE_NULL_BACKEND"
 
 # phi >= 0 is enforced by optimizing over u = log(phi + EPS_PHI).
 EPS_PHI = 1e-8
@@ -35,123 +24,12 @@ MAD_SCALE = 1.4826
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-def _requested_backend() -> str:
-    raw = os.environ.get(ENV_BACKEND, "numba").strip().lower()
-    if raw in ("", "auto"):
-        return "numba"
-    if raw not in ("numba", "numpy"):
-        raise RuntimeError(
-            f"{ENV_BACKEND} must be 'numba' or 'numpy', got {raw!r}"
-        )
-    return raw
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via PROFILE_NULL_BACKEND
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numba builds
-
-
-@njit(cache=True)
-def _norm_cdf_nb(x):
-    if x >= 0.0:
-        return 1.0 - 0.5 * math.erfc(x * _INV_SQRT2)
-    return 1.0 - (1.0 - 0.5 * math.erfc(-x * _INV_SQRT2))
-
-
-@njit(cache=True)
-def _null_loglik_nb(phi, pi0, z, sizes, in_null, b_upper):
-    log_pi0 = math.log(pi0)
-    acc = 0.0
-    for i in range(z.shape[0]):
-        v = 1.0 + phi * sizes[i]
-        if in_null[i]:
-            acc += log_pi0 - 0.5 * (_LOG_2PI + math.log(v)) - 0.5 * z[i] * z[i] / v
-        else:
-            # Q_i = Phi(B/s) - Phi(-B/s) = 1 - erfc(B / (s*sqrt(2)))
-            q = 1.0 - math.erfc(b_upper[i] / math.sqrt(v) * _INV_SQRT2)
-            t = 1.0 - pi0 * q
-            if t <= 0.0:
-                return -np.inf
-            acc += math.log(t)
-    return acc
-
-
-@njit(cache=True)
-def _neg_null_loglik_u_nb(u, pi0, z, sizes, in_null, b_upper):
-    if u > 690.0:
-        return np.inf
-    phi = math.exp(u) - EPS_PHI
-    if phi < 0.0:
-        phi = 0.0
-    return -_null_loglik_nb(phi, pi0, z, sizes, in_null, b_upper)
-
-
-@njit(cache=True)
-def _biweight_irls_nb(z, c, tol, max_iter):
-    m = np.median(z)
-    scale = MAD_SCALE * np.median(np.abs(z - m))
-    if scale <= 0.0:
-        return m, 0.0, 0, True
-    converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
-        resid = z - m
-        scale = MAD_SCALE * np.median(np.abs(resid))
-        if scale <= 0.0:
-            converged = True
-            break
-        wsum = 0.0
-        wzsum = 0.0
-        for i in range(z.shape[0]):
-            ui = resid[i] / (c * scale)
-            if ui < 0.0:
-                ui = -ui
-            if ui < 1.0:
-                w = (1.0 - ui * ui) ** 2
-                wsum += w
-                wzsum += w * z[i]
-        if wsum == 0.0:
-            break
-        m_new = wzsum / wsum
-        if abs(m_new - m) < tol:
-            m = m_new
-            converged = True
-            break
-        m = m_new
-    scale = MAD_SCALE * np.median(np.abs(z - m))
-    return m, scale, it, converged
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback builds
-
 _erfc_np = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _norm_cdf_np(x):
-    x = np.asarray(x, dtype=np.float64)
-    upper = 1.0 - 0.5 * _erfc_np(np.abs(x) * _INV_SQRT2).astype(np.float64)
-    return np.where(x >= 0.0, upper, 1.0 - upper)
-
-
-def _null_loglik_np(phi, pi0, z, sizes, in_null, b_upper):
+def null_loglik_core(phi, pi0, z, sizes, in_null, b_upper):
+    """Truncated-mixture log-likelihood at (phi, pi0) over float64 arrays;
+    -inf when an out-of-interval log argument is non-positive."""
     v = 1.0 + phi * sizes
     out = ~in_null
     acc = 0.0
@@ -162,6 +40,7 @@ def _null_loglik_np(phi, pi0, z, sizes, in_null, b_upper):
             np.sum(math.log(pi0) - 0.5 * (_LOG_2PI + np.log(vi)) - 0.5 * zi * zi / vi)
         )
     if out.any():
+        # Q_i = Phi(B/s) - Phi(-B/s) = 1 - erfc(B / (s*sqrt(2)))
         arg = b_upper[out] / np.sqrt(v[out]) * _INV_SQRT2
         q = 1.0 - _erfc_np(arg).astype(np.float64)
         t = 1.0 - pi0 * q
@@ -171,14 +50,21 @@ def _null_loglik_np(phi, pi0, z, sizes, in_null, b_upper):
     return acc
 
 
-def _neg_null_loglik_u_np(u, pi0, z, sizes, in_null, b_upper):
+def neg_null_loglik_u(u, pi0, z, sizes, in_null, b_upper):
+    """Negative log-likelihood at phi = max(0, exp(u) - EPS_PHI); +inf where
+    exp(u) would overflow."""
     if u > 690.0:
         return np.inf
     phi = max(0.0, math.exp(u) - EPS_PHI)
-    return -_null_loglik_np(phi, pi0, z, sizes, in_null, b_upper)
+    return -null_loglik_core(phi, pi0, z, sizes, in_null, b_upper)
 
 
-def _biweight_irls_np(z, c, tol, max_iter):
+def biweight_irls(z, c, tol, max_iter):
+    """Tukey biweight location by iteratively reweighted least squares,
+    started at the median with the MAD scale re-estimated every step.
+
+    Returns (location, MAD scale about the location, iterations, converged).
+    """
     m = float(np.median(z))
     scale = MAD_SCALE * float(np.median(np.abs(z - m)))
     if scale <= 0.0:
@@ -207,23 +93,6 @@ def _biweight_irls_np(z, c, tol, max_iter):
     return m, scale, it, converged
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-_USE_NUMBA = _requested_backend() == "numba" and HAVE_NUMBA
-
-if _USE_NUMBA:
-    BACKEND = "numba"
-    null_loglik_core = _null_loglik_nb
-    neg_null_loglik_u = _neg_null_loglik_u_nb
-    biweight_irls = _biweight_irls_nb
-else:
-    BACKEND = "numpy"
-    null_loglik_core = _null_loglik_np
-    neg_null_loglik_u = _neg_null_loglik_u_np
-    biweight_irls = _biweight_irls_np
-
-
 def backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation, recorded in run manifests."""
+    return "numpy"

@@ -22,6 +22,8 @@ from .numerics import nelder_mead_minimize, robust_intercept_scale, std_normal_q
 
 MIN_CENTERS = 10
 MIN_NULL_SET = 3
+# each pi0 grid point costs one Nelder-Mead run per fit
+MAX_PI0_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,8 @@ class EnConfig:
     """Tuning parameters for the empirical-null fit.
 
     ``q_percent`` sets the truncation constant v to the (100 - q)th standard
-    normal percentile. The pi0 grid spans the profile-likelihood search.
+    normal percentile. The pi0 grid spans the profile-likelihood search in
+    at most ``MAX_PI0_STEPS`` steps.
     """
 
     q_percent: float = 5.0
@@ -46,6 +49,9 @@ class EnConfig:
             raise InputError("pi0 grid must satisfy 0 < lo <= hi <= 1")
         if self.pi0_grid_step <= 0.0:
             raise InputError("pi0_grid_step must be positive")
+        if (self.pi0_grid_hi - self.pi0_grid_lo) / self.pi0_grid_step > MAX_PI0_STEPS:
+            raise InputError(f"pi0_grid_step {self.pi0_grid_step!r} makes more than "
+                             f"{MAX_PI0_STEPS} steps across the pi0 grid")
         if self.optimizer_tol <= 0.0 or self.max_iter < 1:
             raise InputError("optimizer_tol must be positive and max_iter >= 1")
 
@@ -98,12 +104,6 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
         raise InputError("z and sizes must have equal length")
     s = robust_intercept_scale(zarr).scale
     return max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
-
-
-def truncation_bounds(phi_init: float, v: float, size: float) -> tuple[float, float]:
-    """Symmetric interval (-B, B) with B = v * sqrt(1 + phi_init * size)."""
-    b = v * math.sqrt(1.0 + phi_init * size)
-    return (-b, b)
 
 
 def null_loglik(

@@ -8,12 +8,13 @@ rounding so golden-file comparisons are stable across platforms.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -38,26 +39,33 @@ FUNNEL_HEADER = ["effective_size", "ratio", "fe_lower", "fe_upper", "en_lower", 
 
 RUN_METHODS = ("fe", "mom", "en")
 
-_MEASURE_KEYS = {
-    "measure_id", "family", "direction", "a_psi", "q_percent",
-    "pi0_grid_lo", "pi0_grid_hi", "pi0_grid_step",
-}
+_EN_KEYS = ("q_percent", "pi0_grid_lo", "pi0_grid_hi", "pi0_grid_step")
+_MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
 
-_SIM_KEYS = {
-    "experiment", "n_centers", "seed", "mu", "beta", "covariate_mean",
-    "covariate_second_param", "exposure_mean", "sigma2_alpha",
-    "outlier_fraction", "outlier_effect", "gamma_grid", "iterations",
-    "q_grid", "mom_q", "q_percent",
+# SimConfig fields a simulation config may set, with their JSON types
+_SIM_FIELDS = {
+    "n_centers": int, "seed": int, "iterations": int,
+    "mu": float, "beta": float, "covariate_mean": float,
+    "covariate_second_param": float, "exposure_mean": float,
+    "outlier_fraction": float, "outlier_effect": float, "mom_q": float,
+    "sigma2_alpha": tuple, "gamma_grid": tuple, "q_grid": tuple,
 }
+_SIM_KEYS = {"experiment", "q_percent", *_SIM_FIELDS}
+
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+               tuple: "a list of finite numbers"}
+
+
+# 400 significant digits hold sys.float_info.max to 6 decimal places
+_FMT6_CONTEXT = Context(prec=400)
+_MICRO = Decimal("0.000001")
 
 
 def fmt6(x: float) -> str:
     """Fixed 6-decimal formatting with ties rounded away from zero."""
     if not math.isfinite(x):
         raise InputError(f"cannot format non-finite value {x!r}")
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(x).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP)
+    d = Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP, context=_FMT6_CONTEXT)
     if d == 0:
         return "0.000000"
     return str(d)
@@ -65,8 +73,8 @@ def fmt6(x: float) -> str:
 
 def _sig12(x: float) -> float:
     """``x`` rounded to 12 significant digits. Fitted parameters are written
-    at this precision because the numba and numpy kernels sum in different
-    orders and can differ in the last few bits."""
+    at this precision so that null_fit.json does not depend on the order in
+    which the kernels sum, which can change the last few bits."""
     return float(f"{x:.12g}")
 
 
@@ -74,20 +82,49 @@ def _fmt6_or_blank(x: float) -> str:
     return "" if math.isnan(x) else fmt6(x)
 
 
+def _is_number(v) -> bool:
+    # false for booleans, nan, the infinities and integers beyond the float range
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _json_value(value, kind: type, where: str, key: str):
+    """``value`` read from a JSON input file as ``kind``: a str, an int, a
+    finite float (an integer is widened) or a tuple of finite floats (a
+    JSON list). Anything else, booleans included, raises InputError naming
+    ``where`` and ``key``."""
+    if kind is tuple:
+        ok = isinstance(value, list) and all(map(_is_number, value))
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
+        raise InputError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, "
+                         f"got {value!r}")
+    if kind is tuple:
+        return tuple(map(float, value))
+    return float(value) if kind is float else value
+
+
 # ---------------------------------------------------------------------------
 # input files
+
+
+def _read_json(p: Path, what: str):
+    try:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {p}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{what} {p} is not valid UTF-8 JSON: {exc}") from None
 
 
 def read_measure_config(path: str | Path) -> list[MeasureSpec]:
     """Parse the measures JSON: a list of {measure_id, family, direction}
     objects with optional a_psi and empirical-null tuning overrides."""
     p = Path(path)
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"measures file not found: {p}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"measures file {p} is not valid JSON: {exc}") from None
+    raw = _read_json(p, "measures file")
     if not isinstance(raw, list) or not raw:
         raise InputError(f"measures file {p} must hold a non-empty JSON list")
     specs: list[MeasureSpec] = []
@@ -99,21 +136,17 @@ def read_measure_config(path: str | Path) -> list[MeasureSpec]:
         if unknown:
             raise InputError(f"measures entry {i} has unknown keys: "
                              f"{sorted(unknown)}")
+        where = f"measures entry {i}"
         for key in ("measure_id", "family", "direction"):
             if key not in entry:
-                raise InputError(f"measures entry {i} is missing {key!r}")
-        en = EnConfig(
-            q_percent=float(entry.get("q_percent", 5.0)),
-            pi0_grid_lo=float(entry.get("pi0_grid_lo", 0.80)),
-            pi0_grid_hi=float(entry.get("pi0_grid_hi", 1.00)),
-            pi0_grid_step=float(entry.get("pi0_grid_step", 0.005)),
-        )
+                raise InputError(f"{where} is missing {key!r}")
         spec = MeasureSpec(
-            measure_id=str(entry["measure_id"]),
-            family=str(entry["family"]),
-            direction=str(entry["direction"]),
-            a_psi=float(entry.get("a_psi", 1.0)),
-            en_config=en,
+            measure_id=_json_value(entry["measure_id"], str, where, "measure_id"),
+            family=_json_value(entry["family"], str, where, "family"),
+            direction=_json_value(entry["direction"], str, where, "direction"),
+            a_psi=_json_value(entry.get("a_psi", 1.0), float, where, "a_psi"),
+            en_config=EnConfig(**{key: _json_value(entry[key], float, where, key)
+                                  for key in _EN_KEYS if key in entry}),
         )
         # measure ids become parts of output file names
         if any(ch in spec.measure_id for ch in "/\\\0"):
@@ -150,10 +183,13 @@ def read_center_stats(
     p = Path(path)
     family = {m.measure_id: m.family for m in measures}
     try:
-        text = p.read_text(encoding="utf-8")
+        # newline="" leaves line breaks inside quoted fields to the csv module
+        with open(p, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise InputError(f"centers file not found: {p}") from None
-    rows = list(csv.reader(text.splitlines()))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"centers file {p} is not a UTF-8 CSV file: {exc}") from None
     if not rows or rows[0] != CENTER_HEADER:
         raise InputError(f"centers file {p} must start with header "
                          f"{','.join(CENTER_HEADER)!r}")
@@ -272,11 +308,15 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, rows) -> None:
-    """Write rows of cells, quoting any cell that holds a comma, quote or
-    newline, so every id reads back unchanged."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    _write_text(path, buf.getvalue())
+    """Write rows of cells, each record ending in "\n", quoting any cell that
+    holds a comma, a quote or a line break, so every id reads back
+    unchanged."""
+    records: list[str] = []
+    # the writer quotes only the line breaks of its own terminator, so it
+    # writes "\r\n"; it passes each record to one write call
+    csv.writer(SimpleNamespace(write=records.append),
+               lineterminator="\r\n").writerows(rows)
+    _write_text(path, "".join(r[:-2] + "\n" for r in records))
 
 
 def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Path]:
@@ -319,15 +359,6 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
         _write_csv(skipped_path, [["center_id", "measure_id", "reason"], *run.skipped])
         written.append(skipped_path)
     return written
-
-
-def read_scores_csv(path: str | Path) -> list[dict[str, str]]:
-    """Read back a scores.csv written by write_scores_report."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or rows[0] != SCORES_HEADER:
-        raise InputError(f"not a scores file: {path}")
-    return [dict(zip(SCORES_HEADER, row)) for row in rows[1:] if row]
 
 
 def write_composite_report(
@@ -425,12 +456,7 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
     """Parse a simulation config JSON; returns the config and the experiment
     kind (flagging, tuning, or composite)."""
     p = Path(path)
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise InputError(f"simulation config not found: {p}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"simulation config {p} is not valid JSON: {exc}") from None
+    raw = _read_json(p, "simulation config")
     if not isinstance(raw, dict):
         raise InputError("simulation config must be a JSON object")
     unknown = set(raw) - _SIM_KEYS
@@ -440,24 +466,13 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
     if kind not in ("flagging", "tuning", "composite"):
         raise InputError(f"experiment must be flagging, tuning, or composite, "
                          f"got {kind!r}")
-    kwargs = {}
-    for key in ("n_centers", "seed", "iterations"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("mu", "beta", "covariate_mean", "covariate_second_param",
-                "exposure_mean", "outlier_fraction", "outlier_effect", "mom_q"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("sigma2_alpha", "gamma_grid", "q_grid"):
-        if key in raw:
-            kwargs[key] = tuple(float(v) for v in raw[key])
+    where = "simulation config"
+    kwargs = {key: _json_value(raw[key], field_kind, where, key)
+              for key, field_kind in _SIM_FIELDS.items() if key in raw}
     if "q_percent" in raw:
-        kwargs["en_config"] = EnConfig(q_percent=float(raw["q_percent"]))
-    try:
-        config = SimConfig(**kwargs)
-    except TypeError as exc:
-        raise InputError(f"bad simulation config: {exc}") from None
-    return config, kind
+        kwargs["en_config"] = EnConfig(
+            q_percent=_json_value(raw["q_percent"], float, where, "q_percent"))
+    return SimConfig(**kwargs), kind
 
 
 def write_sim_result(result: SimResult, out_dir: str | Path) -> list[Path]:

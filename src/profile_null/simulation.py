@@ -156,6 +156,18 @@ def _outlier_gamma(config: SimConfig, n_reserved: int) -> np.ndarray:
     return gamma
 
 
+def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
+    """Poisson draws as float64. A mean numpy cannot draw from (NaN, or
+    beyond about 9.2e18 after overflow) comes from the config's parameters
+    and is reported as an input error."""
+    try:
+        return rng.poisson(mean).astype(np.float64)
+    except ValueError as exc:
+        raise InputError(f"simulated Poisson mean out of range ({exc}); check "
+                         f"mu, beta, the covariate and exposure parameters, "
+                         f"sigma2_alpha and the effect sizes") from None
+
+
 def gen_single_measure(
     config: SimConfig,
     rng: np.random.Generator,
@@ -179,7 +191,7 @@ def gen_single_measure(
     gamma = _outlier_gamma(config, n_reserved=1)
     gamma[0] = gamma_focal
     expected = np.exp(config.mu + config.beta * x) * r
-    observed = rng.poisson(expected * np.exp(gamma + alpha)).astype(np.float64)
+    observed = _poisson(rng, expected * np.exp(gamma + alpha))
     return SimDataset(observed=observed, expected=expected,
                       effective_size=expected.copy(), gamma_true=gamma, alpha=alpha)
 
@@ -205,13 +217,17 @@ def gamma2_for_null_composite(
     """Second-measure effect that zeroes the expected two-measure difference
     composite when measure 1 is higher-is-better and measure 2 is
     lower-is-better. Raises InputError when no such effect exists (the
-    log argument is non-positive)."""
+    log argument is non-positive or beyond the float range)."""
     if size1 <= 0 or size2 <= 0:
         raise InputError("sizes must be positive")
     s1 = math.sqrt(size1 / (1.0 + sigma2_1 * size1))
     s2 = math.sqrt(size2 / (1.0 + sigma2_2 * size2))
-    num = s2 + s1 * (math.exp(gamma1 + sigma2_1 / 2.0) - 1.0)
-    den = s2 * math.exp(sigma2_2 / 2.0)
+    try:
+        num = s2 + s1 * (math.exp(gamma1 + sigma2_1 / 2.0) - 1.0)
+        den = s2 * math.exp(sigma2_2 / 2.0)
+    except OverflowError:
+        raise InputError(f"no calibrating effect exists for gamma1={gamma1}, "
+                         f"sigma2=({sigma2_1}, {sigma2_2}): exp overflows") from None
     if num <= 0.0:
         raise InputError(
             f"no calibrating effect exists for gamma1={gamma1}, sizes="
@@ -435,8 +451,8 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     except InputError:
         return None
 
-    o1 = rng.poisson(n1 * np.exp(g1 + alpha1)).astype(np.float64)
-    o2 = rng.poisson(n2 * np.exp(g2 + alpha2)).astype(np.float64)
+    o1 = _poisson(rng, n1 * np.exp(g1 + alpha1))
+    o2 = _poisson(rng, n2 * np.exp(g2 + alpha2))
     z1 = z_fixed_effects(o1, n1, n1)
     z2 = z_fixed_effects(o2, n2, n2)
     try:

@@ -1,7 +1,6 @@
 """File parsing, report writing, CLI dispatch, exit codes, and determinism."""
 
 import csv
-import io
 import json
 import math
 import shutil
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profile_null import CenterTable
@@ -24,7 +23,6 @@ from profile_null.report import (
     fmt6,
     read_center_stats,
     read_measure_config,
-    read_scores_csv,
     read_sim_config,
     standardize,
     write_composite_report,
@@ -36,13 +34,20 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _write_rows(path, rows):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    # the default "\r\n" terminator quotes cells holding either line break
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _read_rows(path):
-    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _read_scores(path):
+    header, *rows = _read_rows(path)
+    assert header == ["center_id", "measure_id", "z_fe", "z_en", "z_mom"]
+    return [dict(zip(header, row)) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,12 @@ class TestFmt6:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             fmt6(float("nan"))
+
+    @pytest.mark.parametrize("x", [sys.float_info.max, 1e60])
+    def test_largest_values(self, x):
+        # every digit of the integer part, then six decimals
+        assert fmt6(x) == f"{int(x)}.000000"
+        assert fmt6(-x) == f"-{int(x)}.000000"
 
 
 class TestReadMeasureConfig:
@@ -147,6 +158,14 @@ class TestReadCenterStats:
         with pytest.raises(InputError, match=match):
             read_center_stats(FIXTURES / "malformed" / name, measures)
 
+    @pytest.mark.parametrize("center", ["A\nB", "A\rB", "A\r\nB", "A\u2028B",
+                                        "A\x85B", "A\x1cB", "A\x1eB"])
+    def test_line_breaks_inside_quoted_ids(self, measures, tmp_path, center):
+        f = tmp_path / "c.csv"
+        _write_rows(f, [["center_id", "measure_id", "observed", "expected",
+                         "effective_size"], [center, "TRR", 50, 40, ""]])
+        assert read_center_stats(f, measures).center_ids == (center,)
+
     def test_fixture_loads(self, table):
         assert len(table) == 848
         assert len(table.center_ids) == 212
@@ -157,7 +176,7 @@ class TestScoresReport:
     def test_en_report_roundtrips_at_printed_precision(self, table, tmp_path):
         run = standardize(table, method="en")
         write_scores_report(run, tmp_path)
-        rows = read_scores_csv(tmp_path / "scores.csv")
+        rows = _read_scores(tmp_path / "scores.csv")
         assert len(rows) == 848
         for i, row in enumerate(rows[:50]):
             assert (row["center_id"], row["measure_id"]) == table.row_ids(i)
@@ -199,7 +218,7 @@ class TestScoresReport:
     def test_mom_method_fills_mom_column(self, table, tmp_path):
         run = standardize(table, method="mom", mom_q=10.0)
         write_scores_report(run, tmp_path)
-        rows = read_scores_csv(tmp_path / "scores.csv")
+        rows = _read_scores(tmp_path / "scores.csv")
         assert rows[0]["z_mom"] != ""
         assert rows[0]["z_en"] == ""
         assert run.mom_fits["TRR"].q_percent == 10.0
@@ -444,7 +463,7 @@ class TestValidationEdges:
         run = standardize(read_center_stats(f, measures), method="en")
         assert run.null_fits["TRR"].phi_hat <= 1e-10
         write_scores_report(run, tmp_path)
-        for row in read_scores_csv(tmp_path / "scores.csv"):
+        for row in _read_scores(tmp_path / "scores.csv"):
             assert row["z_en"] == row["z_fe"]
 
 
@@ -471,7 +490,7 @@ class TestAdditionalCliPaths:
                      "--measures", str(FIXTURES / "measures.json"),
                      "--method", "mom", "--mom-q", "10", "--out", str(tmp_path)])
         assert code == 0
-        rows = read_scores_csv(tmp_path / "scores.csv")
+        rows = _read_scores(tmp_path / "scores.csv")
         assert rows[0]["z_mom"] != "" and rows[0]["z_en"] == ""
         assert (tmp_path / "composite.csv").exists()
 
@@ -497,6 +516,7 @@ class TestIdRoundTrip:
 
     @given(center=st.text(min_size=1, max_size=10),
            measure=st.text(min_size=1, max_size=6))
+    @example(center="A\rB,\"C", measure="M\u2028\x1c")
     @settings(max_examples=60, deadline=None)
     def test_ids_survive_every_report(self, center, measure):
         rng = np.random.default_rng(0)
@@ -513,11 +533,20 @@ class TestIdRoundTrip:
                     skip = (cid, m) in ((center, "R"), ("P0", measure))
                     rows.append([cid, m, int(rng.integers(30, 70)), 0 if skip else 50, ""])
             _write_rows(d / "centers.csv", rows)
+            # ids the reader must return as they are: no surrounding blanks
+            # (it strips cells), no clash with the fixed ids, and no path
+            # characters in the measure id
+            must_accept = (center == center.strip() and measure == measure.strip()
+                           and center not in ids[1:] and measure not in ("Q", "R")
+                           and not any(ch in measure for ch in "/\\\0"))
             try:
                 table = read_center_stats(d / "centers.csv",
                                           read_measure_config(d / "measures.json"))
             except InputError:
+                assert not must_accept
                 return
+            if must_accept:
+                assert table.row_ids(0) == (center, measure)
             args = ["--centers", str(d / "centers.csv"),
                     "--measures", str(d / "measures.json"), "--out", str(d / "out")]
             assert main(["composite", "--method", "fe", *args]) == 0
@@ -554,3 +583,109 @@ class TestRowOrderInvariance:
             produced = (tmp_path / "out" / name).read_text().splitlines()
             expected = (GOLDEN / "pipeline" / name).read_text().splitlines()
             assert sorted(produced) == sorted(expected), name
+
+
+# every key a simulation config may hold, at values that run in well under
+# a second: one iteration at 30 centers
+_TINY_SIM = {
+    "n_centers": 30, "seed": 3, "iterations": 1, "mu": -6.0, "beta": 1.0,
+    "covariate_mean": -0.4, "covariate_second_param": 0.5,
+    "exposure_mean": 300000.0, "sigma2_alpha": [0.14, 0.04],
+    "outlier_fraction": 0.1, "outlier_effect": 1.0, "gamma_grid": [1.0],
+    "q_grid": [0.0, 5.0], "mom_q": 0.0, "q_percent": 5.0,
+}
+_MEASURE_KEYS = ["measure_id", "family", "direction", "a_psi", "q_percent",
+                 "pi0_grid_lo", "pi0_grid_hi", "pi0_grid_step"]
+_JSON_VALUES = (st.none() | st.text(max_size=6) | st.floats()
+                | st.lists(st.none() | st.text(max_size=3) | st.floats(), max_size=3))
+
+
+@pytest.fixture(scope="module")
+def small_centers(tmp_path_factory):
+    """The first 12 fixture centers with all their measures: enough for
+    every fit (10 centers) and quick to fit."""
+    header, *rows = _read_rows(FIXTURES / "centers.csv")
+    first = list(dict.fromkeys(r[0] for r in rows))[:12]
+    path = tmp_path_factory.mktemp("small") / "centers.csv"
+    _write_rows(path, [header] + [r for r in rows if r[0] in first])
+    return path
+
+
+class TestIllTypedJson:
+    @pytest.mark.parametrize("key,value", [("q_percent", "x"), ("a_psi", None),
+                                           ("family", 3), ("pi0_grid_step", True)])
+    def test_measures_value_exits_2(self, tmp_path, capsys, key, value):
+        spec = json.loads((FIXTURES / "measures.json").read_text())
+        spec[0][key] = value
+        (tmp_path / "m.json").write_text(json.dumps(spec))
+        assert main(["standardize", "--centers", str(FIXTURES / "centers.csv"),
+                     "--measures", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"measures entry 1: {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("n_centers", "abc"), ("gamma_grid", 5),
+                                           ("q_percent", None), ("iterations", 2.0),
+                                           ("mu", float("nan"))])
+    def test_sim_config_value_exits_2(self, tmp_path, capsys, key, value):
+        (tmp_path / "sim.json").write_text(json.dumps({**_TINY_SIM, key: value}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert f"simulation config: {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--centers", "--measures", "--config"])
+    def test_unreadable_bytes_exit_2(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'center_id,measure_id,observed,expected,effective_size\n'
+                        b'C\xe9,TRR,50,40,\n')
+        args = {"--centers": ["standardize", "--measures", str(FIXTURES / "measures.json")],
+                "--measures": ["standardize", "--centers", str(FIXTURES / "centers.csv")],
+                "--config": ["simulate"]}[flag]
+        assert main([*args, flag, str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversized_csv_field_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "c.csv"
+        _write_rows(f, [["center_id", "measure_id", "observed", "expected",
+                         "effective_size"], ["C" * 200_000, "TRR", 50, 40, ""]])
+        assert main(["standardize", "--centers", str(f), "--measures",
+                     str(FIXTURES / "measures.json"), "--out", str(tmp_path / "out")]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_pi0_grid_step_too_fine_exits_2(self, tmp_path, capsys):
+        spec = json.loads((FIXTURES / "measures.json").read_text())
+        spec[0]["pi0_grid_step"] = 1e-5
+        (tmp_path / "m.json").write_text(json.dumps(spec))
+        assert main(["standardize", "--centers", str(FIXTURES / "centers.csv"),
+                     "--measures", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "1000 steps" in capsys.readouterr().err
+
+
+class TestMainFuzz:
+    """One key of a valid input replaced by an arbitrary JSON value: main()
+    answers with an exit code, never a traceback."""
+
+    @given(entry=st.integers(0, 3), key=st.sampled_from(_MEASURE_KEYS),
+           value=_JSON_VALUES)
+    @settings(max_examples=40, deadline=None)
+    def test_measures_file(self, small_centers, entry, key, value):
+        spec = json.loads((FIXTURES / "measures.json").read_text())
+        spec[entry][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "m.json").write_text(json.dumps(spec))
+            code = main(["composite", "--centers", str(small_centers),
+                         "--measures", str(d / "m.json"), "--out", str(d / "out")])
+        assert code in (0, 2, 3)
+
+    @given(experiment=st.sampled_from(["flagging", "tuning", "composite"]),
+           key=st.sampled_from(["experiment", *_TINY_SIM]), value=_JSON_VALUES)
+    @settings(max_examples=60, deadline=None)
+    def test_sim_config(self, experiment, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "sim.json").write_text(json.dumps(
+                {**_TINY_SIM, "experiment": experiment, key: value}))
+            code = main(["simulate", "--config", str(d / "sim.json"),
+                         "--out", str(d / "out"), "--workers", "1"])
+        assert code in (0, 2, 3)

@@ -18,7 +18,6 @@ from profile_null import (
     initial_phi,
     null_loglik,
     robust_intercept_scale,
-    truncation_bounds,
     z_empirical_null,
 )
 
@@ -50,17 +49,40 @@ class TestInitialPhi:
 
 
 class TestTruncationBounds:
+    """The fit's interval is (-B_i, B_i) with B_i = v * sqrt(1 + phi_init * n_i)."""
+
     def test_zero_phi(self):
-        assert truncation_bounds(0.0, 1.96, 123.0) == (-1.96, 1.96)
+        # underdispersed scores clamp phi_init to zero, so B_i = v at every size
+        rng = np.random.default_rng(3)
+        z = 0.3 * rng.normal(size=40)
+        n = rng.uniform(10.0, 500.0, 40)
+        fit = fit_empirical_null(z, n, EnConfig(q_percent=2.5))
+        assert fit.phi_init == 0.0
+        assert fit.v == pytest.approx(1.959964, abs=1e-6)
+        assert np.array_equal(fit.interval_bounds,
+                              np.column_stack([np.full(40, -fit.v), np.full(40, fit.v)]))
 
     def test_hand_value(self):
-        a, b = truncation_bounds(0.14, 1.645, 100.0)
-        assert b == pytest.approx(1.645 * math.sqrt(15.0), abs=1e-4)
-        assert b == pytest.approx(6.37106, abs=1e-4)
-        assert a == -b
+        rng = np.random.default_rng(0)
+        n = _sizes(rng)
+        z = rng.normal(0.0, np.sqrt(1.0 + 0.14 * n))
+        fit = fit_empirical_null(z, n)
+        assert fit.phi_init == initial_phi(z, n) > 0.0
+        assert fit.v == pytest.approx(1.644854, abs=1e-6)
+        lower, upper = fit.interval_bounds.T
+        for k in range(0, 212, 53):
+            assert upper[k] == pytest.approx(fit.v * math.sqrt(1.0 + fit.phi_init * n[k]),
+                                             rel=1e-15)
+        assert np.array_equal(lower, -upper)
+        assert np.array_equal(fit.null_set, np.abs(z) <= upper)
 
     def test_zero_size(self):
-        assert truncation_bounds(0.5, 2.0, 0.0) == (-2.0, 2.0)
+        # no interval is formed for a center without size: the fit refuses it
+        rng = np.random.default_rng(0)
+        n = _sizes(rng)
+        n[5] = 0.0
+        with pytest.raises(InputError, match="sizes must be positive"):
+            fit_empirical_null(rng.normal(size=212), n)
 
 
 class TestNullLoglik:

@@ -1,8 +1,14 @@
-"""Agreement between the numba kernels and the pure-numpy fallback path."""
+"""The numpy kernels against independent references: a 40-digit mpmath
+evaluation of the truncated likelihood, and the fixed-point conditions of
+the biweight IRLS."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
+import profile_null
 from profile_null import _kernels
 
 
@@ -15,65 +21,55 @@ def _random_problem(seed):
     return z, n, in_null, b
 
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba not installed")
+def _mp_loglik(phi, pi0, z, sizes, in_null, b_upper):
+    """The truncated-mixture log-likelihood evaluated term by term at 40
+    significant digits from the same float64 inputs."""
+    with mpmath.workdps(40):
+        pi0 = mpmath.mpf(pi0)
+        acc = mpmath.mpf(0)
+        for zi, ni, inside, bi in zip(z.tolist(), sizes.tolist(),
+                                      in_null.tolist(), b_upper.tolist()):
+            v = 1 + mpmath.mpf(phi) * mpmath.mpf(ni)
+            if inside:
+                acc += (mpmath.log(pi0) - (mpmath.log(2 * mpmath.pi) + mpmath.log(v)) / 2
+                        - mpmath.mpf(zi) ** 2 / (2 * v))
+            else:
+                acc += mpmath.log(1 - pi0 * mpmath.erf(mpmath.mpf(bi) / mpmath.sqrt(2 * v)))
+        return float(acc)
 
 
-@needs_numba
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("phi,pi0", [(0.0, 1.0), (0.05, 0.9), (0.3, 0.8), (2.0, 0.995)])
-def test_loglik_paths_agree(seed, phi, pi0):
+def test_loglik_matches_mpmath(seed, phi, pi0):
     z, n, in_null, b = _random_problem(seed)
-    a = _kernels._null_loglik_nb(phi, pi0, z, n, in_null, b)
-    c = _kernels._null_loglik_np(phi, pi0, z, n, in_null, b)
-    assert a == pytest.approx(c, rel=1e-12, abs=1e-10)
+    got = _kernels.null_loglik_core(phi, pi0, z, n, in_null, b)
+    assert got == pytest.approx(_mp_loglik(phi, pi0, z, n, in_null, b), rel=1e-12)
 
 
-@needs_numba
-def test_neg_loglik_u_paths_agree():
+def test_neg_loglik_u_matches_mpmath():
     z, n, in_null, b = _random_problem(11)
-    for u in (-18.0, -5.0, -2.0, 0.0, 3.0, 800.0):
-        a = _kernels._neg_null_loglik_u_nb(u, 0.9, z, n, in_null, b)
-        c = _kernels._neg_null_loglik_u_np(u, 0.9, z, n, in_null, b)
-        if np.isinf(a) or np.isinf(c):
-            assert a == c
-        else:
-            assert a == pytest.approx(c, rel=1e-12, abs=1e-10)
+    for u in (-18.0, -5.0, -2.0, 0.0, 3.0):
+        phi = max(0.0, math.exp(u) - _kernels.EPS_PHI)
+        got = _kernels.neg_null_loglik_u(u, 0.9, z, n, in_null, b)
+        assert got == pytest.approx(-_mp_loglik(phi, 0.9, z, n, in_null, b), rel=1e-12)
+    # exp(800) overflows a double: the objective reports +inf instead
+    assert _kernels.neg_null_loglik_u(800.0, 0.9, z, n, in_null, b) == math.inf
 
 
-@needs_numba
 @pytest.mark.parametrize("seed", [5, 6, 7])
-def test_biweight_paths_agree(seed):
+def test_biweight_reaches_its_fixed_point(seed):
     rng = np.random.default_rng(seed)
     z = np.concatenate([rng.normal(0.3, 1.7, 180), rng.normal(9.0, 0.5, 12)])
-    loc_a, sc_a, _, conv_a = _kernels._biweight_irls_nb(z, _kernels.TUKEY_C, 1e-8, 200)
-    loc_b, sc_b, _, conv_b = _kernels._biweight_irls_np(z, _kernels.TUKEY_C, 1e-8, 200)
-    assert conv_a and conv_b
-    assert loc_a == pytest.approx(loc_b, abs=1e-10)
-    assert sc_a == pytest.approx(sc_b, abs=1e-10)
-
-
-@needs_numba
-def test_norm_cdf_paths_agree():
-    xs = np.linspace(-10.0, 10.0, 401)
-    nb = np.array([_kernels._norm_cdf_nb(float(x)) for x in xs])
-    np_ = _kernels._norm_cdf_np(xs)
-    assert np.allclose(nb, np_, atol=1e-15, rtol=0)
+    loc, scale, _, converged = _kernels.biweight_irls(z, _kernels.TUKEY_C, 1e-8, 200)
+    assert converged
+    assert scale == _kernels.MAD_SCALE * float(np.median(np.abs(z - loc)))
+    # at the fixed point the biweight-weighted residuals average to zero
+    u = np.abs(z - loc) / (_kernels.TUKEY_C * scale)
+    w = np.where(u < 1.0, (1.0 - u * u) ** 2, 0.0)
+    assert abs(float(np.sum(w * (z - loc)) / np.sum(w))) < 1e-8
+    # the far cluster gets no weight, so the location stays near the bulk
+    assert abs(loc - 0.3) < 0.5
 
 
 def test_backend_reports_a_valid_choice():
-    assert _kernels.backend() in ("numba", "numpy")
-
-
-def test_selected_backend_matches_env(monkeypatch):
-    import importlib
-    import profile_null._kernels as k
-
-    monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-    mod = importlib.reload(k)
-    try:
-        assert mod.backend() == "numpy"
-        assert mod.null_loglik_core is mod._null_loglik_np
-    finally:
-        monkeypatch.delenv(_kernels.ENV_BACKEND)
-        importlib.reload(k)
+    assert profile_null.backend() == "numpy"
