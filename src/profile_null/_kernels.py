@@ -1,10 +1,20 @@
 """Hot numeric kernels in numpy: the truncated-likelihood evaluation and the
 Tukey biweight IRLS.
 
-Both sit inside the Monte Carlo loops and dominate runtime. The empirical
-null fit reads ``neg_null_loglik_u`` and the robust scale reads
-``biweight_irls`` from this module at call time, so a profiler can wrap
-either by rebinding the module attribute.
+Both sit inside the Monte Carlo loops and dominate runtime. The likelihood
+kernel is batched: one call evaluates many columns, each a (phi, pi0) or
+(u, pi0) pair, over the same centers, so the empirical-null fit makes one
+call per lockstep Nelder-Mead step for its whole pi0 grid. A column's value
+has the same bits whatever else shares its call: phi comes from
+``math.exp`` per column, ``math.log(pi0)`` is added elementwise, every
+other term is an elementwise ufunc or ``math.erfc``, and each column is
+summed by one pairwise ``np.sum`` over a row of a C-contiguous block, as
+the one-dimensional sum of a single column would be. The phi-dependent
+terms are computed once per distinct phi in a block.
+
+The empirical null fit reads ``neg_null_loglik_u`` and the robust scale
+reads ``biweight_irls`` from this module at call time, so a profiler can
+wrap either by rebinding the module attribute.
 """
 
 from __future__ import annotations
@@ -24,39 +34,84 @@ MAD_SCALE = 1.4826
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
-_erfc_np = np.frompyfunc(math.erfc, 1, 1)
+# Columns are evaluated in blocks of about this many (column, center)
+# elements, so that at thousands of centers a block's temporaries stay in
+# cache: unblocked, a fit at 8,000 centers took about 30% longer.
+_BLOCK_ELEMENTS = 16384
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` elementwise over a float64 array."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), np.float64,
+                       x.size).reshape(x.shape)
 
 
 def null_loglik_core(phi, pi0, z, sizes, in_null, b_upper):
-    """Truncated-mixture log-likelihood at (phi, pi0) over float64 arrays;
-    -inf when an out-of-interval log argument is non-positive."""
-    v = 1.0 + phi * sizes
+    """Truncated-mixture log-likelihood of each column (phi[k], pi0[k]) over
+    the float64 center arrays; -inf for a column where an out-of-interval
+    log argument is non-positive.
+
+    ``phi`` and ``pi0`` are equal-length 1-d arrays, or scalars for a float
+    result.
+    """
+    phi_a, pi0_a = np.broadcast_arrays(np.asarray(phi, dtype=np.float64),
+                                       np.asarray(pi0, dtype=np.float64))
+    phi_l = phi_a.ravel().tolist()
+    pi0_col = pi0_a.reshape(-1, 1)
+    log_pi0 = np.array([math.log(p) for p in pi0_col.ravel().tolist()])[:, None]
+    zi = z[in_null]
+    si = sizes[in_null]
+    half_z2 = 0.5 * zi * zi
     out = ~in_null
-    acc = 0.0
-    if in_null.any():
-        zi = z[in_null]
-        vi = v[in_null]
-        acc += float(
-            np.sum(math.log(pi0) - 0.5 * (_LOG_2PI + np.log(vi)) - 0.5 * zi * zi / vi)
-        )
-    if out.any():
-        # Q_i = Phi(B/s) - Phi(-B/s) = 1 - erfc(B / (s*sqrt(2)))
-        arg = b_upper[out] / np.sqrt(v[out]) * _INV_SQRT2
-        q = 1.0 - _erfc_np(arg).astype(np.float64)
-        t = 1.0 - pi0 * q
-        if np.any(t <= 0.0):
-            return -np.inf
-        acc += float(np.sum(np.log(t)))
-    return acc
+    so = sizes[out]
+    bo = b_upper[out]
+    ll = np.empty(len(phi_l))
+    per_block = max(1, _BLOCK_ELEMENTS // max(1, z.size))
+    for start in range(0, len(phi_l), per_block):
+        block = slice(start, start + per_block)
+        index: dict[float, int] = {}
+        rows = [index.setdefault(p, len(index)) for p in phi_l[block]]
+        shared = len(index) < len(rows)
+        phis = np.array(list(index))[:, None]
+        acc = np.zeros(len(rows))
+        if zi.size:
+            v = 1.0 + phis * si
+            half_log = 0.5 * (_LOG_2PI + np.log(v))
+            quad = half_z2 / v
+            if shared:
+                half_log, quad = half_log[rows], quad[rows]
+            acc += np.sum(log_pi0[block] - half_log - quad, axis=1)
+        if so.size:
+            # Q_i = Phi(B/s) - Phi(-B/s) = 1 - erfc(B / (s*sqrt(2)))
+            q = 1.0 - _erfc(bo / np.sqrt(1.0 + phis * so) * _INV_SQRT2)
+            if shared:
+                q = q[rows]
+            t = 1.0 - pi0_col[block] * q
+            impossible = np.any(t <= 0.0, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                acc += np.sum(np.log(t), axis=1)
+            acc[impossible] = -np.inf
+        ll[block] = acc
+    return float(ll[0]) if phi_a.ndim == 0 else ll
 
 
 def neg_null_loglik_u(u, pi0, z, sizes, in_null, b_upper):
-    """Negative log-likelihood at phi = max(0, exp(u) - EPS_PHI); +inf where
-    exp(u) would overflow."""
-    if u > 690.0:
-        return np.inf
-    phi = max(0.0, math.exp(u) - EPS_PHI)
-    return -null_loglik_core(phi, pi0, z, sizes, in_null, b_upper)
+    """Negative log-likelihood of each column at phi = max(0, exp(u[k]) -
+    EPS_PHI) and pi0[k]; +inf where exp(u) would overflow.
+
+    ``u`` and ``pi0`` are equal-length 1-d arrays, or scalars for a float
+    result.
+    """
+    u_a = np.asarray(u, dtype=np.float64)
+    overflow = u_a > 690.0
+    phi = [0.0 if x > 690.0 else max(0.0, math.exp(x) - EPS_PHI)
+           for x in u_a.ravel().tolist()]
+    neg = -null_loglik_core(np.reshape(phi, u_a.shape), pi0, z, sizes,
+                            in_null, b_upper)
+    if np.ndim(neg) == 0:
+        return math.inf if overflow else neg
+    neg[np.broadcast_to(overflow, neg.shape)] = np.inf
+    return neg
 
 
 def biweight_irls(z, c, tol, max_iter):

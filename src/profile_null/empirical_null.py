@@ -11,18 +11,18 @@ but supported outside a per-center interval [-B_i, B_i], which makes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, FittingError, InputError
-from .numerics import nelder_mead_minimize, robust_intercept_scale, std_normal_quantile
+from .numerics import nelder_mead_lockstep, robust_intercept_scale, std_normal_quantile
 
 MIN_CENTERS = 10
 MIN_NULL_SET = 3
-# each pi0 grid point costs one Nelder-Mead run per fit
+# each pi0 grid point is one column of the lockstep Nelder-Mead in every fit
 MAX_PI0_STEPS = 1000
 
 
@@ -76,6 +76,11 @@ class NullFit:
     the initial overdispersion estimate and held fixed during optimization.
     ``sigma2_alpha_hat`` is the implied confounder-effect variance
     phi_hat * a_psi.
+
+    ``profile_loglik``, ``nm_iterations`` and ``nm_converged`` hold, per pi0
+    grid point, the maximized log-likelihood and the Nelder-Mead iteration
+    count and convergence flag of its phi search. They explain a fit and
+    are not written to any output.
     """
 
     measure_id: str
@@ -87,6 +92,9 @@ class NullFit:
     null_set: np.ndarray
     loglik: float
     sigma2_alpha_hat: float
+    profile_loglik: np.ndarray = field(default_factory=lambda: np.empty(0))
+    nm_iterations: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    nm_converged: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
 
     @property
     def n_null_set(self) -> int:
@@ -148,6 +156,12 @@ def fit_empirical_null(
     log-likelihood over phi >= 0 with Nelder-Mead on u = log(phi + eps) ->
     keep the grid point with the largest profile likelihood, breaking ties
     toward the larger pi0.
+
+    The grid points are fitted together by one lockstep Nelder-Mead
+    (``nelder_mead_lockstep``), one simplex per pi0, so each step is one
+    batched likelihood call for the whole grid; every grid point gets the
+    same result as a Nelder-Mead run of its own. Raises ConvergenceError
+    when no grid point converges.
     """
     cfg = config if config is not None else EnConfig()
     zarr = np.ascontiguousarray(z, dtype=np.float64)
@@ -171,39 +185,35 @@ def fit_empirical_null(
         raise FittingError(f"degenerate null set: only {n_null} of {zarr.size} "
                            f"centers fall inside the truncation interval")
 
+    grid = cfg.pi0_grid()
+
+    def neg_loglik(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        return _kernels.neg_null_loglik_u(u, grid[columns], zarr, sarr, null_set,
+                                          b_upper)
+
     u_init = math.log(phi_init + _kernels.EPS_PHI)
-    best_ll = -math.inf
-    best_u = u_init
-    best_pi0 = float("nan")
-    any_converged = False
-    neg_loglik_u = _kernels.neg_null_loglik_u
-    for pi0 in cfg.pi0_grid():
-        pi0f = float(pi0)
-
-        def objective(u: float) -> float:
-            return neg_loglik_u(u, pi0f, zarr, sarr, null_set, b_upper)
-
-        res = nelder_mead_minimize(objective, u_init, tol=cfg.optimizer_tol,
-                                   max_iter=cfg.max_iter)
-        any_converged = any_converged or res.converged
-        ll = -res.min_value
-        if ll >= best_ll:
-            best_ll, best_u, best_pi0 = ll, res.argmin, float(pi0)
-    if not any_converged:
+    res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init),
+                               tol=cfg.optimizer_tol, max_iter=cfg.max_iter)
+    if not res.converged.any():
         raise ConvergenceError("phi optimization failed to converge at every "
                                "pi0 grid point")
-
-    phi_hat = max(0.0, math.exp(best_u) - _kernels.EPS_PHI)
+    profile = -res.min_value
+    # the last maximum: ties go to the larger pi0
+    best = grid.size - 1 - int(np.argmax(profile[::-1]))
+    phi_hat = max(0.0, math.exp(float(res.argmin[best])) - _kernels.EPS_PHI)
     return NullFit(
         measure_id=measure_id,
         phi_hat=phi_hat,
-        pi0_hat=best_pi0,
+        pi0_hat=float(grid[best]),
         phi_init=phi_init,
         v=v,
         interval_bounds=np.column_stack([-b_upper, b_upper]),
         null_set=null_set,
-        loglik=best_ll,
+        loglik=float(profile[best]),
         sigma2_alpha_hat=phi_hat * a_psi,
+        profile_loglik=profile,
+        nm_iterations=res.iterations,
+        nm_converged=res.converged,
     )
 
 

@@ -1,6 +1,12 @@
 """Foundational numerics: normal distribution functions, a one-dimensional
 derivative-free minimizer, and robust location/scale estimation.
 
+The minimizer is a two-point Nelder-Mead simplex that moves many
+independent columns in lockstep (``nelder_mead_lockstep``): each step
+evaluates every column in one call of a batched objective, and every column
+follows exactly the path it would follow alone. ``nelder_mead_minimize`` is
+its one-column case for a scalar objective.
+
 Everything here is a pure function of its arguments and safe to call from
 any number of threads.
 """
@@ -22,12 +28,13 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class OptimResult:
-    """Outcome of a scalar minimization."""
+    """Outcome of a scalar minimization; from ``nelder_mead_lockstep``, each
+    field is an array with one entry per column."""
 
-    argmin: float
-    min_value: float
-    iterations: int
-    converged: bool
+    argmin: float | np.ndarray
+    min_value: float | np.ndarray
+    iterations: int | np.ndarray
+    converged: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,94 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
+def nelder_mead_lockstep(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    init: np.ndarray | Sequence[float],
+    tol: float = 1e-8,
+    max_iter: int = 500,
+    step: float = 0.5,
+    xtol: float = 1e-6,
+) -> OptimResult:
+    """Minimize one scalar function per column, with two-point Nelder-Mead
+    simplices that move in lockstep.
+
+    ``objective(x, columns)`` returns, for every k, the value of column
+    ``columns[k]``'s function at ``x[k]``. Column k starts from ``init[k]``.
+    Each step evaluates the reflections of all unconverged columns in one
+    call, then the expansion points of the columns that expand and the
+    midpoints of the columns that contract in one more call. The result
+    holds one entry per column in each field.
+
+    Every column makes the same choices, takes the same points and stops at
+    the same iteration as a run on its function alone: it uses the standard
+    reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5)
+    and stops when the simplex function-value spread falls below ``tol``
+    and its width below ``xtol``. The width criterion is required: a
+    two-point simplex can straddle the minimum symmetrically, where the
+    value spread vanishes at arbitrary width. Non-finite objective values
+    away from ``init`` are treated as +inf so the simplex retreats from
+    them.
+
+    Raises InputError when a column's objective is not finite at its init.
+    """
+
+    def f(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        val = np.array(objective(x, columns), dtype=np.float64).reshape(x.shape)
+        val[np.isnan(val)] = np.inf
+        return val
+
+    a = np.array(init, dtype=np.float64).ravel()
+    every = np.arange(a.size)
+    fa = f(a, every)
+    not_finite = np.flatnonzero(~np.isfinite(fa))
+    if not_finite.size:
+        k = int(not_finite[0])
+        raise InputError(f"objective is not finite at init={float(a[k])!r}"
+                         + (f" in column {k}" if a.size > 1 else ""))
+    b = a + step
+    fb = f(b, every)
+
+    def keep_best(cols, a_c, b_c, fa_c, fb_c):
+        swap = fb_c < fa_c
+        a[cols], b[cols] = np.where(swap, b_c, a_c), np.where(swap, a_c, b_c)
+        fa[cols], fb[cols] = np.where(swap, fb_c, fa_c), np.where(swap, fa_c, fb_c)
+
+    keep_best(every, a, b, fa, fb)
+    iterations = np.zeros(a.size, dtype=np.int64)
+    converged = np.zeros(a.size, dtype=np.bool_)
+    active = every[iterations < max_iter]
+    while active.size:
+        iterations[active] += 1
+        done = ((np.abs(fa[active] - fb[active]) < tol)
+                & (np.abs(b[active] - a[active]) < xtol))
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+        a_c, b_c, fa_c, fb_c = a[active], b[active], fa[active], fb[active]
+        # reflect b through a; a reflection lower than b but not lower than
+        # a is kept as it is
+        xr = 2.0 * a_c - b_c
+        fr = f(xr, active)
+        expand = fr < fa_c
+        second = np.flatnonzero(expand | ~(fr < fb_c))
+        if second.size:
+            # in one dimension the inside contraction and the shrink toward
+            # the best point coincide at the midpoint
+            x2 = np.where(expand[second], 3.0 * a_c[second] - 2.0 * b_c[second],
+                          0.5 * (a_c[second] + b_c[second]))
+            f2 = f(x2, active[second])
+            # an expansion point replaces the reflection only when it is lower
+            take = ~expand[second] | (f2 < fr[second])
+            xr[second[take]] = x2[take]
+            fr[second[take]] = f2[take]
+        keep_best(active, a_c, xr, fa_c, fr)
+        active = active[iterations[active] < max_iter]
+
+    return OptimResult(argmin=a, min_value=fa, iterations=iterations,
+                       converged=converged)
+
+
 def nelder_mead_minimize(
     objective: Callable[[float], float],
     init: float,
@@ -107,62 +202,17 @@ def nelder_mead_minimize(
     step: float = 0.5,
     xtol: float = 1e-6,
 ) -> OptimResult:
-    """Minimize a scalar function with a two-point Nelder-Mead simplex.
-
-    Uses the standard reflection/expansion/contraction/shrink coefficients
-    (1, 2, 0.5, 0.5) and stops when the simplex function-value spread falls
-    below ``tol`` and its width below ``xtol``. The width criterion is
-    required: a two-point simplex can straddle the minimum symmetrically,
-    where the value spread vanishes at arbitrary width. Non-finite objective
-    values away from ``init`` are treated as +inf so the simplex retreats
-    from them.
+    """Minimize a scalar function with a two-point Nelder-Mead simplex: the
+    one-column case of ``nelder_mead_lockstep``, which documents the steps
+    and the stopping rule.
 
     Raises InputError when the objective is not finite at ``init``.
     """
-
-    def f(x: float) -> float:
-        val = objective(x)
-        if math.isnan(val):
-            return math.inf
-        return val
-
-    fa = f(init)
-    if not math.isfinite(fa):
-        raise InputError(f"objective is not finite at init={init!r}")
-    a = init
-    b = init + step
-    fb = f(b)
-    if fb < fa:
-        a, b, fa, fb = b, a, fb, fa
-
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        iterations += 1
-        if abs(fa - fb) < tol and abs(b - a) < xtol:
-            converged = True
-            break
-        xr = 2.0 * a - b
-        fr = f(xr)
-        if fr < fa:
-            xe = 3.0 * a - 2.0 * b
-            fe = f(xe)
-            if fe < fr:
-                b, fb = xe, fe
-            else:
-                b, fb = xr, fr
-        elif fr < fb:
-            b, fb = xr, fr
-        else:
-            # in one dimension the inside contraction and the shrink toward
-            # the best point coincide at the midpoint
-            xc = 0.5 * (a + b)
-            b, fb = xc, f(xc)
-        if fb < fa:
-            a, b, fa, fb = b, a, fb, fa
-
-    return OptimResult(argmin=a, min_value=fa, iterations=iterations,
-                       converged=converged)
+    res = nelder_mead_lockstep(lambda x, _: [objective(float(x[0]))], [init],
+                               tol=tol, max_iter=max_iter, step=step, xtol=xtol)
+    return OptimResult(argmin=float(res.argmin[0]), min_value=float(res.min_value[0]),
+                       iterations=int(res.iterations[0]),
+                       converged=bool(res.converged[0]))
 
 
 def robust_intercept_scale(z: Sequence[float]) -> RobustLocationScale:

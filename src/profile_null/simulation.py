@@ -29,6 +29,9 @@ METHOD_KEYS = ("fe", "mom", "en")
 ENV_THREADS = "PROFILE_NULL_THREADS"
 
 MAX_FAILED_FRACTION = 0.05
+# every iteration holds a few float64 arrays of n_centers; the cap keeps a
+# config from asking for more memory than a machine has
+MAX_SIM_CENTERS = 1_000_000
 
 # Composite-experiment probe layout: center 0 poor/poor, 1 good/good,
 # 2 poor access with outcomes calibrated to a null composite, 3 the mirror.
@@ -45,7 +48,8 @@ class SimConfig:
     size-dependent overdispersion (see notes in the repo docs).
     ``sigma2_alpha`` holds one confounder-effect variance per simulated
     measure. ``mom_q`` is the Winsorization level used for the
-    method-of-moments arm of the experiments.
+    method-of-moments arm of the experiments. ``n_centers`` lies between 10
+    and ``MAX_SIM_CENTERS``.
     """
 
     n_centers: int = 212
@@ -65,8 +69,9 @@ class SimConfig:
     en_config: EnConfig = field(default_factory=EnConfig)
 
     def __post_init__(self) -> None:
-        if self.n_centers < 10:
-            raise InputError("n_centers must be at least 10")
+        if not (10 <= self.n_centers <= MAX_SIM_CENTERS):
+            raise InputError(f"n_centers must lie between 10 and {MAX_SIM_CENTERS}, "
+                             f"got {self.n_centers}")
         if self.seed < 0:
             raise InputError("seed must be a nonnegative integer")
         if self.exposure_mean <= 0:

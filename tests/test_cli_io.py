@@ -632,6 +632,14 @@ class TestIllTypedJson:
                      "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
         assert f"simulation config: {key!r}" in capsys.readouterr().err
 
+    def test_sim_config_too_many_centers_exits_2(self, tmp_path, capsys):
+        # before the cap this died allocating 72.8 TiB
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": "flagging", "n_centers": 10_000_000_000_000}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert "n_centers must lie between 10 and 1000000" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--centers", "--measures", "--config"])
     def test_unreadable_bytes_exit_2(self, tmp_path, capsys, flag):
         bad = tmp_path / "bad"

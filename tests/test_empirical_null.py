@@ -10,16 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profile_null import (
+    ConvergenceError,
     EnConfig,
     FittingError,
     InputError,
     control_limits,
     fit_empirical_null,
     initial_phi,
+    nelder_mead_minimize,
     null_loglik,
     robust_intercept_scale,
     z_empirical_null,
 )
+from profile_null import _kernels
 
 
 def _sizes(rng, n=212, scale=3e5):
@@ -189,6 +192,103 @@ class TestFitEmpiricalNull:
         base = float(np.mean(base_phis))
         contam = float(np.mean(contam_phis))
         assert abs(contam - base) / base < 0.25
+
+
+def _per_grid_fit(z, n, cfg, fit):
+    """The profile fit as one scalar Nelder-Mead run per pi0 grid point, the
+    loop the lockstep fit replaced, from the fit's own interval and null set.
+    Returns (phi_hat, pi0_hat, loglik) and the per-grid results."""
+    b_upper = fit.interval_bounds[:, 1]
+    u_init = math.log(fit.phi_init + _kernels.EPS_PHI)
+    best_ll, best_u, best_pi0 = -math.inf, u_init, math.nan
+    runs = []
+    for pi0 in cfg.pi0_grid():
+        pi0f = float(pi0)
+        res = nelder_mead_minimize(
+            lambda u: _kernels.neg_null_loglik_u(u, pi0f, z, n, fit.null_set, b_upper),
+            u_init, tol=cfg.optimizer_tol, max_iter=cfg.max_iter)
+        runs.append(res)
+        if -res.min_value >= best_ll:
+            best_ll, best_u, best_pi0 = -res.min_value, res.argmin, pi0f
+    if not any(r.converged for r in runs):
+        raise ConvergenceError("no grid point converged")
+    phi_hat = max(0.0, math.exp(best_u) - _kernels.EPS_PHI)
+    return (phi_hat, best_pi0, best_ll), runs
+
+
+def _contaminated(n_centers, phi, seed):
+    """Scores with variance 1 + phi*n and 10% outliers shifted by 1.5 sqrt(n)."""
+    rng = np.random.default_rng(seed)
+    n = _sizes(rng, n_centers)
+    z = rng.normal(0.0, np.sqrt(1.0 + phi * n))
+    k = n_centers // 10
+    z[:k] += rng.choice([-1.0, 1.0], k) * 1.5 * np.sqrt(n[:k])
+    return z, n
+
+
+class TestLockstepFit:
+    """The lockstep fit against one Nelder-Mead run per grid point: the same
+    estimates, bit for bit, and the same per-grid record."""
+
+    def _assert_same_fit(self, z, n, cfg):
+        fit = fit_empirical_null(z, n, cfg)
+        (phi_hat, pi0_hat, loglik), runs = _per_grid_fit(z, n, cfg, fit)
+        assert (fit.phi_hat, fit.pi0_hat, fit.loglik) == (phi_hat, pi0_hat, loglik)
+        assert fit.profile_loglik.tolist() == [-r.min_value for r in runs]
+        assert fit.nm_iterations.tolist() == [r.iterations for r in runs]
+        assert fit.nm_converged.tolist() == [r.converged for r in runs]
+
+    @pytest.mark.parametrize("n_centers", [12, 212, 2000])
+    @pytest.mark.parametrize("q", [2.5, 5.0, 20.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.01])
+    def test_bit_identical_to_per_grid_runs(self, n_centers, q, phi):
+        z, n = _contaminated(n_centers, phi, seed=n_centers + int(10 * q))
+        self._assert_same_fit(z, n, EnConfig(q_percent=q))
+
+    @pytest.mark.parametrize("grid", [dict(pi0_grid_step=0.09),
+                                      dict(pi0_grid_lo=0.9, pi0_grid_hi=0.9)])
+    def test_other_grids(self, grid):
+        z, n = _contaminated(212, 0.01, seed=4)
+        cfg = EnConfig(**grid)
+        assert len(cfg.pi0_grid()) == (4 if "pi0_grid_step" in grid else 1)
+        self._assert_same_fit(z, n, cfg)
+
+    def test_iteration_cap_fails_both_ways(self):
+        z, n = _contaminated(212, 0.01, seed=6)
+        cfg = EnConfig(max_iter=1)
+        with pytest.raises(ConvergenceError):
+            fit_empirical_null(z, n, cfg)
+        fit = fit_empirical_null(z, n)
+        with pytest.raises(ConvergenceError):
+            _per_grid_fit(z, n, cfg, fit)
+
+    def test_not_finite_at_init_is_an_input_error(self, monkeypatch):
+        # no likelihood at pi0 = 1 already at the starting phi
+        z, n = _contaminated(212, 0.01, seed=6)
+        fit = fit_empirical_null(z, n)
+        kernel = _kernels.neg_null_loglik_u
+
+        def no_mass_at_one(u, pi0, *data):
+            return np.where(np.asarray(pi0) == 1.0, np.nan, kernel(u, pi0, *data))
+
+        monkeypatch.setattr(_kernels, "neg_null_loglik_u", no_mass_at_one)
+        with pytest.raises(InputError, match="not finite at init"):
+            fit_empirical_null(z, n)
+        with pytest.raises(InputError, match="not finite at init"):
+            _per_grid_fit(z, n, EnConfig(), fit)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_record_explains_the_estimate(self, seed):
+        z, n = _contaminated(212, 0.01, seed)
+        cfg = EnConfig()
+        fit = fit_empirical_null(z, n, cfg)
+        profile = fit.profile_loglik
+        assert profile.shape == fit.nm_iterations.shape == fit.nm_converged.shape \
+            == cfg.pi0_grid().shape
+        # ties go to the larger pi0
+        assert fit.pi0_hat == cfg.pi0_grid()[np.flatnonzero(profile == profile.max())[-1]]
+        assert fit.loglik == profile.max()
+        assert np.all(fit.nm_iterations >= 1) and fit.nm_converged.any()
 
 
 class TestZEmpiricalNull:

@@ -1,6 +1,7 @@
 """The numpy kernels against independent references: a 40-digit mpmath
-evaluation of the truncated likelihood, and the fixed-point conditions of
-the biweight IRLS."""
+evaluation of the truncated likelihood, the one-column-at-a-time loop the
+batched likelihood replaced, and the fixed-point conditions of the biweight
+IRLS."""
 
 import math
 
@@ -54,6 +55,54 @@ def test_neg_loglik_u_matches_mpmath():
         assert got == pytest.approx(-_mp_loglik(phi, 0.9, z, n, in_null, b), rel=1e-12)
     # exp(800) overflows a double: the objective reports +inf instead
     assert _kernels.neg_null_loglik_u(800.0, 0.9, z, n, in_null, b) == math.inf
+
+
+def _one_column_neg_loglik_u(u, pi0, z, sizes, in_null, b_upper):
+    """The likelihood kernel as it was before batching, one (u, pi0) column
+    per call: the bits every column of a batched call must keep."""
+    if u > 690.0:
+        return math.inf
+    phi = max(0.0, math.exp(u) - _kernels.EPS_PHI)
+    v = 1.0 + phi * sizes
+    out = ~in_null
+    acc = 0.0
+    if in_null.any():
+        zi, vi = z[in_null], v[in_null]
+        acc += float(np.sum(math.log(pi0) - 0.5 * (math.log(2.0 * math.pi) + np.log(vi))
+                            - 0.5 * zi * zi / vi))
+    if out.any():
+        arg = b_upper[out] / np.sqrt(v[out]) * (1.0 / math.sqrt(2.0))
+        q = 1.0 - np.frompyfunc(math.erfc, 1, 1)(arg).astype(np.float64)
+        t = 1.0 - pi0 * q
+        if np.any(t <= 0.0):
+            return math.inf
+        acc += float(np.sum(np.log(t)))
+    return -acc
+
+
+@pytest.mark.parametrize("n_centers", [12, 212, 5000])
+def test_batched_columns_keep_the_one_column_bits(n_centers):
+    rng = np.random.default_rng(n_centers)
+    n = rng.exponential(400.0, n_centers)
+    z = rng.normal(0.0, np.sqrt(1.0 + 0.14 * n))
+    # wide bounds on a few centers make Q = 1, so pi0 = 1 has no likelihood
+    b = np.where(np.arange(n_centers) < 2, 60.0, 1.645 * np.sqrt(1.0 + 0.1 * n))
+    z[:2] = 70.0
+    in_null = np.abs(z) <= b
+    u = rng.normal(-3.0, 3.0, 30)
+    u[5:12] = u[0]          # columns sharing a phi
+    u[12] = -40.0           # phi clamped to 0
+    u[13] = 800.0           # exp(u) overflows
+    pi0 = rng.choice(np.linspace(0.8, 1.0, 41), 30)
+    pi0[[0, 7]] = 1.0
+    got = _kernels.neg_null_loglik_u(u, pi0, z, n, in_null, b)
+    want = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
+            for x, p in zip(u, pi0)]
+    assert got.tolist() == want
+    assert got[0] == math.inf and got[13] == math.inf
+    # scalars give a float with the same bits
+    one = _kernels.neg_null_loglik_u(float(u[3]), float(pi0[3]), z, n, in_null, b)
+    assert type(one) is float and one == want[3]
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
