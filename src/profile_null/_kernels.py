@@ -6,8 +6,8 @@ kernel is batched: one call evaluates many columns, each a (phi, pi0) or
 (u, pi0) pair, over the same centers, so the empirical-null fit makes one
 call per lockstep Nelder-Mead step for its whole pi0 grid. A column's value
 has the same bits whatever else shares its call: phi comes from
-``math.exp`` per column, ``math.log(pi0)`` is added elementwise, every
-other term is an elementwise ufunc or ``math.erfc``, and each column is
+``math.exp`` per column, ``math.log(pi0)`` enters each term elementwise,
+every other term is an elementwise ufunc or ``math.erfc``, and each column is
 summed by one pairwise ``np.sum`` over a row of a C-contiguous block, as
 the one-dimensional sum of a single column would be. The phi-dependent
 terms are computed once per distinct phi in a block.
