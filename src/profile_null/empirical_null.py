@@ -47,13 +47,16 @@ class EnConfig:
             raise InputError(f"q_percent must lie in (0, 50), got {self.q_percent}")
         if not (0.0 < self.pi0_grid_lo <= self.pi0_grid_hi <= 1.0):
             raise InputError("pi0 grid must satisfy 0 < lo <= hi <= 1")
-        if self.pi0_grid_step <= 0.0:
-            raise InputError("pi0_grid_step must be positive")
+        if not (0.0 < self.pi0_grid_step < math.inf):
+            raise InputError(f"pi0_grid_step must be finite and positive, "
+                             f"got {self.pi0_grid_step!r}")
         if (self.pi0_grid_hi - self.pi0_grid_lo) / self.pi0_grid_step > MAX_PI0_STEPS:
             raise InputError(f"pi0_grid_step {self.pi0_grid_step!r} makes more than "
                              f"{MAX_PI0_STEPS} steps across the pi0 grid")
-        if self.optimizer_tol <= 0.0 or self.max_iter < 1:
-            raise InputError("optimizer_tol must be positive and max_iter >= 1")
+        if not (0.0 < self.optimizer_tol < math.inf) or self.max_iter < 1:
+            raise InputError(f"optimizer_tol must be finite and positive and "
+                             f"max_iter >= 1, got {self.optimizer_tol!r} and "
+                             f"{self.max_iter!r}")
 
     def pi0_grid(self) -> np.ndarray:
         """lo + k * step for every point up to hi, then hi itself when the
@@ -129,7 +132,7 @@ def null_loglik(
     the null probability of the interval. Returns -inf instead of raising
     when a log argument is non-positive.
     """
-    if phi < 0:
+    if not phi >= 0:
         raise InputError(f"phi must be nonnegative, got {phi}")
     if not (0.0 < pi0 <= 1.0):
         raise InputError(f"pi0 must lie in (0, 1], got {pi0}")
@@ -173,6 +176,8 @@ def fit_empirical_null(
                            f"centers, got {zarr.size}")
     if not np.all(np.isfinite(zarr)):
         raise InputError("z contains non-finite values")
+    if not np.all(np.isfinite(sarr)):
+        raise InputError("sizes contains non-finite values")
     if not np.all(sarr > 0):
         raise InputError("sizes must be positive")
 

@@ -30,7 +30,7 @@ from .measures import (
     measure_ratio,
     z_fixed_effects,
 )
-from .simulation import SimConfig, SimResult
+from .simulation import SimConfig, SimResult, map_items, resolve_workers
 from .svg import funnel_svg
 
 CENTER_HEADER = ["center_id", "measure_id", "observed", "expected", "effective_size"]
@@ -38,6 +38,14 @@ SCORES_HEADER = ["center_id", "measure_id", "z_fe", "z_en", "z_mom"]
 FUNNEL_HEADER = ["effective_size", "ratio", "fe_lower", "fe_upper", "en_lower", "en_upper"]
 
 RUN_METHODS = ("fe", "mom", "en")
+
+# Fewest fitted rows for which standardize fits its measures in the process
+# pool. A pool costs its start and, the first time, the import of
+# multiprocessing's pool modules. Measured on 2 CPUs, 4 measures: 109 ms
+# in-process against 124 ms pooled at 1,980 rows, 254 against 180 ms at
+# 3,960; and with no threshold the registry-8k benchmark's setup_s, whose
+# 200-center warm-up report then starts two pools, was 0.4-19% worse.
+POOL_MIN_ROWS = 4000
 
 _EN_KEYS = ("q_percent", "pi0_grid_lo", "pi0_grid_hi", "pi0_grid_step")
 _MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
@@ -65,10 +73,15 @@ def fmt6(x: float) -> str:
     """Fixed 6-decimal formatting with ties rounded away from zero."""
     if not math.isfinite(x):
         raise InputError(f"cannot format non-finite value {x!r}")
-    d = Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP, context=_FMT6_CONTEXT)
-    if d == 0:
-        return "0.000000"
-    return str(d)
+    # format() rounds the exact binary value correctly, ties to even. A float
+    # ends in an exact 5 at the 7th decimal only when x * 128 is an odd
+    # integer, so every other x takes the fast path; a tie is at least 1/128
+    # away from zero.
+    if (x * 64.0) % 1.0 != 0.5:
+        s = format(x, ".6f")
+        return "0.000000" if s == "-0.000000" else s
+    return str(Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP,
+                                   context=_FMT6_CONTEXT))
 
 
 def _sig12(x: float) -> float:
@@ -252,6 +265,13 @@ def standardize(
 
     Rows with non-positive effective size or expected count are excluded
     from all fitting and recorded in the skipped list.
+
+    The empirical-null fits, one per measure, run in the simulation process
+    pool (``simulation.map_items``, at most ``resolve_workers()`` processes)
+    once they span ``POOL_MIN_ROWS`` rows or more, and in this process below
+    that. Each fit is the same pure function either way, so the results do
+    not depend on the worker count, and the first measure whose fit fails,
+    in declaration order, raises its error.
     """
     if method not in RUN_METHODS:
         raise InputError(f"method must be one of {RUN_METHODS}, got {method!r}")
@@ -260,6 +280,9 @@ def standardize(
     usable = ~no_size & (t.expected > 0)
     run = StandardizationRun(method, t, *(np.full(len(t), np.nan) for _ in range(3)))
     a_psi = np.array([m.a_psi for m in t.measures])[t.measure]
+    # per measure to fit: its rows of the table, and the arguments of its fit
+    fit_rows: list[np.ndarray] = []
+    fit_tasks: list[tuple] = []
     run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
                                        t.size[usable], a_psi[usable])
     for k, spec in enumerate(t.measures):
@@ -272,17 +295,25 @@ def standardize(
             continue
         z, sizes = run.z_fe[rows], t.size[rows]
         if method == "en":
-            fit = fit_empirical_null(z, sizes, spec.en_config,
-                                     a_psi=spec.a_psi,
-                                     measure_id=spec.measure_id)
-            run.null_fits[spec.measure_id] = fit
-            run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
+            fit_rows.append(rows)
+            fit_tasks.append((z, sizes, spec.en_config, spec.a_psi, spec.measure_id))
         elif method == "mom":
             mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
                                         a_psi=spec.a_psi)
             run.mom_fits[spec.measure_id] = mom
             run.z_mom[rows] = z_empirical_null(z, sizes, mom.phi_mom)
+    n_fitted = sum(task[0].size for task in fit_tasks)
+    workers = min(resolve_workers(), len(fit_tasks)) if n_fitted >= POOL_MIN_ROWS else 1
+    fits = map_items(_fit_measure, fit_tasks, workers)
+    for rows, (z, sizes, *_), fit in zip(fit_rows, fit_tasks, fits):
+        run.null_fits[fit.measure_id] = fit
+        run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
     return run
+
+
+def _fit_measure(task: tuple) -> NullFit:
+    # module level, so that the process pool can pickle it
+    return fit_empirical_null(*task)
 
 
 def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -272,13 +272,20 @@ def _flagging_iteration(iteration: int, config: SimConfig, gamma: float):
     return tuple(out)
 
 
-def _map_iterations(fn: Callable[[int], object], iterations: int,
-                    workers: int) -> list:
+def map_items(fn: Callable[[object], object], items: Sequence,
+              workers: int) -> list:
+    """``[fn(x) for x in items]``, spread over at most ``workers`` processes.
+
+    The one process pool of the package: the simulation runners map their
+    iterations through it and ``report.standardize`` its per-measure fits.
+    Results come back in item order, and the first item that raises, in
+    that order, raises its exception here.
+    """
     if workers <= 1:
-        return [fn(i) for i in range(iterations)]
-    chunksize = max(1, iterations // (workers * 8))
+        return [fn(x) for x in items]
+    chunksize = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(iterations), chunksize=chunksize))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def _check_failures(n_failed: int, iterations: int, context: str) -> None:
@@ -308,9 +315,9 @@ def run_flagging_experiment(config: SimConfig,
     n_failed = np.zeros(n_gamma, dtype=np.int64)
     n_eff = np.zeros(n_gamma, dtype=np.int64)
     for gi, gamma in enumerate(config.gamma_grid):
-        outcomes = _map_iterations(
+        outcomes = map_items(
             partial(_flagging_iteration, config=config, gamma=float(gamma)),
-            config.iterations, w)
+            range(config.iterations), w)
         ok = [o for o in outcomes if o is not None]
         n_failed[gi] = config.iterations - len(ok)
         _check_failures(int(n_failed[gi]), config.iterations,
@@ -370,9 +377,9 @@ def run_tuning_sensitivity(config: SimConfig,
         raise InputError("q_grid must not be empty")
     w = resolve_workers(workers)
     gamma = float(config.gamma_grid[0]) if config.gamma_grid else 0.0
-    outcomes = _map_iterations(
+    outcomes = map_items(
         partial(_tuning_iteration, config=config, gamma=gamma),
-        config.iterations, w)
+        range(config.iterations), w)
     ok = [o for o in outcomes if o is not None]
     n_failed = config.iterations - len(ok)
     _check_failures(n_failed, config.iterations, "tuning sensitivity run")
@@ -493,9 +500,9 @@ def run_composite_experiment(config: SimConfig,
     n_failed = np.zeros(n_gamma, dtype=np.int64)
     n_eff = np.zeros(n_gamma, dtype=np.int64)
     for gi, gamma in enumerate(config.gamma_grid):
-        outcomes = _map_iterations(
+        outcomes = map_items(
             partial(_composite_iteration, config=config, gamma=float(gamma)),
-            config.iterations, w)
+            range(config.iterations), w)
         ok = [o for o in outcomes if o is not None]
         n_failed[gi] = config.iterations - len(ok)
         _check_failures(int(n_failed[gi]), config.iterations,

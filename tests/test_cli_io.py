@@ -1,6 +1,7 @@
 """File parsing, report writing, CLI dispatch, exit codes, and determinism."""
 
 import csv
+import decimal
 import json
 import math
 import shutil
@@ -60,6 +61,17 @@ def table(measures):
     return read_center_stats(FIXTURES / "centers.csv", measures)
 
 
+# the formatting fmt6 must reproduce: exact value, ties away from zero
+_FMT6_REF_CONTEXT = decimal.Context(prec=400)
+
+
+def _fmt6_reference(x: float) -> str:
+    d = decimal.Decimal(x).quantize(decimal.Decimal("0.000001"),
+                                    rounding=decimal.ROUND_HALF_UP,
+                                    context=_FMT6_REF_CONTEXT)
+    return "0.000000" if d == 0 else str(d)
+
+
 class TestFmt6:
     def test_basics(self):
         assert fmt6(0.0) == "0.000000"
@@ -87,6 +99,22 @@ class TestFmt6:
         # every digit of the integer part, then six decimals
         assert fmt6(x) == f"{int(x)}.000000"
         assert fmt6(-x) == f"-{int(x)}.000000"
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False)
+           | st.integers(-6000, 6000).map(lambda k: k / 256)
+           | st.integers(-2**40, 2**40).map(lambda k: (2 * k + 1) / 128)
+           | st.integers(-10**7, 10**7).map(lambda k: k / 1e7))
+    @example(0.0078125)
+    @example(-0.0078125)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(sys.float_info.max)
+    @example(-1e60)
+    def test_matches_decimal_reference(self, x):
+        # ties (x * 128 an odd integer) and every other value alike
+        assert fmt6(x) == _fmt6_reference(x)
 
 
 class TestReadMeasureConfig:

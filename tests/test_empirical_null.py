@@ -3,6 +3,7 @@ profile fit, corrected scores, and control limits."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestTruncationBounds:
         with pytest.raises(InputError, match="sizes must be positive"):
             fit_empirical_null(rng.normal(size=212), n)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_size(self, bad):
+        # refused up front, before the bound turns NaN and numpy warns
+        rng = np.random.default_rng(0)
+        n = _sizes(rng)
+        n[5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="sizes contains non-finite"):
+                fit_empirical_null(rng.normal(size=212), n)
+
 
 class TestNullLoglik:
     def test_single_in_null_center(self):
@@ -113,6 +125,8 @@ class TestNullLoglik:
             null_loglik(-0.1, 0.9, [0.0], [1.0], [True], [(-1, 1)])
         with pytest.raises(InputError):
             null_loglik(0.1, 0.0, [0.0], [1.0], [True], [(-1, 1)])
+        with pytest.raises(InputError, match="phi must be nonnegative, got nan"):
+            null_loglik(math.nan, 0.9, [0.0], [1.0], [True], [(-1, 1)])
 
 
 class TestFitEmpiricalNull:
@@ -408,6 +422,14 @@ class TestEnConfig:
             EnConfig(pi0_grid_step=0.0)
         with pytest.raises(InputError):
             EnConfig(max_iter=0)
+
+    @pytest.mark.parametrize("setting", ["pi0_grid_step", "optimizer_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_rejected(self, setting, value):
+        # a NaN step made pi0_grid() raise a bare ValueError and an inf one
+        # gave a grid of NaN; a NaN tolerance could never be met
+        with pytest.raises(InputError, match=setting):
+            EnConfig(**{setting: value})
 
     def test_pi0_estimate_lies_on_grid(self):
         rng = np.random.default_rng(64)
