@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input/validation error, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -120,9 +121,13 @@ def _cmd_composite(args) -> int:
 
 
 def _cmd_funnel(args) -> int:
+    alphas = args.alpha_z if args.alpha_z else [1.96]
+    for alpha_z in alphas:
+        if not (alpha_z > 0 and math.isfinite(alpha_z)):
+            raise InputError(f"--alpha-z must be a positive finite number, "
+                             f"got {alpha_z}")
     table = _load_table(args)
     run = standardize(table, method="en")
-    alphas = args.alpha_z if args.alpha_z else [1.96]
     written = []
     for spec in table.measures:
         fit = run.null_fits.get(spec.measure_id)

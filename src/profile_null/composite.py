@@ -215,28 +215,27 @@ def composite_table(
     pattern_of = pattern_of.reshape(-1)
     skip = (patterns.sum(axis=1) < 2) & (len(names) > 1)
     z_cs = np.full(len(ids), np.nan)
+    # per pattern: the weights, measures used and partial flag of its centers
+    shared: list[tuple | None] = []
     for p, avail in enumerate(patterns):
-        if not skip[p]:
-            idx = np.flatnonzero(avail)
-            rows = np.flatnonzero(pattern_of == p)
-            z_cs[rows] = _normalized_sums(mat[np.ix_(rows, idx)], w[idx],
-                                          corr[np.ix_(idx, idx)])
+        if skip[p]:
+            shared.append(None)
+            continue
+        idx = np.flatnonzero(avail)
+        rows = np.flatnonzero(pattern_of == p)
+        z_cs[rows] = _normalized_sums(mat[np.ix_(rows, idx)], w[idx],
+                                      corr[np.ix_(idx, idx)])
+        shared.append((tuple(w[idx].tolist()), tuple(names[j] for j in idx),
+                       len(idx) < len(names)))
 
     results: list[CompositeResult] = []
     skipped: list[str] = []
-    for i, cid in enumerate(ids):
-        if skip[pattern_of[i]]:
+    for cid, p, score in zip(ids, pattern_of.tolist(), z_cs.tolist()):
+        if shared[p] is None:
             skipped.append(cid)
             continue
-        idx = np.flatnonzero(patterns[pattern_of[i]])
-        score = float(z_cs[i])
+        weights, used, partial = shared[p]
         results.append(CompositeResult(
-            center_id=cid,
-            z_cs=score,
-            label=flag(score, cfg),
-            weights=tuple(float(x) for x in w[idx]),
-            correlation=corr,
-            measures_used=tuple(names[j] for j in idx),
-            partial=len(idx) < len(names),
-        ))
+            center_id=cid, z_cs=score, label=flag(score, cfg), weights=weights,
+            correlation=corr, measures_used=used, partial=partial))
     return results, skipped

@@ -253,13 +253,17 @@ def control_limits(
     Inverts the fixed-effects standardization and the empirical-null
     correction at |Z| = alpha_z:
     1 +/- alpha_z * sqrt(a_psi * size * (1 + phi * size)) / expected.
-    phi = 0 gives the fixed-effects limits.
+    phi = 0 gives the fixed-effects limits. A limit beyond the float range
+    raises InputError.
     """
     e = np.asarray(expected, dtype=np.float64)
     n = np.asarray(size, dtype=np.float64)
     if np.any(e <= 0) or np.any(n <= 0):
         raise InputError("expected and size must be positive")
-    if alpha_z <= 0:
-        raise InputError(f"alpha_z must be positive, got {alpha_z}")
-    half = alpha_z * np.sqrt(a_psi * n * (1.0 + phi * n)) / e
+    if not (alpha_z > 0 and math.isfinite(alpha_z)):
+        raise InputError(f"alpha_z must be a positive finite number, got {alpha_z}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = alpha_z * np.sqrt(a_psi * n * (1.0 + phi * n)) / e
+    if not np.all(np.isfinite(half)):
+        raise InputError(f"control limits at alpha_z={alpha_z} are not finite")
     return (1.0 - half, 1.0 + half)

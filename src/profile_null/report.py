@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
@@ -69,19 +71,46 @@ _FMT6_CONTEXT = Context(prec=400)
 _MICRO = Decimal("0.000001")
 
 
-def fmt6(x: float) -> str:
-    """Fixed 6-decimal formatting with ties rounded away from zero."""
-    if not math.isfinite(x):
-        raise InputError(f"cannot format non-finite value {x!r}")
-    # format() rounds the exact binary value correctly, ties to even. A float
-    # ends in an exact 5 at the 7th decimal only when x * 128 is an odd
-    # integer, so every other x takes the fast path; a tie is at least 1/128
-    # away from zero.
-    if (x * 64.0) % 1.0 != 0.5:
-        s = format(x, ".6f")
-        return "0.000000" if s == "-0.000000" else s
-    return str(Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP,
-                                   context=_FMT6_CONTEXT))
+def fmt6(x: float | np.ndarray) -> str | list[str]:
+    """Fixed 6-decimal formatting with ties rounded away from zero, of one
+    float, or of each value of a 1-d float array as a list of strings."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise InputError(f"cannot format non-finite value {x!r}")
+        # format() rounds the exact binary value correctly, ties to even. A
+        # float ends in an exact 5 at the 7th decimal only when x * 128 is an
+        # odd integer, so every other x takes the fast path; a tie is at
+        # least 1/128 away from zero.
+        if (x * 64.0) % 1.0 != 0.5:
+            s = format(x, ".6f")
+            return "0.000000" if s == "-0.000000" else s
+        return str(Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP,
+                                       context=_FMT6_CONTEXT))
+    a = np.asarray(x, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise InputError(f"cannot format non-finite value {a[~finite][0].item()!r}")
+    cells = list(map(format, a.tolist(), repeat(".6f")))
+    # the cells format() may get wrong: exact ties, and values that could
+    # print "-0.000000"; the products beyond the float range are no ties
+    with np.errstate(over="ignore", invalid="ignore"):
+        redo = ((a * 64.0) % 1.0 == 0.5) | (np.signbit(a) & (a > -1e-6))
+    for i in np.flatnonzero(redo).tolist():
+        cells[i] = fmt6(a[i])
+    return cells
+
+
+def _fmt6_or_blank(x: np.ndarray) -> list[str]:
+    """``fmt6`` of each value of a float array, with "" for NaN."""
+    a = np.asarray(x, dtype=np.float64)
+    blank = np.isnan(a)
+    if blank.all():
+        return [""] * a.size
+    cells = fmt6(np.where(blank, 0.0, a))
+    for i in np.flatnonzero(blank).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _sig12(x: float) -> float:
@@ -89,10 +118,6 @@ def _sig12(x: float) -> float:
     at this precision so that null_fit.json does not depend on the order in
     which the kernels sum, which can change the last few bits."""
     return float(f"{x:.12g}")
-
-
-def _fmt6_or_blank(x: float) -> str:
-    return "" if math.isnan(x) else fmt6(x)
 
 
 def _is_number(v) -> bool:
@@ -182,6 +207,49 @@ def _parse_float(raw: str, column: str, line: int) -> float:
                          f"{raw!r}") from None
 
 
+def _check_record(row: list[str], line: int, family: dict[str, str]) -> None:
+    """Check one record of the centers file as ``_parse_columns`` parses
+    it, raising InputError with its row number ``line`` where it fails."""
+    if len(row) != len(CENTER_HEADER):
+        raise InputError(f"row {line}: expected {len(CENTER_HEADER)} "
+                         f"fields, got {len(row)}")
+    center_id, measure_id, obs_raw, exp_raw, size_raw = (f.strip() for f in row)
+    if not center_id or not measure_id:
+        raise InputError(f"row {line}: center_id and measure_id are required")
+    _parse_float(obs_raw, "observed", line)
+    _parse_float(exp_raw, "expected", line)
+    if size_raw == "":
+        # an undeclared measure is reported by CenterTable
+        if family.get(measure_id, "poisson") != "poisson":
+            raise InputError(f"row {line}: effective_size is required for "
+                             f"{family[measure_id]} measure {measure_id!r}")
+    else:
+        _parse_float(size_raw, "effective_size", line)
+
+
+def _parse_columns(records: list[list[str]], family: dict[str, str]) -> tuple:
+    """The five columns of the non-blank centers records: ids as lists of
+    stripped strings, numbers as float arrays, blank poisson sizes filled
+    with the expected count. Raises ValueError on any record that
+    ``_check_record`` rejects."""
+    if set(map(len, records)) != {len(CENTER_HEADER)}:
+        raise ValueError("field count")
+    # one pass per column: zip(*records) makes an iterator per record
+    center_ids, measure_ids, obs, exp, size = (
+        list(map(str.strip, map(itemgetter(k), records)))
+        for k in range(len(CENTER_HEADER)))
+    if not (all(center_ids) and all(measure_ids)):
+        raise ValueError("missing id")
+    blank = [mid for mid, s in zip(measure_ids, size) if not s]
+    if any(family.get(mid, "poisson") != "poisson" for mid in set(blank)):
+        raise ValueError("missing size")
+    if blank:
+        size = [s or e for s, e in zip(size, exp)]
+    n = len(records)
+    return (center_ids, measure_ids,
+            *(np.fromiter(map(float, col), np.float64, n) for col in (obs, exp, size)))
+
+
 def read_center_stats(
     path: str | Path,
     measures: Sequence[MeasureSpec],
@@ -191,7 +259,11 @@ def read_center_stats(
     Header must be exactly center_id,measure_id,observed,expected,
     effective_size. Poisson rows may leave effective_size empty, in which
     case it is filled with the expected count; binomial and normal rows must
-    supply it. Errors carry the offending row number.
+    supply it. Errors carry the offending row number: the number of the
+    record, blank records included, so a quoted line break does not count.
+
+    The records are parsed column by column; only when that fails are they
+    checked one by one, to name the first bad row.
     """
     p = Path(path)
     family = {m.measure_id: m.family for m in measures}
@@ -206,31 +278,18 @@ def read_center_stats(
     if not rows or rows[0] != CENTER_HEADER:
         raise InputError(f"centers file {p} must start with header "
                          f"{','.join(CENTER_HEADER)!r}")
-    parsed = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(CENTER_HEADER):
-            raise InputError(f"row {line}: expected {len(CENTER_HEADER)} "
-                             f"fields, got {len(row)}")
-        center_id, measure_id, obs_raw, exp_raw, size_raw = (f.strip() for f in row)
-        if not center_id or not measure_id:
-            raise InputError(f"row {line}: center_id and measure_id are required")
-        observed = _parse_float(obs_raw, "observed", line)
-        expected = _parse_float(exp_raw, "expected", line)
-        if size_raw == "":
-            # an undeclared measure is reported by CenterTable
-            if family.get(measure_id, "poisson") != "poisson":
-                raise InputError(f"row {line}: effective_size is required for "
-                                 f"{family[measure_id]} measure {measure_id!r}")
-            size = expected
-        else:
-            size = _parse_float(size_raw, "effective_size", line)
-        parsed.append((center_id, measure_id, observed, expected, size, line))
-    if not parsed:
+    records = [row for row in rows[1:] if row]
+    if not records:
         raise InputError(f"centers file {p} holds no data rows")
-    # columns: center ids, measure ids, observed, expected, size, row numbers
-    return CenterTable(measures, *zip(*parsed))
+    try:
+        columns = _parse_columns(records, family)
+    except ValueError:
+        for line, row in enumerate(rows[1:], start=2):
+            if row:
+                _check_record(row, line, family)
+        raise  # both parses reject the same records, so this is not reached
+    lines = [line for line, row in enumerate(rows[1:], start=2) if row]
+    return CenterTable(measures, *columns, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +416,11 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
     out = Path(out_dir)
     written: list[Path] = []
 
-    rows = [SCORES_HEADER]
-    for i, scores in enumerate(zip(run.z_fe.tolist(), run.z_en.tolist(),
-                                   run.z_mom.tolist())):
-        rows.append([*t.row_ids(i), *map(_fmt6_or_blank, scores)])
+    center_ids = np.array(t.center_ids, dtype=object)[t.center].tolist()
+    measure_ids = np.array([m.measure_id for m in t.measures], dtype=object)[t.measure].tolist()
+    scores = map(_fmt6_or_blank, (run.z_fe, run.z_en, run.z_mom))
     scores_path = out / "scores.csv"
-    _write_csv(scores_path, rows)
+    _write_csv(scores_path, [SCORES_HEADER, *zip(center_ids, measure_ids, *scores)])
     written.append(scores_path)
 
     if run.null_fits:
@@ -402,10 +460,10 @@ def write_composite_report(
         raise InputError("no composite results to report")
     rows = [["center_id", "z_cs", "label", "partial"]]
     counts = {"poor": 0, "average": 0, "good": 0}
-    for res in results:
+    z_cs = fmt6(np.array([res.z_cs for res in results]))
+    for res, z in zip(results, z_cs):
         counts[res.label] += 1
-        rows.append([res.center_id, fmt6(res.z_cs), res.label,
-                     "true" if res.partial else "false"])
+        rows.append([res.center_id, z, res.label, "true" if res.partial else "false"])
     total = len(results)
     rows.append(["summary", "poor_pct", "average_pct", "good_pct"])
     rows.append(["percent"] + [fmt6(100.0 * counts[k] / total)
@@ -433,26 +491,28 @@ def emit_funnel(
     if not rows.size:
         raise InputError(f"no plottable centers for measure "
                          f"{spec.measure_id!r}")
-    rows = np.array(sorted(rows.tolist(), key=lambda i: (t.size[i], t.row_ids(i)[0])))
+    # ascending size, ties in center id order: the inverse of the id sort
+    # is each center's rank
+    id_rank = np.argsort(sorted(range(len(t.center_ids)), key=t.center_ids.__getitem__))
+    rows = rows[np.lexsort((id_rank[t.center[rows]], t.size[rows]))]
     size, expected = t.size[rows], t.expected[rows]
     ratio = measure_ratio(t.observed[rows], expected)
+    size_cells, ratio_cells = fmt6(size), fmt6(ratio)
     out = Path(out_dir)
     written: list[Path] = []
     multi = len(alpha_z_list) > 1
     for alpha_z in alpha_z_list:
-        fe_lo, fe_hi = control_limits(0.0, expected, size, spec.a_psi, alpha_z)
-        en_lo, en_hi = control_limits(null_fit.phi_hat, expected, size,
-                                      spec.a_psi, alpha_z)
-        cols = [c.tolist() for c in (size, ratio, fe_lo, fe_hi, en_lo, en_hi)]
+        limits = (*control_limits(0.0, expected, size, spec.a_psi, alpha_z),
+                  *control_limits(null_fit.phi_hat, expected, size, spec.a_psi, alpha_z))
         suffix = f"_z{fmt6(alpha_z).rstrip('0').rstrip('.')}" if multi else ""
         csv_path = out / f"funnel_{spec.measure_id}{suffix}.csv"
-        _write_csv(csv_path, [FUNNEL_HEADER] + [[fmt6(v) for v in row]
-                                                for row in zip(*cols)])
+        _write_csv(csv_path, [FUNNEL_HEADER, *zip(size_cells, ratio_cells,
+                                                  *map(fmt6, limits))])
         written.append(csv_path)
 
         svg_path = out / f"funnel_{spec.measure_id}{suffix}.svg"
         _write_text(svg_path, funnel_svg(
-            f"{spec.measure_id} funnel (|Z| = {alpha_z:g})", *cols))
+            f"{spec.measure_id} funnel (|Z| = {alpha_z:g})", size, ratio, *limits))
         written.append(svg_path)
     return written
 
@@ -523,14 +583,11 @@ def write_sim_result(result: SimResult, out_dir: str | Path) -> list[Path]:
         rows = ["q,n_effective,en_sigma2_mean,en_sigma2_sd,en_flag_rate,"
                 "en_flag_se,mom_sigma2_mean,mom_sigma2_sd,mom_flag_rate,"
                 "mom_flag_se".split(",")]
-        for qi, q in enumerate(result.q_grid):
-            cells = [fmt6(q), int(result.n_effective[qi])]
-            for m in ("en", "mom"):
-                cells.append(_fmt6_or_blank(float(result.sigma2_mean[m][qi])))
-                cells.append(_fmt6_or_blank(float(result.sigma2_sd[m][qi])))
-                cells.append(_fmt6_or_blank(float(result.flag_rates[m][qi])))
-                cells.append(_fmt6_or_blank(float(result.flag_se[m][qi])))
-            rows.append(cells)
+        cols = [fmt6(np.array(result.q_grid)), result.n_effective.tolist()]
+        for m in ("en", "mom"):
+            cols += map(_fmt6_or_blank, (result.sigma2_mean[m], result.sigma2_sd[m],
+                                         result.flag_rates[m], result.flag_se[m]))
+        rows += zip(*cols)
     elif result.kind == "composite":
         name = "composite_curves.csv"
         rows = ["gamma,center,n_effective,fe_rate,fe_se,mom_rate,mom_se,"

@@ -161,10 +161,25 @@ def _outlier_gamma(config: SimConfig, n_reserved: int) -> np.ndarray:
     return gamma
 
 
-def _poisson(rng: np.random.Generator, mean: np.ndarray) -> np.ndarray:
-    """Poisson draws as float64. A mean numpy cannot draw from (NaN, or
-    beyond about 9.2e18 after overflow) comes from the config's parameters
-    and is reported as an input error."""
+def _expected_counts(config: SimConfig, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """exp(mu + beta*x) * r, each center's expected count and effective size
+    from its covariate x and person-years r. A count that is not finite
+    comes from mu and beta and is reported as an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.exp(config.mu + config.beta * x) * r
+    if not np.all(np.isfinite(n)):
+        raise InputError(f"simulated expected count exp(mu + beta*x) * r is not "
+                         f"finite; check mu={config.mu} and beta={config.beta}")
+    return n
+
+
+def _poisson(rng: np.random.Generator, expected: np.ndarray, gamma: np.ndarray,
+             alpha: np.ndarray) -> np.ndarray:
+    """Poisson draws with mean expected * exp(gamma + alpha), as float64. A
+    mean numpy cannot draw from (NaN, or beyond about 9.2e18 after overflow)
+    comes from the config's parameters and is reported as an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = expected * np.exp(gamma + alpha)
     try:
         return rng.poisson(mean).astype(np.float64)
     except ValueError as exc:
@@ -195,8 +210,8 @@ def gen_single_measure(
     alpha = rng.normal(0.0, math.sqrt(s2), f)
     gamma = _outlier_gamma(config, n_reserved=1)
     gamma[0] = gamma_focal
-    expected = np.exp(config.mu + config.beta * x) * r
-    observed = _poisson(rng, expected * np.exp(gamma + alpha))
+    expected = _expected_counts(config, x, r)
+    observed = _poisson(rng, expected, gamma, alpha)
     return SimDataset(observed=observed, expected=expected,
                       effective_size=expected.copy(), gamma_true=gamma, alpha=alpha)
 
@@ -437,8 +452,8 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     alpha1[:N_PROBES] = 0.0
     alpha2[:N_PROBES] = 0.0
 
-    n1 = np.exp(config.mu + config.beta * x1) * r
-    n2 = np.exp(config.mu + config.beta * x2) * r
+    n1 = _expected_counts(config, x1, r)
+    n2 = _expected_counts(config, x2, r)
 
     # outliers: half the contaminated centers deviate on measure 1, half on
     # measure 2, split evenly between signs within each measure
@@ -463,8 +478,8 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     except InputError:
         return None
 
-    o1 = _poisson(rng, n1 * np.exp(g1 + alpha1))
-    o2 = _poisson(rng, n2 * np.exp(g2 + alpha2))
+    o1 = _poisson(rng, n1, g1, alpha1)
+    o2 = _poisson(rng, n2, g2, alpha2)
     z1 = z_fixed_effects(o1, n1, n1)
     z2 = z_fixed_effects(o2, n2, n2)
     try:

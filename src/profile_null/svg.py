@@ -7,14 +7,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 GENERATOR_COMMENT = "<!-- profile-null funnel svg v1 -->"
 
 _W, _H = 720.0, 480.0
 _ML, _MR, _MT, _MB = 64.0, 16.0, 36.0, 48.0
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -50,23 +48,29 @@ def funnel_svg(
     ``sizes`` must be ascending so the per-center limit values trace the
     control curves; the solid curves are the fixed-effects limits, the dotted
     curves the empirical-null limits, and the dash-dotted line the null
-    ratio of one.
+    ratio of one. Coordinates are printed with 2 decimals.
     """
-    all_y = list(ratios) + list(fe_lower) + list(fe_upper) + list(en_lower) + list(en_upper) + [1.0]
-    x_lo, x_hi = 0.0, max(sizes) * 1.05 if sizes else 1.0
-    y_lo = min(all_y)
-    y_hi = max(all_y)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    ys = [np.asarray(c, dtype=np.float64)
+          for c in (ratios, fe_lower, fe_upper, en_lower, en_upper)]
+    x_lo, x_hi = 0.0, float(sizes.max()) * 1.05 if sizes.size else 1.0
+    y_lo = min([1.0, *(float(c.min()) for c in ys if c.size)])
+    y_hi = max([1.0, *(float(c.max()) for c in ys if c.size)])
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def sx(v: float) -> float:
+    # each maps a float, or each value of an array, to its pixel coordinate
+    def sx(v):
         return _ML + (v - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
-    def polyline(ys: Sequence[float], style: str) -> str:
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(sizes, ys))
+    size_px = sx(sizes).tolist()
+    ratio_px, fe_lo_px, fe_hi_px, en_lo_px, en_hi_px = (sy(c).tolist() for c in ys)
+
+    def polyline(y_px: list[float], style: str) -> str:
+        pts = " ".join(map("{:.2f},{:.2f}".format, size_px, y_px))
         return f'<polyline fill="none" {style} points="{pts}"/>'
 
     parts = [
@@ -75,44 +79,43 @@ def funnel_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W:g}" height="{_H:g}" '
         f'viewBox="0 0 {_W:g} {_H:g}">',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{_fmt(_W / 2)}" y="20" font-family="sans-serif" font-size="14" '
+        f'<text x="{_W / 2:.2f}" y="20" font-family="sans-serif" font-size="14" '
         f'text-anchor="middle">{title}</text>',
     ]
     # axes
-    parts.append(f'<line x1="{_fmt(_ML)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(_W - _MR)}" '
-                 f'y2="{_fmt(_H - _MB)}" stroke="black" stroke-width="1"/>')
-    parts.append(f'<line x1="{_fmt(_ML)}" y1="{_fmt(_MT)}" x2="{_fmt(_ML)}" '
-                 f'y2="{_fmt(_H - _MB)}" stroke="black" stroke-width="1"/>')
+    parts.append(f'<line x1="{_ML:.2f}" y1="{_H - _MB:.2f}" x2="{_W - _MR:.2f}" '
+                 f'y2="{_H - _MB:.2f}" stroke="black" stroke-width="1"/>')
+    parts.append(f'<line x1="{_ML:.2f}" y1="{_MT:.2f}" x2="{_ML:.2f}" '
+                 f'y2="{_H - _MB:.2f}" stroke="black" stroke-width="1"/>')
     for t in _ticks(x_lo, x_hi):
-        parts.append(f'<line x1="{_fmt(sx(t))}" y1="{_fmt(_H - _MB)}" x2="{_fmt(sx(t))}" '
-                     f'y2="{_fmt(_H - _MB + 4)}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(sx(t))}" y="{_fmt(_H - _MB + 18)}" '
+        parts.append(f'<line x1="{sx(t):.2f}" y1="{_H - _MB:.2f}" x2="{sx(t):.2f}" '
+                     f'y2="{_H - _MB + 4:.2f}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{sx(t):.2f}" y="{_H - _MB + 18:.2f}" '
                      f'font-family="sans-serif" font-size="11" text-anchor="middle">{t:g}</text>')
     for t in _ticks(y_lo, y_hi):
-        parts.append(f'<line x1="{_fmt(_ML - 4)}" y1="{_fmt(sy(t))}" x2="{_fmt(_ML)}" '
-                     f'y2="{_fmt(sy(t))}" stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(sy(t) + 4)}" '
+        parts.append(f'<line x1="{_ML - 4:.2f}" y1="{sy(t):.2f}" x2="{_ML:.2f}" '
+                     f'y2="{sy(t):.2f}" stroke="black" stroke-width="1"/>')
+        parts.append(f'<text x="{_ML - 8:.2f}" y="{sy(t) + 4:.2f}" '
                      f'font-family="sans-serif" font-size="11" text-anchor="end">{t:g}</text>')
-    parts.append(f'<text x="{_fmt((_ML + _W - _MR) / 2)}" y="{_fmt(_H - 8)}" '
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 8:.2f}" '
                  f'font-family="sans-serif" font-size="12" text-anchor="middle">'
                  f'effective size</text>')
-    parts.append(f'<text x="14" y="{_fmt((_MT + _H - _MB) / 2)}" font-family="sans-serif" '
+    parts.append(f'<text x="14" y="{(_MT + _H - _MB) / 2:.2f}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {_fmt((_MT + _H - _MB) / 2)})">observed / expected</text>')
+                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.2f})">observed / expected</text>')
     # null line at ratio 1
-    parts.append(f'<line x1="{_fmt(_ML)}" y1="{_fmt(sy(1.0))}" x2="{_fmt(_W - _MR)}" '
-                 f'y2="{_fmt(sy(1.0))}" stroke="gray" stroke-width="1" '
+    parts.append(f'<line x1="{_ML:.2f}" y1="{sy(1.0):.2f}" x2="{_W - _MR:.2f}" '
+                 f'y2="{sy(1.0):.2f}" stroke="gray" stroke-width="1" '
                  f'stroke-dasharray="8,3,2,3"/>')
     # control-limit curves
     solid = 'stroke="black" stroke-width="1.2"'
     dotted = 'stroke="black" stroke-width="1.2" stroke-dasharray="2,3"'
-    parts.append(polyline(fe_lower, solid))
-    parts.append(polyline(fe_upper, solid))
-    parts.append(polyline(en_lower, dotted))
-    parts.append(polyline(en_upper, dotted))
+    parts.append(polyline(fe_lo_px, solid))
+    parts.append(polyline(fe_hi_px, solid))
+    parts.append(polyline(en_lo_px, dotted))
+    parts.append(polyline(en_hi_px, dotted))
     # centers
-    for x, y in zip(sizes, ratios):
-        parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2.4" '
-                     f'fill="none" stroke="steelblue" stroke-width="1"/>')
+    parts += map('<circle cx="{:.2f}" cy="{:.2f}" r="2.4" fill="none" '
+                 'stroke="steelblue" stroke-width="1"/>'.format, size_px, ratio_px)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

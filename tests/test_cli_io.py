@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,25 @@ class TestAdditionalCliPaths:
         assert (tmp_path / "funnel_TRR_z1.96.csv").exists()
         assert (tmp_path / "funnel_TRR_z2.576.svg").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_funnel_alpha_z_checked_before_reading(self, tmp_path, capsys, value):
+        code = _main_warnings_as_errors(
+            ["funnel", "--centers", str(tmp_path / "absent.csv"),
+             "--measures", str(tmp_path / "absent.json"), "--alpha-z", "1.96",
+             "--alpha-z", value, "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"--alpha-z must be a positive finite number, got {float(value)}"
+                in capsys.readouterr().err)
+
+    def test_funnel_alpha_z_with_overflowing_limits(self, tmp_path, capsys):
+        code = _main_warnings_as_errors(
+            ["funnel", "--centers", str(FIXTURES / "centers.csv"),
+             "--measures", str(FIXTURES / "measures.json"), "--alpha-z", "1e308",
+             "--out", str(tmp_path)])
+        assert code == 2
+        assert "control limits at alpha_z=1e+308 are not finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("funnel_*"))
+
     def test_sim_config_q_percent_passthrough(self, tmp_path):
         f = tmp_path / "sim.json"
         f.write_text(json.dumps({"experiment": "flagging", "iterations": 1,
@@ -697,9 +717,17 @@ class TestIllTypedJson:
         assert "1000 steps" in capsys.readouterr().err
 
 
+def _main_warnings_as_errors(argv):
+    """main(argv) with numeric warnings raised as errors, so that a warning
+    escaping the CLI fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
 class TestMainFuzz:
     """One key of a valid input replaced by an arbitrary JSON value: main()
-    answers with an exit code, never a traceback."""
+    answers with an exit code, never a traceback or a numeric warning."""
 
     @given(entry=st.integers(0, 3), key=st.sampled_from(_MEASURE_KEYS),
            value=_JSON_VALUES)
@@ -710,8 +738,9 @@ class TestMainFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
             (d / "m.json").write_text(json.dumps(spec))
-            code = main(["composite", "--centers", str(small_centers),
-                         "--measures", str(d / "m.json"), "--out", str(d / "out")])
+            code = _main_warnings_as_errors(
+                ["composite", "--centers", str(small_centers),
+                 "--measures", str(d / "m.json"), "--out", str(d / "out")])
         assert code in (0, 2, 3)
 
     @given(experiment=st.sampled_from(["flagging", "tuning", "composite"]),
@@ -722,6 +751,7 @@ class TestMainFuzz:
             d = Path(tmp)
             (d / "sim.json").write_text(json.dumps(
                 {**_TINY_SIM, "experiment": experiment, key: value}))
-            code = main(["simulate", "--config", str(d / "sim.json"),
-                         "--out", str(d / "out"), "--workers", "1"])
+            code = _main_warnings_as_errors(
+                ["simulate", "--config", str(d / "sim.json"),
+                 "--out", str(d / "out"), "--workers", "1"])
         assert code in (0, 2, 3)
