@@ -52,7 +52,8 @@ from .numerics import (
 from .simulation import (
     SimConfig,
     SimDataset,
-    SimResult,
+    SweepResult,
+    TuningResult,
     expected_en_z,
     gamma2_for_null_composite,
     gen_single_measure,
@@ -76,7 +77,7 @@ __all__ = [
     "measure_ratio", "z_fixed_effects",
     "OptimResult", "RobustLocationScale", "nelder_mead_minimize",
     "robust_intercept_scale", "std_normal_cdf", "std_normal_quantile",
-    "SimConfig", "SimDataset", "SimResult", "expected_en_z",
+    "SimConfig", "SimDataset", "SweepResult", "TuningResult", "expected_en_z",
     "gamma2_for_null_composite", "gen_single_measure",
     "run_composite_experiment", "run_flagging_experiment",
     "run_tuning_sensitivity",

@@ -17,6 +17,7 @@ from .baselines import DEFAULT_WINSOR_Q
 from .composite import CompositeConfig, composite_table
 from .errors import ConvergenceError, FittingError, InputError
 from .report import (
+    SIM_EXPERIMENTS,
     align_scores,
     emit_funnel,
     read_center_stats,
@@ -26,12 +27,6 @@ from .report import (
     write_composite_report,
     write_diagnostics,
     write_scores_report,
-    write_sim_result,
-)
-from .simulation import (
-    run_composite_experiment,
-    run_flagging_experiment,
-    run_tuning_sensitivity,
 )
 
 EXIT_OK = 0
@@ -143,13 +138,8 @@ def _cmd_funnel(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config, kind = read_sim_config(args.config)
-    runner = {
-        "flagging": run_flagging_experiment,
-        "tuning": run_tuning_sensitivity,
-        "composite": run_composite_experiment,
-    }[kind]
-    result = runner(config, workers=args.workers)
-    for path in write_sim_result(result, args.out):
+    runner, writer = SIM_EXPERIMENTS[kind]
+    for path in writer(runner(config, workers=args.workers), args.out):
         print(path)
     return EXIT_OK
 

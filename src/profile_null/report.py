@@ -32,7 +32,17 @@ from .measures import (
     measure_ratio,
     z_fixed_effects,
 )
-from .simulation import SimConfig, SimResult, map_items, resolve_workers
+from .simulation import (
+    N_PROBES,
+    SimConfig,
+    SweepResult,
+    TuningResult,
+    map_items,
+    resolve_workers,
+    run_composite_experiment,
+    run_flagging_experiment,
+    run_tuning_sensitivity,
+)
 from .svg import funnel_svg
 
 CENTER_HEADER = ["center_id", "measure_id", "observed", "expected", "effective_size"]
@@ -545,7 +555,7 @@ def write_diagnostics(
 
 def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
     """Parse a simulation config JSON; returns the config and the experiment
-    kind (flagging, tuning, or composite)."""
+    kind, a key of ``SIM_EXPERIMENTS``."""
     p = Path(path)
     raw = _read_json(p, "simulation config")
     if not isinstance(raw, dict):
@@ -554,7 +564,7 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
     if unknown:
         raise InputError(f"simulation config has unknown keys: {sorted(unknown)}")
     kind = raw.get("experiment", "flagging")
-    if kind not in ("flagging", "tuning", "composite"):
+    if not isinstance(kind, str) or kind not in SIM_EXPERIMENTS:
         raise InputError(f"experiment must be flagging, tuning, or composite, "
                          f"got {kind!r}")
     where = "simulation config"
@@ -566,41 +576,52 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
     return SimConfig(**kwargs), kind
 
 
-def write_sim_result(result: SimResult, out_dir: str | Path) -> list[Path]:
-    """Plot-ready curve tables for a simulation result."""
-    if result.kind == "flagging":
-        name = "flag_curves.csv"
-        rows = ["gamma,n_effective,n_failed,fe_rate,fe_se,mom_rate,mom_se,"
-                "en_rate,en_se".split(",")]
-        for gi, gamma in enumerate(result.gamma_grid):
-            cells = [fmt6(gamma), int(result.n_effective[gi]), int(result.n_failed[gi])]
-            for m in ("fe", "mom", "en"):
-                cells.append(fmt6(float(result.flag_rates[m][gi])))
-                cells.append(fmt6(float(result.flag_se[m][gi])))
-            rows.append(cells)
-    elif result.kind == "tuning":
-        name = "tuning_curves.csv"
-        rows = ["q,n_effective,en_sigma2_mean,en_sigma2_sd,en_flag_rate,"
-                "en_flag_se,mom_sigma2_mean,mom_sigma2_sd,mom_flag_rate,"
-                "mom_flag_se".split(",")]
-        cols = [fmt6(np.array(result.q_grid)), result.n_effective.tolist()]
-        for m in ("en", "mom"):
-            cols += map(_fmt6_or_blank, (result.sigma2_mean[m], result.sigma2_sd[m],
-                                         result.flag_rates[m], result.flag_se[m]))
-        rows += zip(*cols)
-    elif result.kind == "composite":
-        name = "composite_curves.csv"
-        rows = ["gamma,center,n_effective,fe_rate,fe_se,mom_rate,mom_se,"
-                "en_rate,en_se".split(",")]
-        for gi, gamma in enumerate(result.gamma_grid):
-            for ci in range(4):
-                cells = [fmt6(gamma), f"Center{ci + 1}", int(result.n_effective[gi])]
-                for m in ("fe", "mom", "en"):
-                    cells.append(fmt6(float(result.focal_flag_rates[m][ci, gi])))
-                    cells.append(fmt6(float(result.focal_flag_se[m][ci, gi])))
-                rows.append(cells)
-    else:
-        raise InputError(f"unknown simulation result kind {result.kind!r}")
+def _write_columns(out_dir: str | Path, name: str, header: str, cols) -> list[Path]:
     path = Path(out_dir) / name
-    _write_csv(path, rows)
+    _write_csv(path, [header.split(","), *zip(*cols)])
     return [path]
+
+
+def _write_flag_curves(result: SweepResult, out_dir: str | Path) -> list[Path]:
+    """flag_curves.csv: per gamma, the focal center's (probe 0) flag rate
+    and standard error per method."""
+    cols = [fmt6(np.array(result.config.gamma_grid)), result.n_effective.tolist(),
+            result.n_failed.tolist()]
+    for m in RUN_METHODS:
+        cols += [fmt6(result.flag_rates[m][0]), fmt6(result.flag_se[m][0])]
+    return _write_columns(out_dir, "flag_curves.csv", "gamma,n_effective,n_failed,"
+                          "fe_rate,fe_se,mom_rate,mom_se,en_rate,en_se", cols)
+
+
+def _write_tuning_curves(result: TuningResult, out_dir: str | Path) -> list[Path]:
+    """tuning_curves.csv: per q, the mean and SD of the estimated confounder
+    variance and the focal flag rate and SE per method, "" where NaN."""
+    cols = [fmt6(np.array(result.config.q_grid)), result.n_effective.tolist()]
+    for m in ("en", "mom"):
+        cols += map(_fmt6_or_blank, (result.sigma2_mean[m], result.sigma2_sd[m],
+                                     result.flag_rates[m], result.flag_se[m]))
+    return _write_columns(out_dir, "tuning_curves.csv", "q,n_effective,"
+                          "en_sigma2_mean,en_sigma2_sd,en_flag_rate,en_flag_se,"
+                          "mom_sigma2_mean,mom_sigma2_sd,mom_flag_rate,mom_flag_se", cols)
+
+
+def _write_composite_curves(result: SweepResult, out_dir: str | Path) -> list[Path]:
+    """composite_curves.csv: per gamma and probe center, the composite flag
+    rate and standard error per method."""
+    gammas = fmt6(np.array(result.config.gamma_grid))
+    cols = [[g for g in gammas for _ in range(N_PROBES)],
+            [f"Center{ci + 1}" for ci in range(N_PROBES)] * len(gammas),
+            np.repeat(result.n_effective, N_PROBES).tolist()]
+    for m in RUN_METHODS:
+        # rows run over the probes within each gamma
+        cols += [fmt6(result.flag_rates[m].T.ravel()), fmt6(result.flag_se[m].T.ravel())]
+    return _write_columns(out_dir, "composite_curves.csv", "gamma,center,n_effective,"
+                          "fe_rate,fe_se,mom_rate,mom_se,en_rate,en_se", cols)
+
+
+# experiment kind of a simulation config -> its runner and its table writer
+SIM_EXPERIMENTS = {
+    "flagging": (run_flagging_experiment, _write_flag_curves),
+    "tuning": (run_tuning_sensitivity, _write_tuning_curves),
+    "composite": (run_composite_experiment, _write_composite_curves),
+}

@@ -80,6 +80,8 @@ class SimConfig:
             raise InputError("outlier_fraction must lie in [0, 1)")
         if self.iterations < 1:
             raise InputError("iterations must be at least 1")
+        if not self.gamma_grid:
+            raise InputError("gamma_grid must not be empty")
         if self.covariate_second_param < 0:
             raise InputError("covariate variance must be nonnegative")
         if not self.sigma2_alpha or any(s < 0 for s in self.sigma2_alpha):
@@ -101,28 +103,39 @@ class SimDataset:
 
 
 @dataclass(frozen=True)
-class SimResult:
-    """Flagging-probability curves and estimator summaries.
+class SweepResult:
+    """Flag rates of probe centers across ``config.gamma_grid``.
 
-    ``flag_rates``/``flag_se`` are keyed by method and indexed by the grid of
-    the experiment kind: gamma points for flagging runs, q values for tuning
-    runs. Composite runs fill ``focal_flag_rates`` with (probe, gamma)
-    arrays instead. ``n_failed`` counts iterations whose fits failed.
+    ``flag_rates``/``flag_se`` map each of ``METHOD_KEYS`` to a
+    (probe, gamma) array. A flagging run has two probes: the focal center 0,
+    and the last center, which never carries an effect. A composite run has
+    the ``N_PROBES`` probe centers. ``n_failed`` and ``n_effective`` count
+    the failed and the used iterations at each gamma.
     """
 
-    kind: str
     config: SimConfig
-    gamma_grid: tuple[float, ...] | None = None
-    q_grid: tuple[float, ...] | None = None
-    flag_rates: dict[str, np.ndarray] | None = None
-    flag_se: dict[str, np.ndarray] | None = None
-    sigma2_mean: dict[str, np.ndarray] | None = None
-    sigma2_sd: dict[str, np.ndarray] | None = None
-    focal_flag_rates: dict[str, np.ndarray] | None = None
-    focal_flag_se: dict[str, np.ndarray] | None = None
-    null_reference_rates: dict[str, np.ndarray] | None = None
-    n_failed: np.ndarray | None = None
-    n_effective: np.ndarray | None = None
+    flag_rates: dict[str, np.ndarray]
+    flag_se: dict[str, np.ndarray]
+    n_failed: np.ndarray
+    n_effective: np.ndarray
+
+
+@dataclass(frozen=True)
+class TuningResult:
+    """Per q of ``config.q_grid``, for the "en" and "mom" methods: the focal
+    center's flag rate and its standard error, and the mean and standard
+    deviation of the estimated confounder variance. The empirical null has
+    NaN at q = 0. ``n_failed`` and ``n_effective`` repeat one iteration
+    count for every q.
+    """
+
+    config: SimConfig
+    flag_rates: dict[str, np.ndarray]
+    flag_se: dict[str, np.ndarray]
+    sigma2_mean: dict[str, np.ndarray]
+    sigma2_sd: dict[str, np.ndarray]
+    n_failed: np.ndarray
+    n_effective: np.ndarray
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -149,16 +162,20 @@ def _iteration_rng(seed: int, iteration: int) -> np.random.Generator:
     return np.random.default_rng((seed, iteration))
 
 
-def _outlier_gamma(config: SimConfig, n_reserved: int) -> np.ndarray:
-    """Deterministic outlier layout: after the reserved focal block,
-    floor(fraction/2 * F) centers get +effect and as many get -effect."""
+def _outliers(config: SimConfig, lo: int, n_pos: int, n_neg: int) -> np.ndarray:
+    """Per-center effects of a deterministic outlier block: from center
+    ``lo`` on, ``n_pos`` centers get +effect and the next ``n_neg`` get
+    -effect; all other centers get 0."""
     gamma = np.zeros(config.n_centers)
-    per_sign = int(config.outlier_fraction / 2.0 * config.n_centers)
-    if per_sign > 0:
-        lo = n_reserved
-        gamma[lo:lo + per_sign] = config.outlier_effect
-        gamma[lo + per_sign:lo + 2 * per_sign] = -config.outlier_effect
+    gamma[lo:lo + n_pos] = config.outlier_effect
+    gamma[lo + n_pos:lo + n_pos + n_neg] = -config.outlier_effect
     return gamma
+
+
+def _covariate(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """One covariate x ~ N(mean, variance) per center."""
+    return rng.normal(config.covariate_mean,
+                      math.sqrt(config.covariate_second_param), config.n_centers)
 
 
 def _expected_counts(config: SimConfig, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -205,10 +222,11 @@ def gen_single_measure(
     """
     s2 = config.sigma2_alpha[0] if sigma2_alpha is None else sigma2_alpha
     f = config.n_centers
-    x = rng.normal(config.covariate_mean, math.sqrt(config.covariate_second_param), f)
+    x = _covariate(config, rng)
     r = rng.exponential(config.exposure_mean, f)
     alpha = rng.normal(0.0, math.sqrt(s2), f)
-    gamma = _outlier_gamma(config, n_reserved=1)
+    per_sign = int(config.outlier_fraction / 2.0 * f)
+    gamma = _outliers(config, 1, per_sign, per_sign)
     gamma[0] = gamma_focal
     expected = _expected_counts(config, x, r)
     observed = _poisson(rng, expected, gamma, alpha)
@@ -256,35 +274,31 @@ def gamma2_for_null_composite(
     return math.log(num / den)
 
 
-def _fit_three_methods(z: np.ndarray, sizes: np.ndarray, config: SimConfig,
-                       en_config: EnConfig | None = None):
-    """Empirical-null and method-of-moments fits for one dataset."""
-    en_cfg = en_config if en_config is not None else config.en_config
-    fit = fit_empirical_null(z, sizes, en_cfg)
-    mom = fit_method_of_moments(z, sizes, q_percent=config.mom_q)
-    return fit, mom
+def _method_scores(z: np.ndarray, sizes: np.ndarray, config: SimConfig,
+                   probes) -> np.ndarray:
+    """Fixed-effects, method-of-moments and empirical-null scores of the
+    ``probes`` centers, one row per ``METHOD_KEYS`` entry. Fits the
+    empirical null to the whole dataset first, then the method of moments."""
+    phi_en = fit_empirical_null(z, sizes, config.en_config).phi_hat
+    phi_mom = fit_method_of_moments(z, sizes, q_percent=config.mom_q).phi_mom
+    return np.array([z_empirical_null(z[probes], sizes[probes], phi)
+                     for phi in (0.0, phi_mom, phi_en)])
 
 
 def _flagging_iteration(iteration: int, config: SimConfig, gamma: float):
+    """One single-measure iteration; returns (method, probe) flags or None.
+    The probes are the focal center 0 and the last center: it never carries
+    a quality effect, so its flags give an exchangeability reference for the
+    focal center at gamma = 0."""
     rng = _iteration_rng(config.seed, iteration)
     data = gen_single_measure(config, rng, gamma_focal=gamma)
     z = data.z_fixed_effects()
-    sizes = data.effective_size
     try:
-        fit, mom = _fit_three_methods(z, sizes, config)
+        scores = _method_scores(z, data.effective_size, config,
+                                [0, config.n_centers - 1])
     except (FittingError, ConvergenceError):
         return None
-    # the last center never carries a quality effect; its flags give an
-    # exchangeability reference for the focal center at gamma = 0
-    out = []
-    for idx in (0, config.n_centers - 1):
-        zi, ni = float(z[idx]), float(sizes[idx])
-        out += [
-            abs(zi) > FLAG_Z,
-            abs(z_empirical_null(zi, ni, mom.phi_mom)) > FLAG_Z,
-            abs(z_empirical_null(zi, ni, fit.phi_hat)) > FLAG_Z,
-        ]
-    return tuple(out)
+    return np.abs(scores) > FLAG_Z
 
 
 def map_items(fn: Callable[[object], object], items: Sequence,
@@ -303,51 +317,51 @@ def map_items(fn: Callable[[object], object], items: Sequence,
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _check_failures(n_failed: int, iterations: int, context: str) -> None:
-    if n_failed > MAX_FAILED_FRACTION * iterations:
+def _iterate(iteration: Callable, config: SimConfig, workers: int, gamma: float,
+             context: str) -> list:
+    """The outcomes of ``config.iterations`` calls of ``iteration`` at one
+    gamma that did not fail (return None). Raises ConvergenceError when more
+    than ``MAX_FAILED_FRACTION`` of them failed."""
+    outcomes = map_items(partial(iteration, config=config, gamma=gamma),
+                         range(config.iterations), workers)
+    ok = [o for o in outcomes if o is not None]
+    n_failed = config.iterations - len(ok)
+    if n_failed > MAX_FAILED_FRACTION * config.iterations:
         raise ConvergenceError(
-            f"{n_failed} of {iterations} iterations failed during {context}; "
-            f"limit is {MAX_FAILED_FRACTION:.0%}")
+            f"{n_failed} of {config.iterations} iterations failed during "
+            f"{context}; limit is {MAX_FAILED_FRACTION:.0%}")
+    return ok
 
 
-def _rate_se(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n) if n > 0 else float("nan")
+def _sweep(iteration: Callable, config: SimConfig, workers: int | None,
+           run: str) -> SweepResult:
+    """Flag rates across the gamma grid. At each gamma, ``iteration`` runs
+    ``config.iterations`` times and returns a (method, probe) bool array, or
+    None when a fit failed; failed iterations leave the denominators."""
+    w = resolve_workers(workers)
+    means, n_eff = [], []
+    for gamma in config.gamma_grid:
+        ok = _iterate(iteration, config, w, float(gamma), f"{run} run at gamma={gamma}")
+        means.append(np.mean(np.stack(ok), axis=0))
+        n_eff.append(len(ok))
+    n_eff = np.array(n_eff, dtype=np.int64)
+    rates = np.stack(means, axis=-1)    # (method, probe, gamma)
+    se = np.sqrt(rates * (1.0 - rates) / n_eff)
+    return SweepResult(config=config, flag_rates=dict(zip(METHOD_KEYS, rates)),
+                       flag_se=dict(zip(METHOD_KEYS, se)),
+                       n_failed=config.iterations - n_eff, n_effective=n_eff)
 
 
 def run_flagging_experiment(config: SimConfig,
-                            workers: int | None = None) -> SimResult:
-    """Flag-rate curves for Center 1 across the gamma grid, per method.
+                            workers: int | None = None) -> SweepResult:
+    """Flag-rate curves across the gamma grid, per method, for the focal
+    center 0 (probe 0, which carries gamma) and the last center (probe 1).
 
     Each grid point reruns the full pipeline ``iterations`` times: generate,
     standardize with all three methods, flag at |z| > 1.96. Failed fits are
     excluded from the denominators and abort the run above the failure cap.
     """
-    w = resolve_workers(workers)
-    n_gamma = len(config.gamma_grid)
-    rates = {m: np.zeros(n_gamma) for m in METHOD_KEYS}
-    ses = {m: np.zeros(n_gamma) for m in METHOD_KEYS}
-    null_ref = {m: np.zeros(n_gamma) for m in METHOD_KEYS}
-    n_failed = np.zeros(n_gamma, dtype=np.int64)
-    n_eff = np.zeros(n_gamma, dtype=np.int64)
-    for gi, gamma in enumerate(config.gamma_grid):
-        outcomes = map_items(
-            partial(_flagging_iteration, config=config, gamma=float(gamma)),
-            range(config.iterations), w)
-        ok = [o for o in outcomes if o is not None]
-        n_failed[gi] = config.iterations - len(ok)
-        _check_failures(int(n_failed[gi]), config.iterations,
-                        f"flagging run at gamma={gamma}")
-        n_eff[gi] = len(ok)
-        arr = np.asarray(ok, dtype=np.float64)
-        for mi, m in enumerate(METHOD_KEYS):
-            rates[m][gi] = float(np.mean(arr[:, mi]))
-            ses[m][gi] = _rate_se(rates[m][gi], len(ok))
-            null_ref[m][gi] = float(np.mean(arr[:, 3 + mi]))
-    return SimResult(kind="flagging", config=config,
-                     gamma_grid=tuple(config.gamma_grid),
-                     flag_rates=rates, flag_se=ses,
-                     null_reference_rates=null_ref,
-                     n_failed=n_failed, n_effective=n_eff)
+    return _sweep(_flagging_iteration, config, workers, "flagging")
 
 
 def _tuning_iteration(iteration: int, config: SimConfig, gamma: float):
@@ -379,7 +393,7 @@ def _tuning_iteration(iteration: int, config: SimConfig, gamma: float):
 
 
 def run_tuning_sensitivity(config: SimConfig,
-                           workers: int | None = None) -> SimResult:
+                           workers: int | None = None) -> TuningResult:
     """Sensitivity of both corrections to their tuning constant q.
 
     Per q: the mean and spread of the estimated confounder variance for the
@@ -390,19 +404,9 @@ def run_tuning_sensitivity(config: SimConfig,
     """
     if not config.q_grid:
         raise InputError("q_grid must not be empty")
-    w = resolve_workers(workers)
-    gamma = float(config.gamma_grid[0]) if config.gamma_grid else 0.0
-    outcomes = map_items(
-        partial(_tuning_iteration, config=config, gamma=gamma),
-        range(config.iterations), w)
-    ok = [o for o in outcomes if o is not None]
-    n_failed = config.iterations - len(ok)
-    _check_failures(n_failed, config.iterations, "tuning sensitivity run")
-    en_s2 = np.vstack([o[0] for o in ok])
-    mom_s2 = np.vstack([o[1] for o in ok])
-    en_flag = np.vstack([o[2] for o in ok])
-    mom_flag = np.vstack([o[3] for o in ok])
-    n_q = len(config.q_grid)
+    ok = _iterate(_tuning_iteration, config, resolve_workers(workers),
+                  float(config.gamma_grid[0]), "tuning sensitivity run")
+    en_s2, mom_s2, en_flag, mom_flag = (np.vstack(col) for col in zip(*ok))
 
     def col_mean(mat: np.ndarray) -> np.ndarray:
         # columns can be all-NaN (empirical null at q = 0)
@@ -415,38 +419,34 @@ def run_tuning_sensitivity(config: SimConfig,
                          for col in mat.T])
 
     rates = {"en": col_mean(en_flag), "mom": col_mean(mom_flag)}
-    ses = {m: np.array([_rate_se(rates[m][qi], len(ok))
-                        if np.isfinite(rates[m][qi]) else np.nan
-                        for qi in range(n_q)])
-           for m in ("en", "mom")}
-    return SimResult(
-        kind="tuning", config=config, q_grid=tuple(config.q_grid),
-        gamma_grid=(gamma,),
-        flag_rates=rates, flag_se=ses,
+    n_q = len(config.q_grid)
+    return TuningResult(
+        config=config, flag_rates=rates,
+        flag_se={m: np.sqrt(p * (1.0 - p) / len(ok)) for m, p in rates.items()},
         sigma2_mean={"en": col_mean(en_s2), "mom": col_mean(mom_s2)},
         sigma2_sd={"en": col_sd(en_s2), "mom": col_sd(mom_s2)},
-        n_failed=np.full(n_q, n_failed, dtype=np.int64),
+        n_failed=np.full(n_q, config.iterations - len(ok), dtype=np.int64),
         n_effective=np.full(n_q, len(ok), dtype=np.int64))
 
 
 def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
-    """One two-measure iteration; returns probe flags per method or None.
+    """One two-measure iteration; returns (method, probe) flags or None.
 
     Measure 1 is higher-is-better (access), measure 2 lower-is-better
     (adverse outcomes); the aligned composite is (z1 - z2) / sqrt(2).
     Probe centers 0-3 get deterministic quality effects (alpha suppressed so
     the probes respond to the swept effect alone); centers 2 and 3 have
     measure-2 effects calibrated per the null-composite formula from the
-    iteration's realized sizes.
+    iteration's realized sizes. Half the contaminated centers deviate on
+    measure 1, in a block after the probes, and half on measure 2, in the
+    next block; within a block the first half (rounded down) gets +effect.
     """
     s2_1, s2_2 = config.sigma2_alpha[0], config.sigma2_alpha[1]
     f = config.n_centers
     rng = _iteration_rng(config.seed, iteration)
     r = rng.exponential(config.exposure_mean, f)
-    x1 = rng.normal(config.covariate_mean,
-                    math.sqrt(config.covariate_second_param), f)
-    x2 = rng.normal(config.covariate_mean,
-                    math.sqrt(config.covariate_second_param), f)
+    x1 = _covariate(config, rng)
+    x2 = _covariate(config, rng)
     alpha1 = rng.normal(0.0, math.sqrt(s2_1), f)
     alpha2 = rng.normal(0.0, math.sqrt(s2_2), f)
     alpha1[:N_PROBES] = 0.0
@@ -455,25 +455,14 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     n1 = _expected_counts(config, x1, r)
     n2 = _expected_counts(config, x2, r)
 
-    # outliers: half the contaminated centers deviate on measure 1, half on
-    # measure 2, split evenly between signs within each measure
-    g1 = np.zeros(f)
-    g2 = np.zeros(f)
     per_measure = int(config.outlier_fraction / 2.0 * f)
     per_sign = per_measure // 2
-    lo = N_PROBES
-    g1[lo:lo + per_sign] = config.outlier_effect
-    g1[lo + per_sign:lo + per_measure] = -config.outlier_effect
-    lo += per_measure
-    g2[lo:lo + per_sign] = config.outlier_effect
-    g2[lo + per_sign:lo + per_measure] = -config.outlier_effect
-
-    g1[0], g2[0] = -gamma, gamma    # poor access, poor outcomes
-    g1[1], g2[1] = gamma, -gamma    # good access, good outcomes
+    g1 = _outliers(config, N_PROBES, per_sign, per_measure - per_sign)
+    g2 = _outliers(config, N_PROBES + per_measure, per_sign, per_measure - per_sign)
+    g1[:N_PROBES] = (-gamma, gamma, -gamma, gamma)  # poor/good access
+    g2[0], g2[1] = gamma, -gamma                    # poor/good outcomes
     try:
-        g1[2] = -gamma
         g2[2] = gamma2_for_null_composite(-gamma, n1[2], n2[2], s2_1, s2_2)
-        g1[3] = gamma
         g2[3] = gamma2_for_null_composite(gamma, n1[3], n2[3], s2_1, s2_2)
     except InputError:
         return None
@@ -482,52 +471,25 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     o2 = _poisson(rng, n2, g2, alpha2)
     z1 = z_fixed_effects(o1, n1, n1)
     z2 = z_fixed_effects(o2, n2, n2)
+    probes = slice(N_PROBES)
     try:
-        fit1, mom1 = _fit_three_methods(z1, n1, config)
-        fit2, mom2 = _fit_three_methods(z2, n2, config)
+        s1 = _method_scores(z1, n1, config, probes)
+        s2 = _method_scores(z2, n2, config, probes)
     except (FittingError, ConvergenceError):
         return None
-
-    phis = {"fe": (0.0, 0.0), "mom": (mom1.phi_mom, mom2.phi_mom),
-            "en": (fit1.phi_hat, fit2.phi_hat)}
-    flags = np.zeros((len(METHOD_KEYS), N_PROBES), dtype=np.float64)
-    for mi, m in enumerate(METHOD_KEYS):
-        phi1, phi2 = phis[m]
-        s1v = z_empirical_null(z1[:N_PROBES], n1[:N_PROBES], phi1)
-        s2v = z_empirical_null(z2[:N_PROBES], n2[:N_PROBES], phi2)
-        comp = (s1v - s2v) / math.sqrt(2.0)
-        flags[mi] = np.abs(comp) > FLAG_Z
-    return flags
+    return np.abs((s1 - s2) / math.sqrt(2.0)) > FLAG_Z
 
 
 def run_composite_experiment(config: SimConfig,
-                             workers: int | None = None) -> SimResult:
+                             workers: int | None = None) -> SweepResult:
     """Two-measure composite discrimination curves for the four probe
     centers, per method, across the gamma grid."""
     if len(config.sigma2_alpha) < 2:
         raise InputError("composite experiment needs two sigma2_alpha entries")
-    if config.n_centers < N_PROBES + 1:
-        raise InputError(f"composite experiment needs more than {N_PROBES} centers")
-    w = resolve_workers(workers)
-    n_gamma = len(config.gamma_grid)
-    rates = {m: np.zeros((N_PROBES, n_gamma)) for m in METHOD_KEYS}
-    ses = {m: np.zeros((N_PROBES, n_gamma)) for m in METHOD_KEYS}
-    n_failed = np.zeros(n_gamma, dtype=np.int64)
-    n_eff = np.zeros(n_gamma, dtype=np.int64)
-    for gi, gamma in enumerate(config.gamma_grid):
-        outcomes = map_items(
-            partial(_composite_iteration, config=config, gamma=float(gamma)),
-            range(config.iterations), w)
-        ok = [o for o in outcomes if o is not None]
-        n_failed[gi] = config.iterations - len(ok)
-        _check_failures(int(n_failed[gi]), config.iterations,
-                        f"composite run at gamma={gamma}")
-        n_eff[gi] = len(ok)
-        stacked = np.stack(ok)
-        for mi, m in enumerate(METHOD_KEYS):
-            rates[m][:, gi] = np.mean(stacked[:, mi, :], axis=0)
-            ses[m][:, gi] = [_rate_se(float(p), len(ok)) for p in rates[m][:, gi]]
-    return SimResult(kind="composite", config=config,
-                     gamma_grid=tuple(config.gamma_grid),
-                     focal_flag_rates=rates, focal_flag_se=ses,
-                     n_failed=n_failed, n_effective=n_eff)
+    n_outliers = 2 * int(config.outlier_fraction / 2.0 * config.n_centers)
+    if N_PROBES + n_outliers > config.n_centers:
+        raise InputError(
+            f"outlier_fraction={config.outlier_fraction} asks for {n_outliers} "
+            f"outlier centers after the {N_PROBES} probes, more than "
+            f"n_centers={config.n_centers} holds")
+    return _sweep(_composite_iteration, config, workers, "composite")

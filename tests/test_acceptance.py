@@ -93,9 +93,9 @@ def null_calibration_run():
 
 def test_criterion_3_null_calibration(null_calibration_run):
     res = null_calibration_run
-    fe = float(res.flag_rates["fe"][0])
-    en = float(res.flag_rates["en"][0])
-    mom = float(res.flag_rates["mom"][0])
+    fe = float(res.flag_rates["fe"][0, 0])
+    en = float(res.flag_rates["en"][0, 0])
+    mom = float(res.flag_rates["mom"][0, 0])
     ok = (0.01 <= en <= 0.10) and fe >= 0.25 and fe >= en + 0.15 and mom <= 0.10
     _report("3 null calibration", ok,
             f"FE={fe:.3f} EN={en:.3f} MoM={mom:.3f}")
@@ -107,10 +107,10 @@ def test_criterion_4_power_ordering_under_contamination():
                        outlier_fraction=0.10)
     res = run_flagging_experiment(config)
     checks = []
-    for gi, gamma in enumerate(res.gamma_grid):
-        en = float(res.flag_rates["en"][gi])
-        mom = float(res.flag_rates["mom"][gi])
-        slack = 2.0 * (float(res.flag_se["en"][gi]) + float(res.flag_se["mom"][gi]))
+    for gi, gamma in enumerate(res.config.gamma_grid):
+        en = float(res.flag_rates["en"][0, gi])
+        mom = float(res.flag_rates["mom"][0, gi])
+        slack = 2.0 * (float(res.flag_se["en"][0, gi]) + float(res.flag_se["mom"][0, gi]))
         checks.append((gamma, en, mom, en >= mom - slack))
     ok = all(c[3] for c in checks)
     _report("4 power ordering", ok,
@@ -125,7 +125,7 @@ def test_criterion_5_estimator_bias():
                        outlier_fraction=0.10,
                        q_grid=(0.0, 2.5, 5.0, 10.0, 15.0))
     res = run_tuning_sensitivity(config)
-    q = np.asarray(res.q_grid)
+    q = np.asarray(res.config.q_grid)
     en_means = res.sigma2_mean["en"]
     mom_means = res.sigma2_mean["mom"]
     en_band = bool(np.all(np.abs(en_means[q > 0] - 0.14) <= 0.03))
@@ -148,9 +148,9 @@ def test_criterion_6_composite_discrimination():
                        sigma2_alpha=(0.14, 0.04), outlier_fraction=0.10,
                        exposure_mean=2_500_000.0)
     res = run_composite_experiment(config)
-    fe = res.focal_flag_rates["fe"][:, 0]
-    en = res.focal_flag_rates["en"][:, 0]
-    mom = res.focal_flag_rates["mom"][:, 0]
+    fe = res.flag_rates["fe"][:, 0]
+    en = res.flag_rates["en"][:, 0]
+    mom = res.flag_rates["mom"][:, 0]
     fe_ok = bool(np.all(fe >= 0.8))
     en_limits = bool(en[2] <= 0.2 and en[3] <= 0.2)
     en_power = bool(en[0] >= mom[0] and en[1] >= mom[1])

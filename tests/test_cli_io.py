@@ -680,6 +680,36 @@ class TestIllTypedJson:
                      "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
         assert f"simulation config: {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["flagging", "tuning", "composite"])
+    def test_sim_config_empty_gamma_grid_exits_2(self, tmp_path, capsys, experiment):
+        # flagging and composite used to write a header-only table, and
+        # tuning ran at gamma 0
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": experiment, "gamma_grid": []}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert "gamma_grid must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", [[], {}, 1, None])
+    def test_sim_config_experiment_not_a_string_exits_2(self, tmp_path, capsys,
+                                                        experiment):
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": experiment}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert "experiment must be flagging, tuning, or composite" in capsys.readouterr().err
+
+    def test_composite_outliers_overrunning_the_centers_exit_2(self, tmp_path, capsys):
+        # measure 2's block used to be cut off at the last center
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": "composite", "n_centers": 10,
+             "outlier_fraction": 0.9}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "outlier_fraction=0.9" in err and "n_centers=10" in err
+
     def test_sim_config_too_many_centers_exits_2(self, tmp_path, capsys):
         # before the cap this died allocating 72.8 TiB
         (tmp_path / "sim.json").write_text(json.dumps(

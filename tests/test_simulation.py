@@ -148,31 +148,31 @@ class TestRunFlaggingExperiment:
         r2 = run_flagging_experiment(config, workers=2)
         for m in ("fe", "mom", "en"):
             assert np.array_equal(r1.flag_rates[m], r2.flag_rates[m])
-            assert np.array_equal(r1.null_reference_rates[m],
-                                  r2.null_reference_rates[m])
+            assert np.array_equal(r1.flag_rates[m][1],
+                                  r2.flag_rates[m][1])
 
     def test_monotone_power_and_exchangeability(self):
         config = SimConfig(seed=32, gamma_grid=(0.0, 1.0, 2.0), iterations=150)
         res = run_flagging_experiment(config)
-        en = res.flag_rates["en"]
-        se = res.flag_se["en"]
+        en = res.flag_rates["en"][0]
+        se = res.flag_se["en"][0]
         assert en[1] >= en[0] - 2 * (se[0] + se[1])
         assert en[2] >= en[1] - 2 * (se[1] + se[2])
         assert en[2] > 0.9
         # at gamma = 0 the focal center is exchangeable with any null center
         for m in ("fe", "mom", "en"):
-            p0 = res.flag_rates[m][0]
-            pref = res.null_reference_rates[m][0]
-            se0 = 3 * (res.flag_se[m][0] + math.sqrt(
+            p0 = res.flag_rates[m][0, 0]
+            pref = res.flag_rates[m][1, 0]
+            se0 = 3 * (res.flag_se[m][0, 0] + math.sqrt(
                 pref * (1 - pref) / res.n_effective[0] + 1e-12))
             assert abs(p0 - pref) <= se0 + 0.02
 
     def test_standard_error_formula(self):
         config = SimConfig(seed=33, gamma_grid=(0.0,), iterations=40)
         res = run_flagging_experiment(config)
-        p = res.flag_rates["fe"][0]
+        p = res.flag_rates["fe"][0, 0]
         n = res.n_effective[0]
-        assert res.flag_se["fe"][0] == pytest.approx(math.sqrt(p * (1 - p) / n))
+        assert res.flag_se["fe"][0, 0] == pytest.approx(math.sqrt(p * (1 - p) / n))
 
 
 class TestRunTuningSensitivity:
@@ -183,7 +183,7 @@ class TestRunTuningSensitivity:
         assert math.isnan(res.sigma2_mean["en"][0])
         assert np.all(np.isfinite(res.sigma2_mean["en"][1:]))
         assert np.all(np.isfinite(res.sigma2_mean["mom"]))
-        assert res.q_grid == (0.0, 5.0, 10.0)
+        assert res.config.q_grid == (0.0, 5.0, 10.0)
 
     def test_requires_q_grid(self):
         with pytest.raises(InputError):
@@ -196,8 +196,8 @@ class TestRunCompositeExperiment:
                            sigma2_alpha=(0.14, 0.04), outlier_fraction=0.10,
                            exposure_mean=2.5e6)
         res = run_composite_experiment(config)
-        fe = res.focal_flag_rates["fe"][:, 0]
-        en = res.focal_flag_rates["en"][:, 0]
+        fe = res.flag_rates["fe"][:, 0]
+        en = res.flag_rates["en"][:, 0]
         # concordant probes are detected by everyone; the empirical null
         # leaves the calibrated null-composite probes alone
         assert fe[0] > 0.9 and fe[1] > 0.9
@@ -208,13 +208,77 @@ class TestRunCompositeExperiment:
         with pytest.raises(InputError):
             run_composite_experiment(SimConfig(seed=1, sigma2_alpha=(0.14,)))
 
+    def test_outlier_blocks_must_fit_after_the_probes(self):
+        # 4 probes + 2 blocks of int(0.45 * 10) = 4 outliers overrun 10 centers
+        config = SimConfig(seed=1, n_centers=10, outlier_fraction=0.9,
+                           sigma2_alpha=(0.14, 0.04))
+        with pytest.raises(InputError, match=r"outlier_fraction=0\.9 .*n_centers=10"):
+            run_composite_experiment(config)
+
     def test_reproducible(self):
         config = SimConfig(seed=52, gamma_grid=(0.5,), iterations=25,
                            sigma2_alpha=(0.14, 0.04), exposure_mean=2.5e6)
         r1 = run_composite_experiment(config, workers=1)
         r2 = run_composite_experiment(config, workers=2)
         for m in ("fe", "mom", "en"):
-            assert np.array_equal(r1.focal_flag_rates[m], r2.focal_flag_rates[m])
+            assert np.array_equal(r1.flag_rates[m], r2.flag_rates[m])
+
+
+def _flag_counts(result, method):
+    """Flagged iterations per probe and grid point (rate * n_effective)."""
+    return np.rint(result.flag_rates[method] * result.n_effective).astype(np.int64).tolist()
+
+
+class TestPinnedBits:
+    """40-iteration runs pinned to the flag counts and estimator bits of the
+    shipped generative model, so that a change to the data, the RNG call
+    order or the outlier layout shows."""
+
+    def test_flagging_with_outliers(self):
+        res = run_flagging_experiment(SimConfig(
+            seed=61, gamma_grid=(0.0, 2.0), iterations=40, outlier_fraction=0.10),
+            workers=1)
+        assert res.n_failed.tolist() == [0, 0]
+        assert res.n_effective.tolist() == [40, 40]
+        # (probe, gamma): the focal center, then the last center
+        assert _flag_counts(res, "fe") == [[22, 40], [29, 29]]
+        assert _flag_counts(res, "mom") == [[1, 40], [1, 0]]
+        assert _flag_counts(res, "en") == [[4, 40], [4, 4]]
+
+    def test_tuning(self):
+        res = run_tuning_sensitivity(SimConfig(
+            seed=62, gamma_grid=(2.0,), iterations=40, outlier_fraction=0.10,
+            q_grid=(0.0, 5.0, 10.0)), workers=1)
+        assert res.n_failed.tolist() == [0, 0, 0]
+        assert res.n_effective.tolist() == [40, 40, 40]
+        assert _flag_counts(res, "mom") == [40, 40, 40]
+        # the empirical null has no q = 0 arm
+        assert math.isnan(res.flag_rates["en"][0])
+        assert np.rint(res.flag_rates["en"][1:] * 40).tolist() == [40.0, 40.0]
+        hexes = {k: {m: [float(v).hex() for v in d[m]] for m in ("en", "mom")}
+                 for k, d in (("mean", res.sigma2_mean), ("sd", res.sigma2_sd))}
+        assert hexes == {
+            "mean": {"en": ["nan", "0x1.1e91bcf32d81bp-3", "0x1.10d0329c0b3bfp-3"],
+                     "mom": ["0x1.460ed1c3813f0p-1", "0x1.49333135edb1bp-3",
+                             "0x1.7b13ff0bc05c9p-4"]},
+            "sd": {"en": ["nan", "0x1.2d4305bae5542p-5", "0x1.5776b1e3a93d8p-5"],
+                   "mom": ["0x1.078fc8fa3f194p-1", "0x1.2c869916d416fp-5",
+                           "0x1.32ccb8d58aa9fp-6"]},
+        }
+
+    def test_composite_with_odd_outlier_split(self):
+        # 15% of 212 centers: 15 outliers per measure, split 7 / 8 by sign.
+        # The strong outliers keep the rates off 0 and 1, so that an 8 / 7
+        # split changes the counts.
+        res = run_composite_experiment(SimConfig(
+            seed=63, gamma_grid=(0.5, 1.0), iterations=40,
+            sigma2_alpha=(0.14, 0.04), outlier_fraction=0.15,
+            outlier_effect=2.0), workers=1)
+        assert res.n_failed.tolist() == [0, 0]
+        assert res.n_effective.tolist() == [40, 40]
+        assert _flag_counts(res, "fe") == [[40, 40], [40, 40], [20, 26], [27, 35]]
+        assert _flag_counts(res, "mom") == [[0, 2], [0, 1], [0, 0], [0, 0]]
+        assert _flag_counts(res, "en") == [[33, 40], [37, 40], [0, 0], [1, 2]]
 
 
 class TestConfigValidation:
