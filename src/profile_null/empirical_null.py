@@ -191,10 +191,12 @@ def fit_empirical_null(
                            f"centers fall inside the truncation interval")
 
     grid = cfg.pi0_grid()
+    # every step's columns share the erfc rows of the phis already tried
+    erfc_rows: dict[float, np.ndarray] = {}
 
     def neg_loglik(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
         return _kernels.neg_null_loglik_u(u, grid[columns], zarr, sarr, null_set,
-                                          b_upper)
+                                          b_upper, erfc_rows)
 
     u_init = math.log(phi_init + _kernels.EPS_PHI)
     res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init),

@@ -48,8 +48,8 @@ class SimConfig:
     size-dependent overdispersion (see notes in the repo docs).
     ``sigma2_alpha`` holds one confounder-effect variance per simulated
     measure. ``mom_q`` is the Winsorization level used for the
-    method-of-moments arm of the experiments. ``n_centers`` lies between 10
-    and ``MAX_SIM_CENTERS``.
+    method-of-moments arm of the experiments; it and every ``q_grid`` entry
+    lie in [0, 50). ``n_centers`` lies between 10 and ``MAX_SIM_CENTERS``.
     """
 
     n_centers: int = 212
@@ -86,6 +86,11 @@ class SimConfig:
             raise InputError("covariate variance must be nonnegative")
         if not self.sigma2_alpha or any(s < 0 for s in self.sigma2_alpha):
             raise InputError("sigma2_alpha must hold nonnegative variances")
+        if not (0.0 <= self.mom_q < 50.0):
+            raise InputError(f"mom_q must lie in [0, 50), got {self.mom_q}")
+        for q in self.q_grid:
+            if not (0.0 <= q < 50.0):
+                raise InputError(f"q_grid entries must lie in [0, 50), got {q}")
 
 
 @dataclass(frozen=True)
@@ -308,8 +313,10 @@ def map_items(fn: Callable[[object], object], items: Sequence,
     The one process pool of the package: the simulation runners map their
     iterations through it and ``report.standardize`` its per-measure fits.
     Results come back in item order, and the first item that raises, in
-    that order, raises its exception here.
+    that order, raises its exception here. The pool starts all its
+    processes at once, so it gets no more of them than there are items.
     """
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     chunksize = max(1, len(items) // (workers * 8))
@@ -360,7 +367,15 @@ def run_flagging_experiment(config: SimConfig,
     Each grid point reruns the full pipeline ``iterations`` times: generate,
     standardize with all three methods, flag at |z| > 1.96. Failed fits are
     excluded from the denominators and abort the run above the failure cap.
+    Raises InputError when the outlier block after center 0 would reach the
+    last center.
     """
+    block_end = 2 * int(config.outlier_fraction / 2.0 * config.n_centers)
+    if block_end >= config.n_centers - 1:
+        raise InputError(
+            f"outlier_fraction={config.outlier_fraction} puts outliers on "
+            f"centers 1-{block_end}, which reaches the effect-free last center "
+            f"of n_centers={config.n_centers}")
     return _sweep(_flagging_iteration, config, workers, "flagging")
 
 

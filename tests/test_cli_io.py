@@ -710,6 +710,32 @@ class TestIllTypedJson:
         err = capsys.readouterr().err
         assert "outlier_fraction=0.9" in err and "n_centers=10" in err
 
+    @pytest.mark.parametrize("n_centers,code", [(11, 2), (12, 0)])
+    def test_flagging_outliers_reaching_the_reference_center_exit_2(
+            self, tmp_path, capsys, n_centers, code):
+        # at 11 centers the outlier block used to cover the last center,
+        # the effect-free reference probe, and the run exited 0
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": "flagging", "n_centers": n_centers,
+             "outlier_fraction": 0.95}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "outlier_fraction=0.95" in err and "n_centers=11" in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("mom_q", -5.0), ("mom_q", 50.0),
+                                           ("q_grid", [5.0, 60.0]),
+                                           ("q_grid", [-1.0])])
+    def test_sim_config_q_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        # these used to fail inside the first iteration, naming only q_percent
+        (tmp_path / "sim.json").write_text(json.dumps(
+            {**_TINY_SIM, "experiment": "tuning", key: value}))
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"),
+                     "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert f"{key} " in capsys.readouterr().err
+
     def test_sim_config_too_many_centers_exits_2(self, tmp_path, capsys):
         # before the cap this died allocating 72.8 TiB
         (tmp_path / "sim.json").write_text(json.dumps(

@@ -267,6 +267,33 @@ class TestLockstepFit:
         assert len(cfg.pi0_grid()) == (4 if "pi0_grid_step" in grid else 1)
         self._assert_same_fit(z, n, cfg)
 
+    def test_small_erfc_row_store(self, monkeypatch):
+        # a store of 5 rows drops rows the fit asks for again
+        z, n = _contaminated(212, 0.01, seed=5)
+        n_out = int(np.sum(~fit_empirical_null(z, n).null_set))
+        monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", 5 * n_out)
+        self._assert_same_fit(z, n, EnConfig())
+
+    def test_each_erfc_row_is_computed_once_per_fit(self, monkeypatch):
+        z, n = _contaminated(212, 0.01, seed=8)
+        n_erfc, phis = [0], set()
+        erfc, kernel = _kernels._erfc, _kernels.neg_null_loglik_u
+
+        def counting_erfc(x):
+            n_erfc[0] += x.size
+            return erfc(x)
+
+        def recording_kernel(u, *args):
+            phis.update(0.0 if x > 690.0 else max(0.0, math.exp(x) - _kernels.EPS_PHI)
+                        for x in np.ravel(u).tolist())
+            return kernel(u, *args)
+
+        monkeypatch.setattr(_kernels, "_erfc", counting_erfc)
+        monkeypatch.setattr(_kernels, "neg_null_loglik_u", recording_kernel)
+        fit = fit_empirical_null(z, n)
+        assert len(phis) > 100
+        assert n_erfc[0] == int(np.sum(~fit.null_set)) * len(phis)
+
     def test_iteration_cap_fails_both_ways(self):
         z, n = _contaminated(212, 0.01, seed=6)
         cfg = EnConfig(max_iter=1)

@@ -81,7 +81,7 @@ def _one_column_neg_loglik_u(u, pi0, z, sizes, in_null, b_upper):
 
 
 @pytest.mark.parametrize("n_centers", [12, 212, 5000])
-def test_batched_columns_keep_the_one_column_bits(n_centers):
+def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     rng = np.random.default_rng(n_centers)
     n = rng.exponential(400.0, n_centers)
     z = rng.normal(0.0, np.sqrt(1.0 + 0.14 * n))
@@ -100,6 +100,19 @@ def test_batched_columns_keep_the_one_column_bits(n_centers):
             for x, p in zip(u, pi0)]
     assert got.tolist() == want
     assert got[0] == math.inf and got[13] == math.inf
+    # one erfc row store through two calls: the second call finds the rows
+    # of the first, in reverse order and under other pi0; then again with a
+    # store of 3 rows, so the oldest are dropped in every block
+    want_reversed = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
+                     for x, p in zip(u[::-1], pi0)]
+    n_out = int(np.sum(~in_null))
+    for budget in (_kernels._ERFC_ROW_ELEMENTS, 3 * n_out):
+        monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", budget)
+        rows = {}
+        first = _kernels.neg_null_loglik_u(u, pi0, z, n, in_null, b, rows)
+        again = _kernels.neg_null_loglik_u(u[::-1], pi0, z, n, in_null, b, rows)
+        assert first.tolist() == want and again.tolist() == want_reversed
+        assert 0 < len(rows) * n_out <= budget
     # scalars give a float with the same bits
     one = _kernels.neg_null_loglik_u(float(u[3]), float(pi0[3]), z, n, in_null, b)
     assert type(one) is float and one == want[3]

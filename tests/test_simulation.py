@@ -281,6 +281,36 @@ class TestPinnedBits:
         assert _flag_counts(res, "en") == [[33, 40], [37, 40], [0, 0], [1, 2]]
 
 
+class TestMapItems:
+    @pytest.mark.parametrize("workers,n_items,started", [
+        (64, 2, [2]), (3, 10, [3]), (64, 1, []), (64, 0, []), (1, 5, [])])
+    def test_no_more_processes_than_items(self, monkeypatch, workers, n_items,
+                                          started):
+        from profile_null import simulation
+        asked = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records the worker count
+            it is asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        items = list(range(n_items))
+        assert simulation.map_items(abs, items, workers) == items
+        assert asked == started
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(InputError):
