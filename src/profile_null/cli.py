@@ -20,6 +20,7 @@ from .report import (
     SIM_EXPERIMENTS,
     align_scores,
     emit_funnel,
+    funnel_suffixes,
     read_center_stats,
     read_measure_config,
     read_sim_config,
@@ -121,6 +122,7 @@ def _cmd_funnel(args) -> int:
         if not (alpha_z > 0 and math.isfinite(alpha_z)):
             raise InputError(f"--alpha-z must be a positive finite number, "
                              f"got {alpha_z}")
+    funnel_suffixes(alphas)
     table = _load_table(args)
     run = standardize(table, method="en")
     written = []

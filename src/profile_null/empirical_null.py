@@ -39,8 +39,6 @@ class EnConfig:
     pi0_grid_lo: float = 0.80
     pi0_grid_hi: float = 1.00
     pi0_grid_step: float = 0.005
-    optimizer_tol: float = 1e-8
-    max_iter: int = 500
 
     def __post_init__(self) -> None:
         if not (0.0 < self.q_percent < 50.0):
@@ -53,10 +51,6 @@ class EnConfig:
         if (self.pi0_grid_hi - self.pi0_grid_lo) / self.pi0_grid_step > MAX_PI0_STEPS:
             raise InputError(f"pi0_grid_step {self.pi0_grid_step!r} makes more than "
                              f"{MAX_PI0_STEPS} steps across the pi0 grid")
-        if not (0.0 < self.optimizer_tol < math.inf) or self.max_iter < 1:
-            raise InputError(f"optimizer_tol must be finite and positive and "
-                             f"max_iter >= 1, got {self.optimizer_tol!r} and "
-                             f"{self.max_iter!r}")
 
     def pi0_grid(self) -> np.ndarray:
         """lo + k * step for every point up to hi, then hi itself when the
@@ -129,8 +123,8 @@ def null_loglik(
 
     In-interval centers contribute log(pi0 * N(0, 1 + phi*n) density);
     out-of-interval centers contribute log(1 - pi0 * Q_i(phi)) where Q_i is
-    the null probability of the interval. Returns -inf instead of raising
-    when a log argument is non-positive.
+    the null probability of the interval (-B_i, B_i), B_i >= 0. Returns -inf
+    instead of raising when a log argument is non-positive.
     """
     if not phi >= 0:
         raise InputError(f"phi must be nonnegative, got {phi}")
@@ -139,10 +133,15 @@ def null_loglik(
     zarr = np.ascontiguousarray(z, dtype=np.float64)
     sarr = np.ascontiguousarray(sizes, dtype=np.float64)
     mask = np.ascontiguousarray(null_set, dtype=np.bool_)
+    aarr = np.ascontiguousarray([a for (a, _) in bounds], dtype=np.float64)
     barr = np.ascontiguousarray([b for (_, b) in bounds], dtype=np.float64)
     if not (zarr.shape == sarr.shape == mask.shape == barr.shape):
         raise InputError("z, sizes, null_set, and bounds must have equal length")
-    return float(_kernels.null_loglik_core(phi, pi0, zarr, sarr, mask, barr))
+    bad = np.flatnonzero((aarr != -barr) | ~(barr >= 0.0))
+    if bad.size:
+        raise InputError(f"bounds[{bad[0]}] is not (-B, B) with B >= 0")
+    return float(_kernels.null_loglik_core(np.array([float(phi)]), np.array([float(pi0)]),
+                                           zarr, sarr, mask, barr, {})[0])
 
 
 def fit_empirical_null(
@@ -199,8 +198,7 @@ def fit_empirical_null(
                                           b_upper, erfc_rows)
 
     u_init = math.log(phi_init + _kernels.EPS_PHI)
-    res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init),
-                               tol=cfg.optimizer_tol, max_iter=cfg.max_iter)
+    res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init))
     if not res.converged.any():
         raise ConvergenceError("phi optimization failed to converge at every "
                                "pi0 grid point")

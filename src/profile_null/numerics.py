@@ -25,6 +25,10 @@ from .errors import ConvergenceError, InputError
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# Nelder-Mead: initial simplex width, and the width below which it may stop
+_NM_STEP = 0.5
+_NM_XTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimResult:
@@ -111,8 +115,6 @@ def nelder_mead_lockstep(
     init: np.ndarray | Sequence[float],
     tol: float = 1e-8,
     max_iter: int = 500,
-    step: float = 0.5,
-    xtol: float = 1e-6,
 ) -> OptimResult:
     """Minimize one scalar function per column, with two-point Nelder-Mead
     simplices that move in lockstep.
@@ -128,7 +130,7 @@ def nelder_mead_lockstep(
     the same iteration as a run on its function alone: it uses the standard
     reflection/expansion/contraction/shrink coefficients (1, 2, 0.5, 0.5)
     and stops when the simplex function-value spread falls below ``tol``
-    and its width below ``xtol``. The width criterion is required: a
+    and its width below ``_NM_XTOL``. The width criterion is required: a
     two-point simplex can straddle the minimum symmetrically, where the
     value spread vanishes at arbitrary width. Non-finite objective values
     away from ``init`` are treated as +inf so the simplex retreats from
@@ -150,7 +152,7 @@ def nelder_mead_lockstep(
         k = int(not_finite[0])
         raise InputError(f"objective is not finite at init={float(a[k])!r}"
                          + (f" in column {k}" if a.size > 1 else ""))
-    b = a + step
+    b = a + _NM_STEP
     fb = f(b, every)
 
     def keep_best(cols, a_c, b_c, fa_c, fb_c):
@@ -165,7 +167,7 @@ def nelder_mead_lockstep(
     while active.size:
         iterations[active] += 1
         done = ((np.abs(fa[active] - fb[active]) < tol)
-                & (np.abs(b[active] - a[active]) < xtol))
+                & (np.abs(b[active] - a[active]) < _NM_XTOL))
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
@@ -199,8 +201,6 @@ def nelder_mead_minimize(
     init: float,
     tol: float = 1e-8,
     max_iter: int = 500,
-    step: float = 0.5,
-    xtol: float = 1e-6,
 ) -> OptimResult:
     """Minimize a scalar function with a two-point Nelder-Mead simplex: the
     one-column case of ``nelder_mead_lockstep``, which documents the steps
@@ -209,7 +209,7 @@ def nelder_mead_minimize(
     Raises InputError when the objective is not finite at ``init``.
     """
     res = nelder_mead_lockstep(lambda x, _: [objective(float(x[0]))], [init],
-                               tol=tol, max_iter=max_iter, step=step, xtol=xtol)
+                               tol=tol, max_iter=max_iter)
     return OptimResult(argmin=float(res.argmin[0]), min_value=float(res.min_value[0]),
                        iterations=int(res.iterations[0]),
                        converged=bool(res.converged[0]))

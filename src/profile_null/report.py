@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import repeat
 from operator import itemgetter
@@ -59,7 +59,7 @@ RUN_METHODS = ("fe", "mom", "en")
 # 200-center warm-up report then starts two pools, was 0.4-19% worse.
 POOL_MIN_ROWS = 4000
 
-_EN_KEYS = ("q_percent", "pi0_grid_lo", "pi0_grid_hi", "pi0_grid_step")
+_EN_KEYS = tuple(f.name for f in fields(EnConfig))
 _MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
 
 # SimConfig fields a simulation config may set, with their JSON types
@@ -483,6 +483,22 @@ def write_composite_report(
     return path
 
 
+def funnel_suffixes(alpha_z_list: Sequence[float]) -> list[str]:
+    """The file-name suffix of each |Z| threshold: none for a single one, else
+    ``_z`` and the value to 6 decimals without trailing zeros. Raises
+    InputError on an empty list or two thresholds with one suffix."""
+    if not alpha_z_list:
+        raise InputError("alpha_z_list must not be empty")
+    if len(alpha_z_list) == 1:
+        return [""]
+    suffixes = [f"_z{fmt6(alpha_z).rstrip('0').rstrip('.')}" for alpha_z in alpha_z_list]
+    for i, first in enumerate(map(suffixes.index, suffixes)):
+        if first < i:
+            raise InputError(f"alpha_z {alpha_z_list[first]!r} and {alpha_z_list[i]!r} "
+                             f"both name the funnel files *{suffixes[i]}.csv/.svg")
+    return suffixes
+
+
 def emit_funnel(
     table: CenterTable,
     spec: MeasureSpec,
@@ -493,8 +509,7 @@ def emit_funnel(
     """Funnel CSV and SVG for one measure of the table: per-center O/E
     ratios with fixed-effects (phi = 0) and empirical-null (phi = phi_hat)
     control limits at each requested |Z| threshold."""
-    if not alpha_z_list:
-        raise InputError("alpha_z_list must not be empty")
+    suffixes = funnel_suffixes(alpha_z_list)
     t = table
     in_measure = np.array([m.measure_id == spec.measure_id for m in t.measures])[t.measure]
     rows = np.flatnonzero(in_measure & (t.expected > 0) & (t.size > 0))
@@ -510,11 +525,9 @@ def emit_funnel(
     size_cells, ratio_cells = fmt6(size), fmt6(ratio)
     out = Path(out_dir)
     written: list[Path] = []
-    multi = len(alpha_z_list) > 1
-    for alpha_z in alpha_z_list:
+    for alpha_z, suffix in zip(alpha_z_list, suffixes):
         limits = (*control_limits(0.0, expected, size, spec.a_psi, alpha_z),
                   *control_limits(null_fit.phi_hat, expected, size, spec.a_psi, alpha_z))
-        suffix = f"_z{fmt6(alpha_z).rstrip('0').rstrip('.')}" if multi else ""
         csv_path = out / f"funnel_{spec.measure_id}{suffix}.csv"
         _write_csv(csv_path, [FUNNEL_HEADER, *zip(size_cells, ratio_cells,
                                                   *map(fmt6, limits))])

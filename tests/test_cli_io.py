@@ -319,6 +319,16 @@ class TestEmitFunnel:
         assert [float(x) for x in row[2:]] == pytest.approx(
             [0.804, 1.196, 0.241, 1.759], abs=1e-3)
 
+    def test_alpha_z_sharing_a_file_suffix(self, measures, table, tmp_path):
+        from profile_null.empirical_null import NullFit
+        fit = NullFit(measure_id="TRR", phi_hat=0.0, pi0_hat=1.0, phi_init=0.0,
+                      v=1.645, interval_bounds=np.zeros((1, 2)),
+                      null_set=np.ones(1, bool), loglik=0.0,
+                      sigma2_alpha_hat=0.0)
+        with pytest.raises(InputError, match="alpha_z 2.0 and 2.0000000001 both name"):
+            emit_funnel(table, measures[0], fit, [2.0, 2.0000000001], tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_fe_curves_match_en_at_zero_phi(self, measures, table, tmp_path):
         from profile_null.empirical_null import NullFit
         fit = NullFit(measure_id="TRR", phi_hat=0.0, pi0_hat=1.0, phi_init=0.0,
@@ -541,6 +551,17 @@ class TestAdditionalCliPaths:
         assert code == 2
         assert (f"--alpha-z must be a positive finite number, got {float(value)}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("second", ["1.96", "1.9600001"])
+    def test_funnel_alpha_z_sharing_a_file_suffix(self, tmp_path, capsys, second):
+        # both would write funnel_<m>_z1.96.{csv,svg}, the second over the first
+        code = _main_warnings_as_errors(
+            ["funnel", "--centers", str(tmp_path / "absent.csv"),
+             "--measures", str(tmp_path / "absent.json"), "--alpha-z", "1.96",
+             "--alpha-z", "2.5", "--alpha-z", second, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"alpha_z 1.96 and {float(second)!r} both name" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_funnel_alpha_z_with_overflowing_limits(self, tmp_path, capsys):
         code = _main_warnings_as_errors(

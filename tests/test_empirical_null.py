@@ -1,6 +1,7 @@
 """Empirical-null estimation: initialization, truncation, likelihood,
 profile fit, corrected scores, and control limits."""
 
+import functools
 import math
 import sys
 import warnings
@@ -23,7 +24,7 @@ from profile_null import (
     robust_intercept_scale,
     z_empirical_null,
 )
-from profile_null import _kernels
+from profile_null import _kernels, empirical_null, numerics
 
 
 def _sizes(rng, n=212, scale=3e5):
@@ -128,6 +129,16 @@ class TestNullLoglik:
         with pytest.raises(InputError, match="phi must be nonnegative, got nan"):
             null_loglik(math.nan, 0.9, [0.0], [1.0], [True], [(-1, 1)])
 
+    @pytest.mark.parametrize("pair", [(-100.0, 1.96), (3.0, 1.96), (1.0, -1.0),
+                                      (math.nan, math.nan)])
+    def test_interval_must_be_symmetric(self, pair):
+        # the kernel reads only B_i, so any other lower bound was ignored
+        with pytest.raises(InputError, match=r"bounds\[1\] is not \(-B, B\)"):
+            null_loglik(0.1, 0.9, [0.0, 3.0], [1.0, 2.0], [True, False],
+                        [(-1.96, 1.96), pair])
+        assert null_loglik(0.1, 0.9, [0.0, 3.0], [1.0, 2.0], [True, False],
+                           [(-1.96, 1.96), (-0.0, 0.0)]) < 0.0
+
 
 class TestFitEmpiricalNull:
     def test_recovers_known_overdispersion(self):
@@ -208,7 +219,7 @@ class TestFitEmpiricalNull:
         assert abs(contam - base) / base < 0.25
 
 
-def _per_grid_fit(z, n, cfg, fit):
+def _per_grid_fit(z, n, cfg, fit, max_iter=500):
     """The profile fit as one scalar Nelder-Mead run per pi0 grid point, the
     loop the lockstep fit replaced, from the fit's own interval and null set.
     Returns (phi_hat, pi0_hat, loglik) and the per-grid results."""
@@ -219,8 +230,9 @@ def _per_grid_fit(z, n, cfg, fit):
     for pi0 in cfg.pi0_grid():
         pi0f = float(pi0)
         res = nelder_mead_minimize(
-            lambda u: _kernels.neg_null_loglik_u(u, pi0f, z, n, fit.null_set, b_upper),
-            u_init, tol=cfg.optimizer_tol, max_iter=cfg.max_iter)
+            lambda u: float(_kernels.neg_null_loglik_u(np.array([u]), np.array([pi0f]), z, n,
+                                                       fit.null_set, b_upper, {})[0]),
+            u_init, max_iter=max_iter)
         runs.append(res)
         if -res.min_value >= best_ll:
             best_ll, best_u, best_pi0 = -res.min_value, res.argmin, pi0f
@@ -294,14 +306,15 @@ class TestLockstepFit:
         assert len(phis) > 100
         assert n_erfc[0] == int(np.sum(~fit.null_set)) * len(phis)
 
-    def test_iteration_cap_fails_both_ways(self):
+    def test_iteration_cap_fails_both_ways(self, monkeypatch):
         z, n = _contaminated(212, 0.01, seed=6)
-        cfg = EnConfig(max_iter=1)
-        with pytest.raises(ConvergenceError):
-            fit_empirical_null(z, n, cfg)
         fit = fit_empirical_null(z, n)
+        monkeypatch.setattr(empirical_null, "nelder_mead_lockstep",
+                            functools.partial(numerics.nelder_mead_lockstep, max_iter=1))
         with pytest.raises(ConvergenceError):
-            _per_grid_fit(z, n, cfg, fit)
+            fit_empirical_null(z, n)
+        with pytest.raises(ConvergenceError):
+            _per_grid_fit(z, n, EnConfig(), fit, max_iter=1)
 
     def test_not_finite_at_init_is_an_input_error(self, monkeypatch):
         # no likelihood at pi0 = 1 already at the starting phi
@@ -330,6 +343,55 @@ class TestLockstepFit:
         assert fit.pi0_hat == cfg.pi0_grid()[np.flatnonzero(profile == profile.max())[-1]]
         assert fit.loglik == profile.max()
         assert np.all(fit.nm_iterations >= 1) and fit.nm_converged.any()
+
+
+def _golden_max(f, lo, hi, iterations=80):
+    """Golden-section search for the maximum of each column of the batched
+    f(x) over [lo, hi]; returns the largest value seen per column."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    best = np.maximum(fc, fd)
+    for _ in range(iterations):
+        left = fc >= fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        c, d = np.where(left, hi - r * (hi - lo), d), np.where(left, c, lo + r * (hi - lo))
+        new = f(np.where(left, c, d))
+        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
+        best = np.maximum(best, new)
+    return best
+
+
+class TestProfileOracle:
+    """Each grid point's profile log-likelihood against a dense scan of u
+    over [-25, 5] refined by golden-section search, through the same
+    kernel but not through Nelder-Mead."""
+
+    @pytest.mark.parametrize("n_centers", [50, 212])
+    @pytest.mark.parametrize("outliers", [0.0, 0.1])
+    def test_profile_matches_scan_and_refine(self, n_centers, outliers):
+        rng = np.random.default_rng(n_centers + int(100 * outliers))
+        n = _sizes(rng, n_centers)
+        z = rng.normal(0.0, np.sqrt(1.0 + 0.05 * n))
+        k = int(outliers * n_centers)
+        z[:k] += rng.choice([-1.0, 1.0], k) * 1.5 * np.sqrt(n[:k])
+        fit = fit_empirical_null(z, n)
+        grid = EnConfig().pi0_grid()
+        rows = {}
+
+        def loglik(u, pi0):
+            return -_kernels.neg_null_loglik_u(u, pi0, z, n, fit.null_set,
+                                               fit.interval_bounds[:, 1], rows)
+
+        scan = np.linspace(-25.0, 5.0, 2401)
+        values = loglik(np.tile(scan, grid.size),
+                        np.repeat(grid, scan.size)).reshape(grid.size, scan.size)
+        at = np.argmax(values, axis=1)
+        du = scan[1] - scan[0]
+        refined = _golden_max(lambda u: loglik(u, grid), scan[at] - du, scan[at] + du)
+        oracle = np.maximum(values.max(axis=1), refined)
+        assert np.all(np.isfinite(oracle))
+        assert np.max(np.abs(fit.profile_loglik - oracle)) <= 1e-9
 
 
 class TestZEmpiricalNull:
@@ -447,14 +509,12 @@ class TestEnConfig:
             EnConfig(pi0_grid_hi=1.2)
         with pytest.raises(InputError):
             EnConfig(pi0_grid_step=0.0)
-        with pytest.raises(InputError):
-            EnConfig(max_iter=0)
 
-    @pytest.mark.parametrize("setting", ["pi0_grid_step", "optimizer_tol"])
+    @pytest.mark.parametrize("setting", ["pi0_grid_step"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_setting_rejected(self, setting, value):
         # a NaN step made pi0_grid() raise a bare ValueError and an inf one
-        # gave a grid of NaN; a NaN tolerance could never be met
+        # gave a grid of NaN
         with pytest.raises(InputError, match=setting):
             EnConfig(**{setting: value})
 
@@ -468,10 +528,12 @@ class TestEnConfig:
             fit = fit_empirical_null(z, n, cfg)
             assert np.min(np.abs(grid - fit.pi0_hat)) < 1e-12
 
-    def test_nonconvergence_at_every_grid_point(self):
+    def test_nonconvergence_at_every_grid_point(self, monkeypatch):
         from profile_null import ConvergenceError
         rng = np.random.default_rng(65)
         n = _sizes(rng)
         z = rng.normal(0.0, np.sqrt(1.0 + 0.1 * n))
+        monkeypatch.setattr(empirical_null, "nelder_mead_lockstep",
+                            functools.partial(numerics.nelder_mead_lockstep, max_iter=1))
         with pytest.raises(ConvergenceError):
-            fit_empirical_null(z, n, EnConfig(max_iter=1))
+            fit_empirical_null(z, n)
