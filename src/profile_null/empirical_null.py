@@ -141,7 +141,7 @@ def null_loglik(
     if bad.size:
         raise InputError(f"bounds[{bad[0]}] is not (-B, B) with B >= 0")
     return float(_kernels.null_loglik_core(np.array([float(phi)]), np.array([float(pi0)]),
-                                           zarr, sarr, mask, barr, {})[0])
+                                           _kernels.FitArrays(zarr, sarr, mask, barr))[0])
 
 
 def fit_empirical_null(
@@ -190,12 +190,12 @@ def fit_empirical_null(
                            f"centers fall inside the truncation interval")
 
     grid = cfg.pi0_grid()
-    # every step's columns share the erfc rows of the phis already tried
-    erfc_rows: dict[float, np.ndarray] = {}
+    # every step's columns share the fit's arrays and the erfc rows of the
+    # phis already tried
+    arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
 
     def neg_loglik(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        return _kernels.neg_null_loglik_u(u, grid[columns], zarr, sarr, null_set,
-                                          b_upper, erfc_rows)
+        return _kernels.neg_null_loglik_u(u, grid[columns], arrays)
 
     u_init = math.log(phi_init + _kernels.EPS_PHI)
     res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init))

@@ -4,8 +4,10 @@ derivative-free minimizer, and robust location/scale estimation.
 The minimizer is a two-point Nelder-Mead simplex that moves many
 independent columns in lockstep (``nelder_mead_lockstep``): each step
 evaluates every column in one call of a batched objective, and every column
-follows exactly the path it would follow alone. ``nelder_mead_minimize`` is
-its one-column case for a scalar objective.
+follows exactly the path it would follow alone. A point a column has
+evaluated in its last ``_NM_MEMO`` calls takes its kept value instead of
+another evaluation, so each column is evaluated at most once per point.
+``nelder_mead_minimize`` is its one-column case for a scalar objective.
 
 Everything here is a pure function of its arguments and safe to call from
 any number of threads.
@@ -28,6 +30,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Nelder-Mead: initial simplex width, and the width below which it may stop
 _NM_STEP = 0.5
 _NM_XTOL = 1e-6
+# objective calls whose points and values the lockstep minimizer keeps per
+# column: most repeated points reflect back onto the point of the step
+# before, and the last 32 calls caught every repeat in 82 empirical-null fits
+# of 12 to 8,000 centers
+_NM_MEMO = 32
 
 
 @dataclass(frozen=True)
@@ -136,22 +143,55 @@ def nelder_mead_lockstep(
     away from ``init`` are treated as +inf so the simplex retreats from
     them.
 
+    The objective must be pure: each column keeps its points and values of
+    the last ``_NM_MEMO`` calls, and a point whose bits match one of them
+    is not evaluated again, so a column is evaluated at most once per point
+    while the point stays in its memo.
+
     Raises InputError when a column's objective is not finite at its init.
     """
 
-    def f(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
         val = np.array(objective(x, columns), dtype=np.float64).reshape(x.shape)
         val[np.isnan(val)] = np.inf
         return val
 
     a = np.array(init, dtype=np.float64).ravel()
     every = np.arange(a.size)
-    fa = f(a, every)
+    fa = evaluate(a, every)
     not_finite = np.flatnonzero(~np.isfinite(fa))
     if not_finite.size:
         k = int(not_finite[0])
         raise InputError(f"objective is not finite at init={float(a[k])!r}"
                          + (f" in column {k}" if a.size > 1 else ""))
+    # the memo: column k's value at a point is kept in row k, in the slot of
+    # the call that evaluated it, for the last _NM_MEMO calls (at least
+    # _NM_MEMO / 2 steps); points are compared bit for bit, since f(-0.0)
+    # may differ from f(0.0). Every slot starts as the init point.
+    memo_x = np.repeat(a.view(np.int64)[:, None], _NM_MEMO, axis=1)
+    memo_f = np.repeat(fa[:, None], _NM_MEMO, axis=1)
+    n_calls = 0
+
+    def f(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        nonlocal n_calls
+        hit = memo_x[columns] == x.view(np.int64)[:, None]
+        seen = hit.any(axis=1)
+        if seen.any():
+            val = memo_f[columns, hit.argmax(axis=1)]
+            new = np.flatnonzero(~seen)
+            if not new.size:
+                return val
+            x, columns = x[new], columns[new]
+            val[new] = evaluate(x, columns)
+            fx = val[new]
+        else:
+            fx = val = evaluate(x, columns)
+        at = n_calls % _NM_MEMO
+        n_calls += 1
+        memo_x[columns, at] = x.view(np.int64)
+        memo_f[columns, at] = fx
+        return val
+
     b = a + _NM_STEP
     fb = f(b, every)
 

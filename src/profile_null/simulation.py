@@ -144,13 +144,16 @@ class TuningResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker-process count: explicit argument, else machine parallelism
-    capped by PROFILE_NULL_THREADS."""
+    """Worker-process count: explicit argument, else the CPUs this process
+    may run on capped by PROFILE_NULL_THREADS."""
     if workers is not None:
         if workers < 1:
             raise InputError("workers must be at least 1")
         return workers
-    n = os.cpu_count() or 1
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        n = os.cpu_count() or 1
     cap = os.environ.get(ENV_THREADS, "").strip()
     if cap:
         try:

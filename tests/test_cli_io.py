@@ -4,6 +4,7 @@ import csv
 import decimal
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -521,6 +522,17 @@ class TestWorkerResolution:
         assert resolve_workers(3) == 3
         with pytest.raises(InputError):
             resolve_workers(0)
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        from profile_null.simulation import resolve_workers
+        monkeypatch.delenv("PROFILE_NULL_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # pinned to one CPU of a large host, as under taskset or a cpuset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert resolve_workers(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_workers(None) == 3
 
 
 class TestAdditionalCliPaths:

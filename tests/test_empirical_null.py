@@ -230,8 +230,9 @@ def _per_grid_fit(z, n, cfg, fit, max_iter=500):
     for pi0 in cfg.pi0_grid():
         pi0f = float(pi0)
         res = nelder_mead_minimize(
-            lambda u: float(_kernels.neg_null_loglik_u(np.array([u]), np.array([pi0f]), z, n,
-                                                       fit.null_set, b_upper, {})[0]),
+            lambda u: float(_kernels.neg_null_loglik_u(
+                np.array([u]), np.array([pi0f]),
+                _kernels.FitArrays(z, n, fit.null_set, b_upper))[0]),
             u_init, max_iter=max_iter)
         runs.append(res)
         if -res.min_value >= best_ll:
@@ -306,6 +307,20 @@ class TestLockstepFit:
         assert len(phis) > 100
         assert n_erfc[0] == int(np.sum(~fit.null_set)) * len(phis)
 
+    def test_each_column_is_evaluated_once_per_point(self, monkeypatch):
+        z, n = _contaminated(212, 0.01, seed=9)
+        points = []
+        kernel = _kernels.neg_null_loglik_u
+
+        def recording_kernel(u, pi0, *args):
+            points.extend(zip(pi0.tolist(), u.tolist()))
+            return kernel(u, pi0, *args)
+
+        monkeypatch.setattr(_kernels, "neg_null_loglik_u", recording_kernel)
+        fit_empirical_null(z, n)
+        assert len(points) > 1000
+        assert len(points) == len(set(points))
+
     def test_iteration_cap_fails_both_ways(self, monkeypatch):
         z, n = _contaminated(212, 0.01, seed=6)
         fit = fit_empirical_null(z, n)
@@ -377,11 +392,10 @@ class TestProfileOracle:
         z[:k] += rng.choice([-1.0, 1.0], k) * 1.5 * np.sqrt(n[:k])
         fit = fit_empirical_null(z, n)
         grid = EnConfig().pi0_grid()
-        rows = {}
+        arrays = _kernels.FitArrays(z, n, fit.null_set, fit.interval_bounds[:, 1])
 
         def loglik(u, pi0):
-            return -_kernels.neg_null_loglik_u(u, pi0, z, n, fit.null_set,
-                                               fit.interval_bounds[:, 1], rows)
+            return -_kernels.neg_null_loglik_u(u, pi0, arrays)
 
         scan = np.linspace(-25.0, 5.0, 2401)
         values = loglik(np.tile(scan, grid.size),

@@ -43,21 +43,20 @@ def _mp_loglik(phi, pi0, z, sizes, in_null, b_upper):
 @pytest.mark.parametrize("phi,pi0", [(0.0, 1.0), (0.05, 0.9), (0.3, 0.8), (2.0, 0.995)])
 def test_loglik_matches_mpmath(seed, phi, pi0):
     z, n, in_null, b = _random_problem(seed)
-    got = _kernels.null_loglik_core(np.array([phi]), np.array([pi0]), z, n, in_null, b,
-                                    {})[0]
+    got = _kernels.null_loglik_core(np.array([phi]), np.array([pi0]),
+                                    _kernels.FitArrays(z, n, in_null, b))[0]
     assert got == pytest.approx(_mp_loglik(phi, pi0, z, n, in_null, b), rel=1e-12)
 
 
 def test_neg_loglik_u_matches_mpmath():
     z, n, in_null, b = _random_problem(11)
+    fit = _kernels.FitArrays(z, n, in_null, b)
     for u in (-18.0, -5.0, -2.0, 0.0, 3.0):
         phi = max(0.0, math.exp(u) - _kernels.EPS_PHI)
-        got = _kernels.neg_null_loglik_u(np.array([u]), np.array([0.9]), z, n, in_null, b,
-                                         {})[0]
+        got = _kernels.neg_null_loglik_u(np.array([u]), np.array([0.9]), fit)[0]
         assert got == pytest.approx(-_mp_loglik(phi, 0.9, z, n, in_null, b), rel=1e-12)
     # exp(800) overflows a double: the objective reports +inf instead
-    assert _kernels.neg_null_loglik_u(np.array([800.0]), np.array([0.9]), z, n, in_null, b,
-                                      {})[0] == math.inf
+    assert _kernels.neg_null_loglik_u(np.array([800.0]), np.array([0.9]), fit)[0] == math.inf
 
 
 def _one_column_neg_loglik_u(u, pi0, z, sizes, in_null, b_upper):
@@ -98,27 +97,31 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     u[13] = 800.0           # exp(u) overflows
     pi0 = rng.choice(np.linspace(0.8, 1.0, 41), 30)
     pi0[[0, 7]] = 1.0
-    got = _kernels.neg_null_loglik_u(u, pi0, z, n, in_null, b, {})
     want = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
             for x, p in zip(u, pi0)]
-    assert got.tolist() == want
-    assert got[0] == math.inf and got[13] == math.inf
-    # one erfc row store through two calls: the second call finds the rows
-    # of the first, in reverse order and under other pi0; then again with a
-    # store of 3 rows, so the oldest are dropped in every block
     want_reversed = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
                      for x, p in zip(u[::-1], pi0)]
     n_out = int(np.sum(~in_null))
-    for budget in (_kernels._ERFC_ROW_ELEMENTS, 3 * n_out):
-        monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", budget)
-        rows = {}
-        first = _kernels.neg_null_loglik_u(u, pi0, z, n, in_null, b, rows)
-        again = _kernels.neg_null_loglik_u(u[::-1], pi0, z, n, in_null, b, rows)
-        assert first.tolist() == want and again.tolist() == want_reversed
-        assert 0 < len(rows) * n_out <= budget
-    # a column alone in its call keeps the same bits
-    one = _kernels.neg_null_loglik_u(u[3:4], pi0[3:4], z, n, in_null, b, {})
-    assert one.tolist() == [want[3]]
+    full = _kernels._ERFC_ROW_ELEMENTS
+    # blocks of the default size, of one column and of all columns
+    for block in (_kernels._BLOCK_ELEMENTS, 1, u.size * n_centers):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
+        got = _kernels.neg_null_loglik_u(u, pi0, _kernels.FitArrays(z, n, in_null, b))
+        assert got.tolist() == want
+        assert got[0] == math.inf and got[13] == math.inf
+        # one erfc row store through two calls: the second call finds the
+        # rows of the first, in reverse order and under other pi0; then again
+        # with a store of 3 rows, so the oldest are dropped in every block
+        for budget in (full, 3 * n_out):
+            monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", budget)
+            fit = _kernels.FitArrays(z, n, in_null, b)
+            first = _kernels.neg_null_loglik_u(u, pi0, fit)
+            again = _kernels.neg_null_loglik_u(u[::-1], pi0, fit)
+            assert first.tolist() == want and again.tolist() == want_reversed
+            assert 0 < len(fit.slot) * n_out <= budget
+        # a column alone in its call keeps the same bits
+        one = _kernels.neg_null_loglik_u(u[3:4], pi0[3:4], _kernels.FitArrays(z, n, in_null, b))
+        assert one.tolist() == [want[3]]
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -198,10 +198,11 @@ class TestNelderMeadLockstep:
     ]
 
     def test_columns_match_their_own_runs(self):
-        calls = []
+        calls, points = [], []
 
         def objective(x, columns):
             calls.append(len(columns))
+            points.extend(zip(columns.tolist(), x.tolist()))
             return [self.COLUMNS[c][0](float(xi)) for xi, c in zip(x, columns)]
 
         res = nelder_mead_lockstep(objective, [init for _, init in self.COLUMNS],
@@ -217,6 +218,8 @@ class TestNelderMeadLockstep:
             assert got == _one_column_nelder_mead(fn, init, max_iter=60)
         # two calls to start, then at most two per step for the whole batch
         assert len(calls) <= 2 + 2 * 60
+        # and no column is evaluated twice at one point
+        assert len(set(points)) == len(points)
 
     def test_non_finite_at_init_names_the_column(self):
         with pytest.raises(InputError, match="column 1"):

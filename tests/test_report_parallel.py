@@ -71,6 +71,7 @@ class _NoPool:
 @pytest.fixture
 def two_cpus(monkeypatch):
     """A machine with two CPUs, whatever this one has; the pool is counted."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_CountingPool, "started", 0)
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", _CountingPool)
@@ -150,6 +151,7 @@ def test_first_failing_measure_raises_on_both_paths(tmp_path, two_cpus, capsys):
 
 
 def test_no_pool_below_the_threshold(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setenv("PROFILE_NULL_THREADS", "2")
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", _NoPool)
