@@ -1,31 +1,23 @@
-"""Hot numeric kernels in numpy: the truncated-likelihood evaluation and the
-Tukey biweight IRLS.
+"""Hot numeric kernels in numpy: the truncated likelihood and its
+phi-score, and the Tukey biweight IRLS.
 
 Both sit inside the Monte Carlo loops and dominate runtime. The likelihood
-kernel takes equal-length 1-d arrays of phi (or u) and pi0, one column per
-pair, and returns one value per column, so the empirical-null fit makes one
-call per lockstep Nelder-Mead step for its whole pi0 grid. A column's value
-has the same bits whatever else shares its call or came before it: phi
-comes from ``math.exp`` per column, ``math.log(pi0)`` enters each term
+and score kernels take equal-length 1-d arrays of phi and pi0, one column
+per pair, and return one value per column, so the empirical-null fit makes
+one score call per step of its root search for its whole pi0 grid, and one
+likelihood call at the roots. A column's value has the same bits whatever
+else shares its call: ``math.log(pi0)`` and pi0 enter each term
 elementwise, every other term is an elementwise ufunc or ``math.erfc``, and
 each column is summed by one pairwise ``np.sum`` over a row of a
 C-contiguous block, as the one-dimensional sum of a single column would be.
 
-A fit builds its ``FitArrays`` once and passes it to all its calls: the
-in-interval sizes and ``z^2/2`` and the out-of-interval sizes and bounds,
-split from the center arrays once per fit, and a store of the
-out-of-interval ``erfc`` rows, the costliest part, keyed by phi. The store
-holds at most ``_ERFC_ROW_ELEMENTS`` values (2 MiB) in one preallocated
-buffer and overwrites its oldest rows first, so at thousands of centers a
-phi that comes back late is computed again. The in-interval rows (``log v``,
-``z^2/v``) are computed for every column, in place. The lockstep minimizer
-does not ask for a column at a point it has just evaluated
-(``numerics.nelder_mead_lockstep``), so each column is evaluated at most
-once per point.
+A fit builds its ``FitArrays`` once and passes it to all its calls. The
+out-of-interval ``math.erfc``, one per element, is the costliest term of
+both kernels; the score adds one ``np.exp`` per element beside it.
 
-The empirical null fit reads ``neg_null_loglik_u`` and the robust scale
-reads ``biweight_irls`` from this module at call time, so a profiler can
-wrap either by rebinding the module attribute.
+The empirical null fit reads ``null_score_core`` and ``null_loglik_core``
+and the robust scale reads ``biweight_irls`` from this module at call time,
+so a profiler can wrap any of them by rebinding the module attribute.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ import math
 
 import numpy as np
 
-# phi >= 0 is enforced by optimizing over u = log(phi + EPS_PHI).
+# ``neg_null_loglik_u`` reads phi as max(0, exp(u) - EPS_PHI).
 EPS_PHI = 1e-8
 
 # Tukey biweight defaults: 95%-efficiency tuning constant and the
@@ -44,20 +36,16 @@ MAD_SCALE = 1.4826
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Columns are evaluated in blocks of about this many (column, center)
 # elements, so that at thousands of centers a block's temporaries stay in
 # cache: unblocked, a fit at 8,000 centers took about 30% longer. With the
 # terms computed in place, 16384 to 131072 cost about the same at 212 (one
 # block), 8,000 and 32,000 centers, 32768 was cheapest at 2,000, and 262144
-# was slower at 8,000. A block's two temporaries set the fit's peak memory:
+# was slower at 8,000. A block's temporaries set the fit's peak memory:
 # 65536 took 0.75 MiB more than this size at 8,000 centers.
 _BLOCK_ELEMENTS = 32768
-
-# An erfc row store holds at most this many float64 values (2 MiB). That
-# covers a whole fit at a few hundred centers; at 8,000 centers it keeps
-# about the last 200 rows, where most repeated phis fall.
-_ERFC_ROW_ELEMENTS = 1 << 18
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
@@ -68,17 +56,8 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 class FitArrays:
     """The center arrays of one likelihood, split once into what each kernel
-    call reads, and the store of its out-of-interval erfc rows.
-
-    A fit builds one and passes it to all its calls, so the in-interval
-    sizes and ``z^2/2`` and the out-of-interval sizes and bounds are made
-    once per fit. The store is one buffer of at most
-    ``_ERFC_ROW_ELEMENTS // n_out`` rows, indexed through ``slot``, a dict
-    from phi to its row in insertion order. It doubles as it fills, since
-    allocating the whole budget up front raised the peak memory of an
-    8,000-center report by about 1.2 MiB; once full, a new row overwrites
-    the oldest.
-    """
+    call reads: the in-interval sizes and ``z^2/2``, and the out-of-interval
+    sizes and bounds."""
 
     def __init__(self, z, sizes, in_null, b_upper):
         self.n = z.size
@@ -88,87 +67,82 @@ class FitArrays:
         out = ~in_null
         self.so = sizes[out]
         self.bo = b_upper[out]
-        self.max_rows = _ERFC_ROW_ELEMENTS // self.so.size if self.so.size else 0
-        self.rows = np.empty((min(64, self.max_rows), self.so.size))
-        self.slot: dict[float, int] = {}
 
-    def q_rows(self, phis: list[float]) -> np.ndarray:
-        """A new array of the rows ``1 - erfc(...)`` of ``phis``, in order.
 
-        Computes, in one ``_erfc`` batch, the rows of the phis not in the
-        store, then keeps the newest of them in place of the oldest rows.
-        """
-        slot, rows = self.slot, self.rows
-        distinct = dict.fromkeys(phis)
-        new = [p for p in distinct if p not in slot]
-        if not new:
-            return rows.take([slot[p] for p in phis], axis=0)
-        # Q_i = Phi(B/s) - Phi(-B/s) = 1 - erfc(B / (s*sqrt(2)))
-        fresh = 1.0 - _erfc(self.bo / np.sqrt(1.0 + np.array(new)[:, None] * self.so)
-                            * _INV_SQRT2)
-        if len(new) == len(phis):
-            q = fresh
-        else:
-            # the new rows, then the stored rows of the others
-            stored = [p for p in distinct if p in slot]
-            source = np.concatenate([fresh, rows.take([slot[p] for p in stored], axis=0)])
-            at = dict(zip(new + stored, range(len(distinct))))
-            q = source.take([at[p] for p in phis], axis=0)
-        first = len(slot)
-        if first + len(new) > len(rows) and len(rows) < self.max_rows:
-            # double the buffer, up to its budget
-            grown = np.empty((min(self.max_rows, max(2 * len(rows), first + len(new))),
-                              self.so.size))
-            grown[:first] = rows[:first]
-            self.rows = rows = grown
-        if first + len(new) <= len(rows):
-            # the store has not been full yet: its rows are 0 .. first - 1
-            slot.update(zip(new, range(first, first + len(new))))
-            rows[first:first + len(new)] = fresh
-        else:
-            kept = new[max(0, len(new) - len(rows)):]
-            for p in kept:
-                slot[p] = len(slot) if len(slot) < len(rows) else slot.pop(next(iter(slot)))
-            rows[[slot[p] for p in kept]] = fresh[len(new) - len(kept):]
-        return q
+def _blocks(phi, pi0, fit):
+    """Split the columns into blocks of at most about ``_BLOCK_ELEMENTS``
+    (column, center) elements. Yield for each its slice, v = 1 + phi*n of
+    the in-interval centers, and v, b = B / sqrt(v) and 1 - pi0*Q of the
+    out-of-interval centers, one row per column; Q = 1 - erfc(b / sqrt 2)
+    is the null probability of (-B, B)."""
+    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
+    for start in range(0, phi.size, per_block):
+        block = slice(start, start + per_block)
+        vi = np.multiply(phi[block, None], fit.si)
+        vi += 1.0
+        vo = np.multiply(phi[block, None], fit.so)
+        vo += 1.0
+        b = fit.bo / np.sqrt(vo)
+        t = 1.0 - _erfc(b * _INV_SQRT2)
+        t *= pi0[block, None]
+        np.subtract(1.0, t, out=t)
+        yield block, vi, vo, b, t
 
 
 def null_loglik_core(phi, pi0, fit):
     """Truncated-mixture log-likelihood of each column (phi[k], pi0[k]) over
     the center arrays of ``fit``, a ``FitArrays``; -inf for a column where an
-    out-of-interval log argument is non-positive.
+    out-of-interval log argument is 0.
 
     ``phi`` and ``pi0`` are equal-length 1-d float arrays. Each block's
     terms are computed in place, in the order of the one-column formula.
     """
-    phi_l = phi.tolist()
     log_pi0 = np.array([math.log(p) for p in pi0.tolist()])[:, None]
-    ll = np.zeros(len(phi_l))
-    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-    for start in range(0, len(phi_l), per_block):
-        block = slice(start, start + per_block)
-        if fit.si.size:
-            # log pi0 - 0.5 * (log 2pi + log v) - (z^2 / 2) / v, v = 1 + phi * n
-            v = np.multiply(phi[block, None], fit.si)
-            v += 1.0
-            t = np.log(v)
-            t += _LOG_2PI
-            t *= 0.5
-            np.subtract(log_pi0[block], t, out=t)
-            np.divide(fit.half_z2, v, out=v)
-            t -= v
-            ll[block] += np.sum(t, axis=1)
-        if fit.so.size:
-            # log(1 - pi0 * Q)
-            t = fit.q_rows(phi_l[block])
-            t *= pi0[block, None]
-            np.subtract(1.0, t, out=t)
-            bad = np.any(t <= 0.0, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(t, out=t)
-            ll[block] += np.sum(t, axis=1)
-            ll[block][bad] = -np.inf
+    ll = np.zeros(phi.size)
+    for block, v, _, _, t in _blocks(phi, pi0, fit):
+        # log pi0 - 0.5 * (log 2pi + log v) - (z^2 / 2) / v
+        u = np.log(v)
+        u += _LOG_2PI
+        u *= 0.5
+        np.subtract(log_pi0[block], u, out=u)
+        np.divide(fit.half_z2, v, out=v)
+        u -= v
+        # log(1 - pi0 * Q): 0 <= pi0 * Q <= 1, so a column with a 0 sums to -inf
+        with np.errstate(divide="ignore"):
+            np.log(t, out=t)
+        ll[block] = np.sum(u, axis=1) + np.sum(t, axis=1)
     return ll
+
+
+def null_score_core(phi, pi0, fit):
+    """The phi-derivative of ``null_loglik_core`` for each column (phi[k],
+    pi0[k]), with the same arguments:
+
+        sum_in  n (z^2/v - 1) / (2 v)
+        + sum_out pi0 pdf(b) b n / v / (1 - pi0 Q)
+
+    A column where some 1 - pi0*Q is 0, whose log-likelihood is -inf, has a
+    score of +inf or NaN.
+    """
+    score = np.zeros(phi.size)
+    for block, vi, vo, b, t in _blocks(phi, pi0, fit):
+        # n ((z^2 / 2) / v - 1/2) / v
+        u = np.divide(fit.half_z2, vi)
+        u -= 0.5
+        u *= fit.si
+        u /= vi
+        # pi0 pdf(b) b n / v / (1 - pi0 Q)
+        e = np.multiply(b, b)
+        e *= -0.5
+        np.exp(e, out=e)
+        e *= b
+        e *= fit.so
+        e /= vo
+        e *= pi0[block, None] * _INV_SQRT_2PI
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e /= t
+        score[block] = np.sum(u, axis=1) + np.sum(e, axis=1)
+    return score
 
 
 def neg_null_loglik_u(u, pi0, fit):

@@ -6,6 +6,12 @@ Model: under the null, a center's fixed-effects Z-score is N(0, 1 + phi*n)
 where n is the effective center size. The non-null density is unspecified
 but supported outside a per-center interval [-B_i, B_i], which makes
 (phi, pi0) identifiable from center-level statistics alone.
+
+For a fixed pi0 the log-likelihood is smooth in phi, and its phi-score has
+a closed form (``_kernels.null_score_core``). The fit takes each pi0 grid
+point's phi at the root of that score, found by a bracketed Illinois
+regula falsi that moves the whole grid in lockstep, and the profile
+log-likelihood at the roots.
 """
 
 from __future__ import annotations
@@ -18,12 +24,16 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvergenceError, FittingError, InputError
-from .numerics import nelder_mead_lockstep, robust_intercept_scale, std_normal_quantile
+from .numerics import robust_intercept_scale, std_normal_quantile
 
 MIN_CENTERS = 10
 MIN_NULL_SET = 3
-# each pi0 grid point is one column of the lockstep Nelder-Mead in every fit
+# each pi0 grid point is one column of the lockstep root search in every fit
 MAX_PI0_STEPS = 1000
+# a root search stops at a bracket narrower than _PHI_RTOL times its upper
+# end, and a column still open after _MAX_SCORE_CALLS is not converged
+_PHI_RTOL = 1e-12
+_MAX_SCORE_CALLS = 100
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,10 @@ class NullFit:
     ``sigma2_alpha_hat`` is the implied confounder-effect variance
     phi_hat * a_psi.
 
-    ``profile_loglik``, ``nm_iterations`` and ``nm_converged`` hold, per pi0
-    grid point, the maximized log-likelihood and the Nelder-Mead iteration
-    count and convergence flag of its phi search. They explain a fit and
-    are not written to any output.
+    ``profile_loglik``, ``iterations`` and ``converged`` hold, per pi0 grid
+    point, the maximized log-likelihood, and the score evaluations and
+    convergence flag of its phi root search. They explain a fit and are not
+    written to any output.
     """
 
     measure_id: str
@@ -90,8 +100,8 @@ class NullFit:
     loglik: float
     sigma2_alpha_hat: float
     profile_loglik: np.ndarray = field(default_factory=lambda: np.empty(0))
-    nm_iterations: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    nm_converged: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
+    iterations: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    converged: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
 
     @property
     def n_null_set(self) -> int:
@@ -144,6 +154,54 @@ def null_loglik(
                                            _kernels.FitArrays(zarr, sarr, mask, barr))[0])
 
 
+def _score_roots(score, phi_init: float, step: float, m: int):
+    """The root phi >= 0 of each of m columns' score, ``score(phi, columns)``
+    evaluated for all open columns in one call per step; also the score
+    evaluations of each column and whether it converged.
+
+    A column starts at ``phi_init``. A positive score there grows the
+    bracket upward, to 2 phi + ``step``, until the score is not positive.
+    Otherwise a score at 0 that is not positive makes 0 the root. Illinois
+    regula falsi (Dowell & Jarratt 1971), with a bisection step where it
+    cannot interpolate, then narrows the bracket [lo, hi], score(lo) > 0 >=
+    score(hi), to a width of ``_PHI_RTOL * hi`` and takes hi. A NaN or +inf
+    score counts as positive: where 1 - pi0*Q underflows, the
+    log-likelihood is -inf and its score 0/0 or +inf.
+    """
+    # lo < 0: no positive score yet; hi = inf: no score that is not positive
+    lo, hi = np.full(m, -1.0), np.full(m, np.inf)
+    f_lo, f_hi = np.zeros(m), np.zeros(m)
+    # the end the last interpolation replaced: 1 for lo, -1 for hi
+    last = np.zeros(m, dtype=np.int8)
+    calls = np.zeros(m, dtype=np.int64)
+    converged = np.zeros(m, dtype=np.bool_)
+    x, open_ = np.full(m, phi_init), np.arange(m)
+    while open_.size:
+        f = score(x[open_], open_)
+        calls[open_] += 1
+        pos = ~(f <= 0.0)
+        # Illinois: an end kept by two interpolations in a row has its score
+        # halved
+        side = np.where((lo[open_] >= 0.0) & (hi[open_] < np.inf), np.where(pos, 1, -1), 0)
+        f_hi[open_[(side == 1) & (last[open_] == 1)]] *= 0.5
+        f_lo[open_[(side == -1) & (last[open_] == -1)]] *= 0.5
+        last[open_] = side
+        up, down = open_[pos], open_[~pos]
+        lo[up], f_lo[up] = x[up], f[pos]
+        hi[down], f_hi[down] = x[down], f[~pos]
+
+        a, b, fa, fb = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
+        done = (b == 0.0) | ((a >= 0.0) & (b < np.inf)
+                             & ((fb == 0.0) | (b - a <= _PHI_RTOL * b)))
+        converged[open_[done]] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
+        x[open_] = np.where(b == np.inf, 2.0 * a + step, np.where(a < 0.0, 0.0, c))
+        open_ = open_[~done & (calls[open_] < _MAX_SCORE_CALLS)]
+    return np.where(hi < np.inf, hi, lo), calls, converged
+
+
 def fit_empirical_null(
     z: Sequence[float],
     sizes: Sequence[float],
@@ -155,15 +213,14 @@ def fit_empirical_null(
 
     Pipeline: robust initial phi -> truncation interval and null-set
     membership (fixed thereafter) -> for each pi0 on the grid, maximize the
-    log-likelihood over phi >= 0 with Nelder-Mead on u = log(phi + eps) ->
+    log-likelihood over phi >= 0 at the root of its analytic phi-score ->
     keep the grid point with the largest profile likelihood, breaking ties
     toward the larger pi0.
 
-    The grid points are fitted together by one lockstep Nelder-Mead
-    (``nelder_mead_lockstep``), one simplex per pi0, so each step is one
-    batched likelihood call for the whole grid; every grid point gets the
-    same result as a Nelder-Mead run of its own. Raises ConvergenceError
-    when no grid point converges.
+    The grid points are solved together (``_score_roots``), and one
+    likelihood call at the roots gives the profile; every grid point gets
+    the same result as a fit on a grid of that point alone. Raises
+    ConvergenceError when no grid point converges.
     """
     cfg = config if config is not None else EnConfig()
     zarr = np.ascontiguousarray(z, dtype=np.float64)
@@ -190,22 +247,18 @@ def fit_empirical_null(
                            f"centers fall inside the truncation interval")
 
     grid = cfg.pi0_grid()
-    # every step's columns share the fit's arrays and the erfc rows of the
-    # phis already tried
+    # every call shares the fit's arrays
     arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
-
-    def neg_loglik(u: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        return _kernels.neg_null_loglik_u(u, grid[columns], arrays)
-
-    u_init = math.log(phi_init + _kernels.EPS_PHI)
-    res = nelder_mead_lockstep(neg_loglik, np.full(grid.size, u_init))
-    if not res.converged.any():
-        raise ConvergenceError("phi optimization failed to converge at every "
+    phi, iterations, converged = _score_roots(
+        lambda x, columns: _kernels.null_score_core(x, grid[columns], arrays),
+        phi_init, 1.0 / float(np.mean(sarr)), grid.size)
+    if not converged.any():
+        raise ConvergenceError("phi root search failed to converge at every "
                                "pi0 grid point")
-    profile = -res.min_value
+    profile = _kernels.null_loglik_core(phi, grid, arrays)
     # the last maximum: ties go to the larger pi0
     best = grid.size - 1 - int(np.argmax(profile[::-1]))
-    phi_hat = max(0.0, math.exp(float(res.argmin[best])) - _kernels.EPS_PHI)
+    phi_hat = float(phi[best])
     return NullFit(
         measure_id=measure_id,
         phi_hat=phi_hat,
@@ -217,8 +270,8 @@ def fit_empirical_null(
         loglik=float(profile[best]),
         sigma2_alpha_hat=phi_hat * a_psi,
         profile_loglik=profile,
-        nm_iterations=res.iterations,
-        nm_converged=res.converged,
+        iterations=iterations,
+        converged=converged,
     )
 
 

@@ -1,11 +1,14 @@
 """Empirical-null estimation: initialization, truncation, likelihood,
 profile fit, corrected scores, and control limits."""
 
-import functools
+import dataclasses
+import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +22,13 @@ from profile_null import (
     control_limits,
     fit_empirical_null,
     initial_phi,
-    nelder_mead_minimize,
     null_loglik,
     robust_intercept_scale,
     z_empirical_null,
 )
-from profile_null import _kernels, empirical_null, numerics
+from profile_null import _kernels, empirical_null
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _sizes(rng, n=212, scale=3e5):
@@ -219,132 +223,110 @@ class TestFitEmpiricalNull:
         assert abs(contam - base) / base < 0.25
 
 
-def _per_grid_fit(z, n, cfg, fit, max_iter=500):
-    """The profile fit as one scalar Nelder-Mead run per pi0 grid point, the
-    loop the lockstep fit replaced, from the fit's own interval and null set.
-    Returns (phi_hat, pi0_hat, loglik) and the per-grid results."""
-    b_upper = fit.interval_bounds[:, 1]
-    u_init = math.log(fit.phi_init + _kernels.EPS_PHI)
-    best_ll, best_u, best_pi0 = -math.inf, u_init, math.nan
-    runs = []
-    for pi0 in cfg.pi0_grid():
-        pi0f = float(pi0)
-        res = nelder_mead_minimize(
-            lambda u: float(_kernels.neg_null_loglik_u(
-                np.array([u]), np.array([pi0f]),
-                _kernels.FitArrays(z, n, fit.null_set, b_upper))[0]),
-            u_init, max_iter=max_iter)
-        runs.append(res)
-        if -res.min_value >= best_ll:
-            best_ll, best_u, best_pi0 = -res.min_value, res.argmin, pi0f
-    if not any(r.converged for r in runs):
-        raise ConvergenceError("no grid point converged")
-    phi_hat = max(0.0, math.exp(best_u) - _kernels.EPS_PHI)
-    return (phi_hat, best_pi0, best_ll), runs
-
-
-def _contaminated(n_centers, phi, seed):
-    """Scores with variance 1 + phi*n and 10% outliers shifted by 1.5 sqrt(n)."""
+def _contaminated(n_centers, phi, seed, outliers=0.1):
+    """Scores with variance 1 + phi*n and an ``outliers`` share shifted by
+    1.5 sqrt(n)."""
     rng = np.random.default_rng(seed)
     n = _sizes(rng, n_centers)
     z = rng.normal(0.0, np.sqrt(1.0 + phi * n))
-    k = n_centers // 10
+    k = int(outliers * n_centers)
     z[:k] += rng.choice([-1.0, 1.0], k) * 1.5 * np.sqrt(n[:k])
     return z, n
 
 
-class TestLockstepFit:
-    """The lockstep fit against one Nelder-Mead run per grid point: the same
-    estimates, bit for bit, and the same per-grid record."""
+# (n_centers, q_percent, outlier share) of the fits whose profiles the
+# Nelder-Mead fit left in fixtures/nelder_mead_profiles.json
+PROFILE_CORPUS = [(n, q, out) for n in (12, 50, 212, 1000, 8000)
+                  for q in (2.5, 5.0, 20.0) for out in (0.0, 0.1)] \
+    + [(32000, 5.0, 0.0), (32000, 20.0, 0.1)]
 
-    def _assert_same_fit(self, z, n, cfg):
-        fit = fit_empirical_null(z, n, cfg)
-        (phi_hat, pi0_hat, loglik), runs = _per_grid_fit(z, n, cfg, fit)
-        assert (fit.phi_hat, fit.pi0_hat, fit.loglik) == (phi_hat, pi0_hat, loglik)
-        assert fit.profile_loglik.tolist() == [-r.min_value for r in runs]
-        assert fit.nm_iterations.tolist() == [r.iterations for r in runs]
-        assert fit.nm_converged.tolist() == [r.converged for r in runs]
+
+def _corpus_inputs(k):
+    """Scores and sizes of corpus fit k, with phi 0, 0.01 and 0.05 in turn."""
+    n_centers, _, outliers = PROFILE_CORPUS[k]
+    return _contaminated(n_centers, (0.0, 0.01, 0.05)[k % 3], 1000 + k, outliers)
+
+
+def _one_point_fit(z, n, cfg, pi0):
+    """The fit of (z, n) on a pi0 grid of the one point ``pi0``."""
+    return fit_empirical_null(z, n, dataclasses.replace(cfg, pi0_grid_lo=pi0,
+                                                        pi0_grid_hi=pi0))
+
+
+def _recording(monkeypatch, name):
+    """Rebind the kernel ``name`` to one that keeps the (phi, pi0) arrays
+    of every call in the returned list."""
+    calls, kernel = [], getattr(_kernels, name)
+
+    def recording_kernel(phi, pi0, arrays):
+        calls.append((phi.copy(), pi0.copy()))
+        return kernel(phi, pi0, arrays)
+
+    monkeypatch.setattr(_kernels, name, recording_kernel)
+    return calls
+
+
+class TestLockstepFit:
+    """The lockstep root search against fits on a grid of one point each:
+    every grid point gets the same root, profile and record, bit for bit."""
+
+    def _assert_same_fit(self, z, n, cfg, monkeypatch):
+        grid = cfg.pi0_grid()
+        with monkeypatch.context() as m:
+            at_roots = _recording(m, "null_loglik_core")
+            fit = fit_empirical_null(z, n, cfg)
+        assert len(at_roots) == 1
+        roots, pi0 = at_roots[0]
+        assert pi0.tolist() == grid.tolist()
+        ones = [_one_point_fit(z, n, cfg, float(p)) for p in grid]
+        assert roots.tolist() == [f.phi_hat for f in ones]
+        assert fit.profile_loglik.tolist() == [f.loglik for f in ones]
+        assert fit.iterations.tolist() == [int(f.iterations[0]) for f in ones]
+        assert fit.converged.tolist() == [bool(f.converged[0]) for f in ones]
+        best = ones[grid.size - 1 - int(np.argmax(fit.profile_loglik[::-1]))]
+        assert (fit.phi_hat, fit.pi0_hat, fit.loglik) == (best.phi_hat, best.pi0_hat,
+                                                          best.loglik)
 
     @pytest.mark.parametrize("n_centers", [12, 212, 2000])
     @pytest.mark.parametrize("q", [2.5, 5.0, 20.0])
     @pytest.mark.parametrize("phi", [0.0, 0.01])
-    def test_bit_identical_to_per_grid_runs(self, n_centers, q, phi):
+    def test_bit_identical_to_per_grid_runs(self, n_centers, q, phi, monkeypatch):
         z, n = _contaminated(n_centers, phi, seed=n_centers + int(10 * q))
-        self._assert_same_fit(z, n, EnConfig(q_percent=q))
+        self._assert_same_fit(z, n, EnConfig(q_percent=q), monkeypatch)
 
     @pytest.mark.parametrize("grid", [dict(pi0_grid_step=0.09),
                                       dict(pi0_grid_lo=0.9, pi0_grid_hi=0.9)])
-    def test_other_grids(self, grid):
+    def test_other_grids(self, grid, monkeypatch):
         z, n = _contaminated(212, 0.01, seed=4)
         cfg = EnConfig(**grid)
         assert len(cfg.pi0_grid()) == (4 if "pi0_grid_step" in grid else 1)
-        self._assert_same_fit(z, n, cfg)
-
-    def test_small_erfc_row_store(self, monkeypatch):
-        # a store of 5 rows drops rows the fit asks for again
-        z, n = _contaminated(212, 0.01, seed=5)
-        n_out = int(np.sum(~fit_empirical_null(z, n).null_set))
-        monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", 5 * n_out)
-        self._assert_same_fit(z, n, EnConfig())
-
-    def test_each_erfc_row_is_computed_once_per_fit(self, monkeypatch):
-        z, n = _contaminated(212, 0.01, seed=8)
-        n_erfc, phis = [0], set()
-        erfc, kernel = _kernels._erfc, _kernels.neg_null_loglik_u
-
-        def counting_erfc(x):
-            n_erfc[0] += x.size
-            return erfc(x)
-
-        def recording_kernel(u, *args):
-            phis.update(0.0 if x > 690.0 else max(0.0, math.exp(x) - _kernels.EPS_PHI)
-                        for x in np.ravel(u).tolist())
-            return kernel(u, *args)
-
-        monkeypatch.setattr(_kernels, "_erfc", counting_erfc)
-        monkeypatch.setattr(_kernels, "neg_null_loglik_u", recording_kernel)
-        fit = fit_empirical_null(z, n)
-        assert len(phis) > 100
-        assert n_erfc[0] == int(np.sum(~fit.null_set)) * len(phis)
+        self._assert_same_fit(z, n, cfg, monkeypatch)
 
     def test_each_column_is_evaluated_once_per_point(self, monkeypatch):
         z, n = _contaminated(212, 0.01, seed=9)
-        points = []
-        kernel = _kernels.neg_null_loglik_u
-
-        def recording_kernel(u, pi0, *args):
-            points.extend(zip(pi0.tolist(), u.tolist()))
-            return kernel(u, pi0, *args)
-
-        monkeypatch.setattr(_kernels, "neg_null_loglik_u", recording_kernel)
+        calls = _recording(monkeypatch, "null_score_core")
         fit_empirical_null(z, n)
-        assert len(points) > 1000
+        points = [p for phi, pi0 in calls for p in zip(pi0.tolist(), phi.tolist())]
+        assert len(points) > 300
         assert len(points) == len(set(points))
 
     def test_iteration_cap_fails_both_ways(self, monkeypatch):
         z, n = _contaminated(212, 0.01, seed=6)
         fit = fit_empirical_null(z, n)
-        monkeypatch.setattr(empirical_null, "nelder_mead_lockstep",
-                            functools.partial(numerics.nelder_mead_lockstep, max_iter=1))
+        assert fit.converged.all() and fit.iterations.min() > 2
+        # a capped column is not converged, and the fit keeps the others
+        cap = int(np.median(fit.iterations))
+        monkeypatch.setattr(empirical_null, "_MAX_SCORE_CALLS", cap)
+        capped = fit_empirical_null(z, n)
+        assert capped.iterations.tolist() == np.minimum(fit.iterations, cap).tolist()
+        assert capped.converged.tolist() == (fit.iterations <= cap).tolist()
+        assert 0 < capped.converged.sum() < fit.converged.sum()
+        # with none converged, the fit and a one-point fit both raise
+        monkeypatch.setattr(empirical_null, "_MAX_SCORE_CALLS", 2)
         with pytest.raises(ConvergenceError):
             fit_empirical_null(z, n)
         with pytest.raises(ConvergenceError):
-            _per_grid_fit(z, n, EnConfig(), fit, max_iter=1)
-
-    def test_not_finite_at_init_is_an_input_error(self, monkeypatch):
-        # no likelihood at pi0 = 1 already at the starting phi
-        z, n = _contaminated(212, 0.01, seed=6)
-        fit = fit_empirical_null(z, n)
-        kernel = _kernels.neg_null_loglik_u
-
-        def no_mass_at_one(u, pi0, *data):
-            return np.where(np.asarray(pi0) == 1.0, np.nan, kernel(u, pi0, *data))
-
-        monkeypatch.setattr(_kernels, "neg_null_loglik_u", no_mass_at_one)
-        with pytest.raises(InputError, match="not finite at init"):
-            fit_empirical_null(z, n)
-        with pytest.raises(InputError, match="not finite at init"):
-            _per_grid_fit(z, n, EnConfig(), fit)
+            _one_point_fit(z, n, EnConfig(), fit.pi0_hat)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_record_explains_the_estimate(self, seed):
@@ -352,12 +334,73 @@ class TestLockstepFit:
         cfg = EnConfig()
         fit = fit_empirical_null(z, n, cfg)
         profile = fit.profile_loglik
-        assert profile.shape == fit.nm_iterations.shape == fit.nm_converged.shape \
+        assert profile.shape == fit.iterations.shape == fit.converged.shape \
             == cfg.pi0_grid().shape
         # ties go to the larger pi0
         assert fit.pi0_hat == cfg.pi0_grid()[np.flatnonzero(profile == profile.max())[-1]]
         assert fit.loglik == profile.max()
-        assert np.all(fit.nm_iterations >= 1) and fit.nm_converged.any()
+        assert np.all(fit.iterations >= 1) and fit.converged.any()
+
+
+def _mp_score(phi, pi0, z, sizes, in_null, b_upper):
+    """The phi-score of the truncated-mixture log-likelihood, term by term at
+    40 significant digits from the same float64 inputs."""
+    with mpmath.workdps(40):
+        phi, pi0 = mpmath.mpf(phi), mpmath.mpf(pi0)
+        acc = mpmath.mpf(0)
+        for zi, ni, inside, bi in zip(z.tolist(), sizes.tolist(), in_null.tolist(),
+                                      b_upper.tolist()):
+            ni = mpmath.mpf(ni)
+            v = 1 + phi * ni
+            if inside:
+                acc += ni * (mpmath.mpf(zi) ** 2 / v - 1) / (2 * v)
+            else:
+                b = mpmath.mpf(bi) / mpmath.sqrt(v)
+                pdf = mpmath.exp(-b * b / 2) / mpmath.sqrt(2 * mpmath.pi)
+                acc += pi0 * pdf * b * ni / v / (1 - pi0 * mpmath.erf(b / mpmath.sqrt(2)))
+        return acc
+
+
+class TestScoreRoots:
+    """The roots against the profiles of the Nelder-Mead fit they replaced,
+    recorded in fixtures/nelder_mead_profiles.json, and against a 40-digit
+    score."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads((FIXTURES / "nelder_mead_profiles.json").read_text())["fits"]
+
+    @pytest.mark.parametrize("k", range(len(PROFILE_CORPUS)))
+    def test_profiles_reach_the_nelder_mead_fit(self, k, recorded):
+        n_centers, q, outliers = PROFILE_CORPUS[k]
+        record = recorded[k]
+        assert (record["n_centers"], record["q_percent"], record["outliers"]) \
+            == (n_centers, q, outliers)
+        z, n = _corpus_inputs(k)
+        fit = fit_empirical_null(z, n, EnConfig(q_percent=q))
+        assert fit.converged.all()
+        assert np.all(fit.profile_loglik >= np.array(record["profile_loglik"]) - 1e-10)
+        assert fit.pi0_hat == record["pi0_hat"]
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 9, 13, 15, 21])
+    def test_roots_zero_the_score(self, k):
+        z, n = _corpus_inputs(k)
+        fit = fit_empirical_null(z, n, EnConfig(q_percent=PROFILE_CORPUS[k][1]))
+        data = (fit.pi0_hat, z, n, fit.null_set, fit.interval_bounds[:, 1])
+        if fit.phi_hat == 0.0:
+            assert _mp_score(0.0, *data) <= 0
+        else:
+            # the score changes sign within 1e-9 of phi_hat, relative
+            assert _mp_score(fit.phi_hat * (1.0 - 1e-9), *data) > 0 \
+                >= _mp_score(fit.phi_hat * (1.0 + 1e-9), *data)
+
+
+def _two_sizes(phi, seed):
+    """300 centers, nine in ten of size 5,000 to 20,000 and the rest of size
+    10 to 50, with scores of variance 1 + phi*n."""
+    rng = np.random.default_rng(seed)
+    n = np.where(rng.random(300) < 0.9, rng.uniform(5e3, 2e4, 300), rng.uniform(10, 50, 300))
+    return rng.normal(0.0, np.sqrt(1.0 + phi * n)), n
 
 
 def _golden_max(f, lo, hi, iterations=80):
@@ -377,10 +420,27 @@ def _golden_max(f, lo, hi, iterations=80):
     return best
 
 
+def _scan_profile(z, n, fit, grid):
+    """Each grid point's maximum log-likelihood from a scan of u = log(phi +
+    1e-8) over [-25, 5] refined by golden-section search, through the
+    likelihood kernel but not through the root search."""
+    arrays = _kernels.FitArrays(z, n, fit.null_set, fit.interval_bounds[:, 1])
+
+    def loglik(u, pi0):
+        return -_kernels.neg_null_loglik_u(u, pi0, arrays)
+
+    scan = np.linspace(-25.0, 5.0, 2401)
+    values = loglik(np.tile(scan, grid.size),
+                    np.repeat(grid, scan.size)).reshape(grid.size, scan.size)
+    at = np.argmax(values, axis=1)
+    du = scan[1] - scan[0]
+    refined = _golden_max(lambda u: loglik(u, grid), scan[at] - du, scan[at] + du)
+    return np.maximum(values.max(axis=1), refined)
+
+
 class TestProfileOracle:
     """Each grid point's profile log-likelihood against a dense scan of u
-    over [-25, 5] refined by golden-section search, through the same
-    kernel but not through Nelder-Mead."""
+    over [-25, 5] refined by golden-section search."""
 
     @pytest.mark.parametrize("n_centers", [50, 212])
     @pytest.mark.parametrize("outliers", [0.0, 0.1])
@@ -391,21 +451,35 @@ class TestProfileOracle:
         k = int(outliers * n_centers)
         z[:k] += rng.choice([-1.0, 1.0], k) * 1.5 * np.sqrt(n[:k])
         fit = fit_empirical_null(z, n)
-        grid = EnConfig().pi0_grid()
-        arrays = _kernels.FitArrays(z, n, fit.null_set, fit.interval_bounds[:, 1])
-
-        def loglik(u, pi0):
-            return -_kernels.neg_null_loglik_u(u, pi0, arrays)
-
-        scan = np.linspace(-25.0, 5.0, 2401)
-        values = loglik(np.tile(scan, grid.size),
-                        np.repeat(grid, scan.size)).reshape(grid.size, scan.size)
-        at = np.argmax(values, axis=1)
-        du = scan[1] - scan[0]
-        refined = _golden_max(lambda u: loglik(u, grid), scan[at] - du, scan[at] + du)
-        oracle = np.maximum(values.max(axis=1), refined)
+        oracle = _scan_profile(z, n, fit, EnConfig().pi0_grid())
         assert np.all(np.isfinite(oracle))
-        assert np.max(np.abs(fit.profile_loglik - oracle)) <= 1e-9
+        assert np.max(np.abs(fit.profile_loglik - oracle)) <= 1e-11
+
+    @pytest.mark.parametrize("phi,seed,score_at_zero", [(0.002, 3, math.inf),
+                                                        (0.05, 1, math.nan)])
+    def test_pi0_one_where_one_minus_q_underflows(self, phi, seed, score_at_zero,
+                                                  monkeypatch):
+        # at pi0 = 1 and phi = 0, 1 - Q of the largest out-of-interval
+        # centers rounds to 0: the log-likelihood is -inf and its score +inf,
+        # or 0/0 where the normal density underflows too
+        z, n = _two_sizes(phi, seed)
+        calls = _recording(monkeypatch, "null_score_core")
+        fit = fit_empirical_null(z, n)
+        # the pi0 = 1 column went down from phi_init and checked phi = 0
+        at_one = [(x, p) for xs, ps in calls for x, p in zip(xs.tolist(), ps.tolist())
+                  if p == 1.0]
+        assert at_one[1][0] == 0.0 < at_one[0][0] == fit.phi_init
+        arrays = _kernels.FitArrays(z, n, fit.null_set, fit.interval_bounds[:, 1])
+        one, zero = np.array([1.0]), np.array([0.0])
+        at_zero = _kernels.null_score_core(zero, one, arrays)[0]
+        assert at_zero == score_at_zero or (math.isnan(at_zero) and math.isnan(score_at_zero))
+        assert _kernels.null_loglik_core(zero, one, arrays)[0] == -math.inf
+        grid = EnConfig().pi0_grid()
+        assert fit.converged[-1] and math.isfinite(fit.profile_loglik[-1])
+        assert abs(fit.profile_loglik[-1] - _scan_profile(z, n, fit, grid[-1:])[0]) <= 1e-11
+        if score_at_zero == math.inf:
+            # the pi0 = 1 column has the largest profile
+            assert fit.pi0_hat == 1.0
 
 
 class TestZEmpiricalNull:
@@ -547,7 +621,6 @@ class TestEnConfig:
         rng = np.random.default_rng(65)
         n = _sizes(rng)
         z = rng.normal(0.0, np.sqrt(1.0 + 0.1 * n))
-        monkeypatch.setattr(empirical_null, "nelder_mead_lockstep",
-                            functools.partial(numerics.nelder_mead_lockstep, max_iter=1))
+        monkeypatch.setattr(empirical_null, "_MAX_SCORE_CALLS", 1)
         with pytest.raises(ConvergenceError):
             fit_empirical_null(z, n)

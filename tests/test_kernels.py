@@ -1,7 +1,7 @@
 """The numpy kernels against independent references: a 40-digit mpmath
-evaluation of the truncated likelihood, the one-column-at-a-time loop the
-batched likelihood replaced, and the fixed-point conditions of the biweight
-IRLS."""
+evaluation of the truncated likelihood, a central difference of it for the
+score, a one-column-at-a-time loop for the bits of batched calls, and the
+fixed-point conditions of the biweight IRLS."""
 
 import math
 
@@ -59,27 +59,46 @@ def test_neg_loglik_u_matches_mpmath():
     assert _kernels.neg_null_loglik_u(np.array([800.0]), np.array([0.9]), fit)[0] == math.inf
 
 
-def _one_column_neg_loglik_u(u, pi0, z, sizes, in_null, b_upper):
-    """The likelihood kernel as it was before batching, one (u, pi0) column
-    per call: the bits every column of a batched call must keep."""
-    if u > 690.0:
-        return math.inf
-    phi = max(0.0, math.exp(u) - _kernels.EPS_PHI)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("phi,pi0", [(0.001, 0.95), (0.05, 0.9), (0.15, 1.0), (0.3, 0.8),
+                                     (2.0, 0.995)])
+def test_score_matches_central_difference(seed, phi, pi0):
+    z, n, in_null, b = _random_problem(seed)
+    bounds = list(zip((-b).tolist(), b.tolist()))
+
+    def loglik(x):
+        return profile_null.null_loglik(x, pi0, z, n, in_null, bounds)
+
+    h = 1e-4 * phi
+    diff = (loglik(phi + h) - loglik(phi - h)) / (2.0 * h)
+    got = _kernels.null_score_core(np.array([phi]), np.array([pi0]),
+                                   _kernels.FitArrays(z, n, in_null, b))[0]
+    # the difference's rounding error is about 1e-16 |loglik| / h
+    assert got == pytest.approx(diff, rel=1e-6, abs=1e-14 * abs(loglik(phi)) / h)
+
+
+def _one_column(phi, pi0, z, sizes, in_null, b_upper):
+    """The log-likelihood and its phi-score of one (phi, pi0) column, with
+    the operations in the kernels' order: the bits every column of a
+    batched call must keep."""
     v = 1.0 + phi * sizes
     out = ~in_null
-    acc = 0.0
+    ll = score = 0.0
     if in_null.any():
-        zi, vi = z[in_null], v[in_null]
-        acc += float(np.sum(math.log(pi0) - 0.5 * (math.log(2.0 * math.pi) + np.log(vi))
-                            - 0.5 * zi * zi / vi))
+        zi, si, vi = z[in_null], sizes[in_null], v[in_null]
+        ll += float(np.sum(math.log(pi0) - 0.5 * (np.log(vi) + math.log(2.0 * math.pi))
+                           - 0.5 * zi * zi / vi))
+        score += float(np.sum((0.5 * zi * zi / vi - 0.5) * si / vi))
     if out.any():
-        arg = b_upper[out] / np.sqrt(v[out]) * (1.0 / math.sqrt(2.0))
-        q = 1.0 - np.frompyfunc(math.erfc, 1, 1)(arg).astype(np.float64)
-        t = 1.0 - pi0 * q
-        if np.any(t <= 0.0):
-            return math.inf
-        acc += float(np.sum(np.log(t)))
-    return -acc
+        so, vo = sizes[out], v[out]
+        b = b_upper[out] / np.sqrt(vo)
+        q = 1.0 - np.frompyfunc(math.erfc, 1, 1)(b * (1.0 / math.sqrt(2.0))).astype(np.float64)
+        t = 1.0 - q * pi0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ll = -math.inf if np.any(t <= 0.0) else ll + float(np.sum(np.log(t)))
+            score += float(np.sum(np.exp(b * b * -0.5) * b * so / vo
+                                  * (pi0 * (1.0 / math.sqrt(2.0 * math.pi))) / t))
+    return ll, score
 
 
 @pytest.mark.parametrize("n_centers", [12, 212, 5000])
@@ -88,40 +107,28 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     n = rng.exponential(400.0, n_centers)
     z = rng.normal(0.0, np.sqrt(1.0 + 0.14 * n))
     # wide bounds on a few centers make Q = 1, so pi0 = 1 has no likelihood
+    # and the score of its column is +inf or 0/0
     b = np.where(np.arange(n_centers) < 2, 60.0, 1.645 * np.sqrt(1.0 + 0.1 * n))
     z[:2] = 70.0
     in_null = np.abs(z) <= b
-    u = rng.normal(-3.0, 3.0, 30)
-    u[5:12] = u[0]          # columns sharing a phi
-    u[12] = -40.0           # phi clamped to 0
-    u[13] = 800.0           # exp(u) overflows
+    phi = np.exp(rng.normal(-3.0, 3.0, 30))
+    phi[5:12] = phi[0]      # columns sharing a phi
+    phi[12:14] = 0.0
     pi0 = rng.choice(np.linspace(0.8, 1.0, 41), 30)
-    pi0[[0, 7]] = 1.0
-    want = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
-            for x, p in zip(u, pi0)]
-    want_reversed = [_one_column_neg_loglik_u(float(x), float(p), z, n, in_null, b)
-                     for x, p in zip(u[::-1], pi0)]
-    n_out = int(np.sum(~in_null))
-    full = _kernels._ERFC_ROW_ELEMENTS
+    pi0[[0, 7, 12]] = 1.0
+    want = [_one_column(float(x), float(p), z, n, in_null, b) for x, p in zip(phi, pi0)]
+    want_ll, want_score = ([w[i] for w in want] for i in (0, 1))
+    assert want_ll[0] == -math.inf and not math.isfinite(want_score[0])
     # blocks of the default size, of one column and of all columns
-    for block in (_kernels._BLOCK_ELEMENTS, 1, u.size * n_centers):
+    for block in (_kernels._BLOCK_ELEMENTS, 1, phi.size * n_centers):
         monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
-        got = _kernels.neg_null_loglik_u(u, pi0, _kernels.FitArrays(z, n, in_null, b))
-        assert got.tolist() == want
-        assert got[0] == math.inf and got[13] == math.inf
-        # one erfc row store through two calls: the second call finds the
-        # rows of the first, in reverse order and under other pi0; then again
-        # with a store of 3 rows, so the oldest are dropped in every block
-        for budget in (full, 3 * n_out):
-            monkeypatch.setattr(_kernels, "_ERFC_ROW_ELEMENTS", budget)
-            fit = _kernels.FitArrays(z, n, in_null, b)
-            first = _kernels.neg_null_loglik_u(u, pi0, fit)
-            again = _kernels.neg_null_loglik_u(u[::-1], pi0, fit)
-            assert first.tolist() == want and again.tolist() == want_reversed
-            assert 0 < len(fit.slot) * n_out <= budget
+        fit = _kernels.FitArrays(z, n, in_null, b)
+        assert _kernels.null_loglik_core(phi, pi0, fit).tolist() == want_ll
+        got = _kernels.null_score_core(phi, pi0, fit)
+        assert np.array_equal(got, want_score, equal_nan=True)
         # a column alone in its call keeps the same bits
-        one = _kernels.neg_null_loglik_u(u[3:4], pi0[3:4], _kernels.FitArrays(z, n, in_null, b))
-        assert one.tolist() == [want[3]]
+        one = _kernels.null_score_core(phi[3:4], pi0[3:4], fit)
+        assert one.tolist() == [want_score[3]]
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -57,6 +57,24 @@ class TestCenterTable:
         assert len(t) == 3
         assert t.row_ids(1) == ("A", "SAR")
 
+    def test_interleaved_repeated_ids(self):
+        # ids that come back after others, that sort in another order than
+        # they appear, and that differ only by a trailing NUL, which a numpy
+        # unicode array would drop
+        ids = ["b", "a\x00", "B", "a", "b", "ä", "a\x00", "B", "a", "ä"]
+        # each id first with TRR, then with SAR
+        t = _table([(c, "TRR", 2, 4, 4) if c not in ids[:k] else (c, "SAR", 2, 4, 1)
+                    for k, c in enumerate(ids)])
+        assert t.center_ids == ("b", "a\x00", "B", "a", "ä")
+        assert all(type(c) is str for c in t.center_ids)
+        assert t.center.tolist() == [0, 1, 2, 3, 0, 4, 1, 2, 3, 4]
+        assert [t.row_ids(i)[0] for i in range(len(t))] == ids
+        # the first row that repeats an earlier (center, measure) is named
+        with pytest.raises(InputError, match=r"row 8 \(center 'a\\x00', measure 'TRR'\): "
+                                             "duplicate"):
+            _table([(c, "TRR", 2, 4, 4) for c in ids[:4]]
+                   + [(c, "SAR", 2, 4, 1) for c in ids[:3]] + [("a\x00", "TRR", 2, 4, 4)])
+
     @pytest.mark.parametrize("rows,match", [
         ([("A", "TRR", 5, 4, 4), ("A", "XYZ", 5, 4, 4)], "row 2 .*'XYZ'.*not declared"),
         ([("A", "TRR", 5, 4, 4), ("B", "TRR", 5, 4, 4), ("A", "TRR", 6, 4, 4)],

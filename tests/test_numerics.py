@@ -1,4 +1,4 @@
-"""Normal distribution functions, the 1-d minimizers, and robust estimation."""
+"""Normal distribution functions, the 1-d minimizer, and robust estimation."""
 
 import math
 
@@ -14,7 +14,6 @@ from profile_null import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from profile_null.numerics import nelder_mead_lockstep
 
 
 def _cdf_oracle(x: float) -> float:
@@ -143,99 +142,6 @@ class TestNelderMead:
         res = nelder_mead_minimize(lambda x: -x, 0.0, max_iter=50)
         assert not res.converged
         assert res.iterations == 50
-
-
-def _one_column_nelder_mead(objective, init, tol=1e-8, max_iter=500, step=0.5,
-                            xtol=1e-6):
-    """The scalar Nelder-Mead loop the lockstep minimizer replaced: the
-    choices and points each of its columns must reproduce."""
-
-    def f(x):
-        val = objective(x)
-        return math.inf if math.isnan(val) else val
-
-    fa = f(init)
-    if not math.isfinite(fa):
-        raise InputError("objective is not finite at init")
-    a, b = init, init + step
-    fb = f(b)
-    if fb < fa:
-        a, b, fa, fb = b, a, fb, fa
-    iterations, converged = 0, False
-    while iterations < max_iter:
-        iterations += 1
-        if abs(fa - fb) < tol and abs(b - a) < xtol:
-            converged = True
-            break
-        xr = 2.0 * a - b
-        fr = f(xr)
-        if fr < fa:
-            xe = 3.0 * a - 2.0 * b
-            fe = f(xe)
-            b, fb = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fb:
-            b, fb = xr, fr
-        else:
-            b = 0.5 * (a + b)
-            fb = f(b)
-        if fb < fa:
-            a, b, fa, fb = b, a, fb, fa
-    return a, fa, iterations, converged
-
-
-class TestNelderMeadLockstep:
-    # (objective, init): columns that stop at different iterations, one that
-    # never converges, and two whose objective is NaN or inf away from init
-    COLUMNS = [
-        (lambda x: (x - 3.0) ** 2, 0.0),
-        (lambda x: 50.0 * (x + 1.0) ** 2, 4.0),
-        (lambda x: abs(x) + 0.1 * x * x, 5.0),
-        (lambda x: -x, 0.0),
-        (lambda x: math.nan if x > 1.2 else x * x - 2.0 * x, 0.5),
-        (lambda x: math.inf if x < -0.5 else (x + 0.3) ** 2, 0.0),
-        (lambda x: math.cos(x) + 0.01 * x * x, 1.0),
-        (lambda x: (x - 3.0) ** 2, 0.0),
-    ]
-
-    def test_columns_match_their_own_runs(self):
-        calls, points = [], []
-
-        def objective(x, columns):
-            calls.append(len(columns))
-            points.extend(zip(columns.tolist(), x.tolist()))
-            return [self.COLUMNS[c][0](float(xi)) for xi, c in zip(x, columns)]
-
-        res = nelder_mead_lockstep(objective, [init for _, init in self.COLUMNS],
-                                   max_iter=60)
-        assert len(set(res.iterations.tolist())) >= 4
-        assert res.iterations[3] == 60 and not res.converged[3]
-        assert res.converged.sum() == len(self.COLUMNS) - 1
-        for k, (fn, init) in enumerate(self.COLUMNS):
-            one = nelder_mead_minimize(fn, init, max_iter=60)
-            got = (float(res.argmin[k]), float(res.min_value[k]),
-                   int(res.iterations[k]), bool(res.converged[k]))
-            assert got == (one.argmin, one.min_value, one.iterations, one.converged)
-            assert got == _one_column_nelder_mead(fn, init, max_iter=60)
-        # two calls to start, then at most two per step for the whole batch
-        assert len(calls) <= 2 + 2 * 60
-        # and no column is evaluated twice at one point
-        assert len(set(points)) == len(points)
-
-    def test_non_finite_at_init_names_the_column(self):
-        with pytest.raises(InputError, match="column 1"):
-            nelder_mead_lockstep(
-                lambda x, cols: np.where(cols == 1, np.nan, x * x), [0.0, 0.0, 0.0])
-
-    @pytest.mark.parametrize("max_iter", [0, 1, 2])
-    def test_iteration_cap(self, max_iter):
-        fns = [lambda x: (x - 3.0) ** 2, lambda x: -x]
-        res = nelder_mead_lockstep(
-            lambda x, cols: [fns[c](float(xi)) for xi, c in zip(x, cols)],
-            [0.0, 0.0], max_iter=max_iter)
-        for k, fn in enumerate(fns):
-            assert (float(res.argmin[k]), float(res.min_value[k]), int(res.iterations[k]),
-                    bool(res.converged[k])) == _one_column_nelder_mead(fn, 0.0,
-                                                                       max_iter=max_iter)
 
 
 class TestRobustInterceptScale:
