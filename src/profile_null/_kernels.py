@@ -1,19 +1,25 @@
-"""Hot numeric kernels in numpy: the truncated likelihood and its
-phi-score, and the Tukey biweight IRLS.
+"""Hot numeric kernels in numpy: the truncated likelihood, its phi-score
+and curvature, and the Tukey biweight IRLS.
 
 Both sit inside the Monte Carlo loops and dominate runtime. The likelihood
 and score kernels take equal-length 1-d arrays of phi and pi0, one column
-per pair, and return one value per column, so the empirical-null fit makes
-one score call per step of its root search for its whole pi0 grid, and one
-likelihood call at the roots. A column's value has the same bits whatever
-else shares its call: ``math.log(pi0)`` and pi0 enter each term
-elementwise, every other term is an elementwise ufunc or ``math.erfc``, and
-each column is summed by one pairwise ``np.sum`` over a row of a
-C-contiguous block, as the one-dimensional sum of a single column would be.
+per pair, and return one value per column (the score kernel two: the score
+and the curvature), so the empirical-null fit makes one score call per step
+of its root search for its whole pi0 grid, and one likelihood call at the
+roots. A column's value has the same bits whatever else shares its call:
+``math.log(pi0)`` and pi0 enter each term elementwise, every other term is
+an elementwise ufunc or ``math.erfc``, and each column is summed by one
+pairwise ``np.sum`` over a row of a C-contiguous block, as the
+one-dimensional sum of a single column would be.
 
 A fit builds its ``FitArrays`` once and passes it to all its calls. The
 out-of-interval ``math.erfc``, one per element, is the costliest term of
-both kernels; the score adds one ``np.exp`` per element beside it.
+both kernels; the score adds one ``np.exp`` per element beside it. Both
+depend on phi alone, so a call computes them, with the other
+out-of-interval terms free of pi0, once per distinct phi among its
+columns: the first step of a fit puts every column at one phi. The cheap
+in-interval terms are computed per column, which keeps a call's
+temporaries to two rows of in-interval centers per column.
 
 The empirical null fit reads ``null_score_core`` and ``null_loglik_core``
 and the robust scale reads ``biweight_irls`` from this module at call time,
@@ -70,23 +76,47 @@ class FitArrays:
 
 
 def _blocks(phi, pi0, fit):
-    """Split the columns into blocks of at most about ``_BLOCK_ELEMENTS``
-    (column, center) elements. Yield for each its slice, v = 1 + phi*n of
-    the in-interval centers, and v, b = B / sqrt(v) and 1 - pi0*Q of the
-    out-of-interval centers, one row per column; Q = 1 - erfc(b / sqrt 2)
-    is the null probability of (-B, B)."""
+    """Split the distinct values of phi into blocks of at most about
+    ``_BLOCK_ELEMENTS`` (value, center) elements. Yield for each block v =
+    1 + phi*n and b = B / sqrt(v) of the out-of-interval centers, one row per
+    distinct phi, and its chunks.
+
+    A chunk is at most as many of the columns whose phi lies in the block:
+    their indices, the row of each, v of the in-interval centers and 1 -
+    pi0*Q of the out-of-interval centers, one row per column. Q = 1 -
+    erfc(b / sqrt 2) is the null probability of (-B, B), computed once per
+    distinct phi.
+    """
+    # the columns of each distinct phi, in order of first appearance. A dict
+    # and not np.unique: the fit sorts nothing else, and numpy's first sort
+    # in a process adds about 0.3 MiB to its resident set
+    groups = {}
+    for k, x in enumerate(phi.tolist()):
+        groups.setdefault(x, []).append(k)
+    values, members = np.array(list(groups)), list(groups.values())
     per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-    for start in range(0, phi.size, per_block):
-        block = slice(start, start + per_block)
-        vi = np.multiply(phi[block, None], fit.si)
-        vi += 1.0
-        vo = np.multiply(phi[block, None], fit.so)
+    for start in range(0, values.size, per_block):
+        vo = np.multiply(values[start:start + per_block, None], fit.so)
         vo += 1.0
         b = fit.bo / np.sqrt(vo)
-        t = 1.0 - _erfc(b * _INV_SQRT2)
-        t *= pi0[block, None]
+        q = 1.0 - _erfc(b * _INV_SQRT2)
+        block = members[start:start + per_block]
+        yield vo, b, _chunks(np.array([k for g in block for k in g]),
+                             np.repeat(np.arange(len(block)), [len(g) for g in block]),
+                             phi, pi0, q, fit, per_block)
+
+
+def _chunks(columns, rows, phi, pi0, q, fit, per_block):
+    """The chunks of one block of ``_blocks``: ``columns`` take the block's
+    rows ``rows``."""
+    for k in range(0, columns.size, per_block):
+        cols, r = columns[k:k + per_block], rows[k:k + per_block]
+        vi = np.multiply(phi[cols, None], fit.si)
+        vi += 1.0
+        t = q[r]
+        t *= pi0[cols, None]
         np.subtract(1.0, t, out=t)
-        yield block, vi, vo, b, t
+        yield cols, r, vi, t
 
 
 def null_loglik_core(phi, pi0, fit):
@@ -99,50 +129,77 @@ def null_loglik_core(phi, pi0, fit):
     """
     log_pi0 = np.array([math.log(p) for p in pi0.tolist()])[:, None]
     ll = np.zeros(phi.size)
-    for block, v, _, _, t in _blocks(phi, pi0, fit):
-        # log pi0 - 0.5 * (log 2pi + log v) - (z^2 / 2) / v
-        u = np.log(v)
-        u += _LOG_2PI
-        u *= 0.5
-        np.subtract(log_pi0[block], u, out=u)
-        np.divide(fit.half_z2, v, out=v)
-        u -= v
-        # log(1 - pi0 * Q): 0 <= pi0 * Q <= 1, so a column with a 0 sums to -inf
-        with np.errstate(divide="ignore"):
-            np.log(t, out=t)
-        ll[block] = np.sum(u, axis=1) + np.sum(t, axis=1)
+    for _, _, chunks in _blocks(phi, pi0, fit):
+        for cols, _, v, t in chunks:
+            # log pi0 - 0.5 * (log 2pi + log v) - (z^2 / 2) / v
+            u = np.log(v)
+            u += _LOG_2PI
+            u *= 0.5
+            np.subtract(log_pi0[cols], u, out=u)
+            np.divide(fit.half_z2, v, out=v)
+            u -= v
+            # log(1 - pi0 * Q): 0 <= pi0 * Q <= 1, so a column with a 0 sums
+            # to -inf
+            with np.errstate(divide="ignore"):
+                np.log(t, out=t)
+            ll[cols] = np.sum(u, axis=1) + np.sum(t, axis=1)
     return ll
 
 
 def null_score_core(phi, pi0, fit):
-    """The phi-derivative of ``null_loglik_core`` for each column (phi[k],
-    pi0[k]), with the same arguments:
+    """The first and second phi-derivatives of ``null_loglik_core`` for each
+    column (phi[k], pi0[k]), with the same arguments; returns (score,
+    curvature). With h = pi0 pdf(b) b n / v / (1 - pi0 Q), the out-of-interval
+    term of the score:
 
-        sum_in  n (z^2/v - 1) / (2 v)
-        + sum_out pi0 pdf(b) b n / v / (1 - pi0 Q)
+        score     = sum_in  n (z^2/v - 1) / (2 v)          + sum_out h
+        curvature = sum_in  n^2 (1/2 - z^2/v) / v^2
+                  + sum_out h (n (b^2 - 3) / (2 v) - h)
 
     A column where some 1 - pi0*Q is 0, whose log-likelihood is -inf, has a
-    score of +inf or NaN.
+    score of +inf or NaN and a curvature that is not finite.
     """
-    score = np.zeros(phi.size)
-    for block, vi, vo, b, t in _blocks(phi, pi0, fit):
-        # n ((z^2 / 2) / v - 1/2) / v
-        u = np.divide(fit.half_z2, vi)
-        u -= 0.5
-        u *= fit.si
-        u /= vi
-        # pi0 pdf(b) b n / v / (1 - pi0 Q)
+    score, curvature = np.zeros(phi.size), np.zeros(phi.size)
+    for vo, b, chunks in _blocks(phi, pi0, fit):
+        # one row per distinct phi: pdf(b) b n / v, and n (b^2 - 3) / (2 v)
+        # in place of b
         e = np.multiply(b, b)
         e *= -0.5
         np.exp(e, out=e)
         e *= b
         e *= fit.so
         e /= vo
-        e *= pi0[block, None] * _INV_SQRT_2PI
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e /= t
-        score[block] = np.sum(u, axis=1) + np.sum(e, axis=1)
-    return score
+        g = np.multiply(b, b, out=b)
+        g -= 3.0
+        g *= fit.so
+        g /= vo
+        g *= 0.5
+        for cols, r, vi, t in chunks:
+            # n ((z^2 / 2) / v - 1/2) / v
+            u = np.divide(fit.half_z2, vi)
+            u -= 0.5
+            u *= fit.si
+            u /= vi
+            score_in = np.sum(u, axis=1)
+            # (1/2 - z^2 / v) (n / v)^2
+            np.divide(fit.half_z2, vi, out=u)
+            u *= -2.0
+            u += 0.5
+            np.divide(fit.si, vi, out=vi)
+            u *= vi
+            u *= vi
+            curvature_in = np.sum(u, axis=1)
+            # h = pi0 pdf(b) b n / v / (1 - pi0 Q), and h (n (b^2 - 3) / (2 v) - h)
+            h = e[r]
+            h *= pi0[cols, None] * _INV_SQRT_2PI
+            k = g[r]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                h /= t
+                k -= h
+                k *= h
+            score[cols] = score_in + np.sum(h, axis=1)
+            curvature[cols] = curvature_in + np.sum(k, axis=1)
+    return score, curvature
 
 
 def neg_null_loglik_u(u, pi0, fit):

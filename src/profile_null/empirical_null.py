@@ -7,10 +7,11 @@ where n is the effective center size. The non-null density is unspecified
 but supported outside a per-center interval [-B_i, B_i], which makes
 (phi, pi0) identifiable from center-level statistics alone.
 
-For a fixed pi0 the log-likelihood is smooth in phi, and its phi-score has
-a closed form (``_kernels.null_score_core``). The fit takes each pi0 grid
-point's phi at the root of that score, found by a bracketed Illinois
-regula falsi that moves the whole grid in lockstep, and the profile
+For a fixed pi0 the log-likelihood is smooth in phi, and its phi-score and
+curvature have closed forms (``_kernels.null_score_core``). The fit takes
+each pi0 grid point's phi at the root of that score, found by Newton steps
+kept inside a bracket, with Illinois regula falsi where a Newton step
+would leave it, moving the whole grid in lockstep; and the profile
 log-likelihood at the roots.
 """
 
@@ -155,51 +156,71 @@ def null_loglik(
 
 
 def _score_roots(score, phi_init: float, step: float, m: int):
-    """The root phi >= 0 of each of m columns' score, ``score(phi, columns)``
-    evaluated for all open columns in one call per step; also the score
-    evaluations of each column and whether it converged.
+    """The root phi >= 0 of each of m columns' score, ``score(phi,
+    columns)`` returning the score and its phi-derivative for all open
+    columns in one call per step; also the score evaluations of each column
+    and whether it converged.
 
-    A column starts at ``phi_init``. A positive score there grows the
-    bracket upward, to 2 phi + ``step``, until the score is not positive.
-    Otherwise a score at 0 that is not positive makes 0 the root. Illinois
-    regula falsi (Dowell & Jarratt 1971), with a bisection step where it
-    cannot interpolate, then narrows the bracket [lo, hi], score(lo) > 0 >=
-    score(hi), to a width of ``_PHI_RTOL * hi`` and takes hi. A NaN or +inf
-    score counts as positive: where 1 - pi0*Q underflows, the
-    log-likelihood is -inf and its score 0/0 or +inf.
+    Each column keeps a bracket [lo, hi], score(lo) > 0 >= score(hi), whose
+    ends may still be missing, and its next point is a Newton step x -
+    score/derivative (Press et al., Numerical Recipes, 3rd ed., 9.4) where
+    the derivative is negative and the step lands strictly inside the
+    bracket, taken from 0 while lo is missing. Otherwise: with no hi yet the
+    bracket grows upward, to 2 lo + ``step``; with no lo yet the column
+    tries phi = 0, and a score there that is not positive makes 0 the root;
+    with both ends, Illinois regula falsi (Dowell & Jarratt 1971), with a
+    bisection step where it cannot interpolate. A column starts at
+    ``phi_init``. It stops at the point it evaluated when its Newton step
+    is at most ``_PHI_RTOL`` times that point, or at hi when the bracket is
+    narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts as
+    positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
+    its score 0/0 or +inf.
     """
     # lo < 0: no positive score yet; hi = inf: no score that is not positive
     lo, hi = np.full(m, -1.0), np.full(m, np.inf)
     f_lo, f_hi = np.zeros(m), np.zeros(m)
     # the end the last interpolation replaced: 1 for lo, -1 for hi
     last = np.zeros(m, dtype=np.int8)
+    # whether the next point is a Newton step, which is no interpolation
+    newton = np.zeros(m, dtype=np.bool_)
     calls = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=np.bool_)
+    root = np.zeros(m)
     x, open_ = np.full(m, phi_init), np.arange(m)
     while open_.size:
-        f = score(x[open_], open_)
+        at = x[open_]
+        f, df = score(at, open_)
         calls[open_] += 1
         pos = ~(f <= 0.0)
         # Illinois: an end kept by two interpolations in a row has its score
         # halved
-        side = np.where((lo[open_] >= 0.0) & (hi[open_] < np.inf), np.where(pos, 1, -1), 0)
+        side = np.where((lo[open_] >= 0.0) & (hi[open_] < np.inf) & ~newton[open_],
+                        np.where(pos, 1, -1), 0)
         f_hi[open_[(side == 1) & (last[open_] == 1)]] *= 0.5
         f_lo[open_[(side == -1) & (last[open_] == -1)]] *= 0.5
         last[open_] = side
         up, down = open_[pos], open_[~pos]
-        lo[up], f_lo[up] = x[up], f[pos]
-        hi[down], f_hi[down] = x[down], f[~pos]
+        lo[up], f_lo[up] = at[pos], f[pos]
+        hi[down], f_hi[down] = at[~pos], f[~pos]
 
         a, b, fa, fb = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
-        done = (b == 0.0) | ((a >= 0.0) & (b < np.inf)
-                             & ((fb == 0.0) | (b - a <= _PHI_RTOL * b)))
-        converged[open_[done]] = True
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d = f / df
             c = b - fb * (b - a) / (fb - fa)
+        target = at - d
+        tangent = df < 0.0
+        stop = tangent & (np.abs(d) <= _PHI_RTOL * at)
+        done = stop | (b == 0.0) | ((a >= 0.0) & (b < np.inf)
+                                    & ((fb == 0.0) | (b - a <= _PHI_RTOL * b)))
+        converged[open_[done]] = True
+        root[open_] = np.where(stop, at, np.where(b < np.inf, b, a))
+        take = tangent & (np.maximum(a, 0.0) < target) & (target < b)
+        newton[open_] = take
         c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
-        x[open_] = np.where(b == np.inf, 2.0 * a + step, np.where(a < 0.0, 0.0, c))
+        x[open_] = np.where(take, target, np.where(b == np.inf, 2.0 * a + step,
+                                                   np.where(a < 0.0, 0.0, c)))
         open_ = open_[~done & (calls[open_] < _MAX_SCORE_CALLS)]
-    return np.where(hi < np.inf, hi, lo), calls, converged
+    return root, calls, converged
 
 
 def fit_empirical_null(
@@ -285,7 +306,7 @@ def z_empirical_null(
     This is the one rescaling for every overdispersion estimate: the
     empirical-null phi_hat, or the method-of-moments phi_mom.
     """
-    if phi_hat < 0:
+    if not phi_hat >= 0:
         raise InputError(f"phi_hat must be nonnegative, got {phi_hat}")
     n = np.asarray(size, dtype=np.float64)
     if np.any(n < 0):
@@ -306,9 +327,11 @@ def control_limits(
     Inverts the fixed-effects standardization and the empirical-null
     correction at |Z| = alpha_z:
     1 +/- alpha_z * sqrt(a_psi * size * (1 + phi * size)) / expected.
-    phi = 0 gives the fixed-effects limits. A limit beyond the float range
-    raises InputError.
+    phi = 0 gives the fixed-effects limits. A phi that is not >= 0, or a
+    limit beyond the float range, raises InputError.
     """
+    if not phi >= 0:
+        raise InputError(f"phi must be nonnegative, got {phi}")
     e = np.asarray(expected, dtype=np.float64)
     n = np.asarray(size, dtype=np.float64)
     if np.any(e <= 0) or np.any(n <= 0):

@@ -1,7 +1,8 @@
 """The numpy kernels against independent references: a 40-digit mpmath
-evaluation of the truncated likelihood, a central difference of it for the
-score, a one-column-at-a-time loop for the bits of batched calls, and the
-fixed-point conditions of the biweight IRLS."""
+evaluation of the truncated likelihood and of its curvature, central
+differences of the likelihood for the score and of the score for the
+curvature, a one-column-at-a-time loop for the bits of batched calls, and
+the fixed-point conditions of the biweight IRLS."""
 
 import math
 
@@ -72,33 +73,80 @@ def test_score_matches_central_difference(seed, phi, pi0):
     h = 1e-4 * phi
     diff = (loglik(phi + h) - loglik(phi - h)) / (2.0 * h)
     got = _kernels.null_score_core(np.array([phi]), np.array([pi0]),
-                                   _kernels.FitArrays(z, n, in_null, b))[0]
+                                   _kernels.FitArrays(z, n, in_null, b))[0][0]
     # the difference's rounding error is about 1e-16 |loglik| / h
     assert got == pytest.approx(diff, rel=1e-6, abs=1e-14 * abs(loglik(phi)) / h)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("phi,pi0", [(0.001, 0.95), (0.05, 0.9), (0.15, 1.0), (0.3, 0.8),
+                                     (2.0, 0.995)])
+def test_curvature_matches_central_difference(seed, phi, pi0):
+    z, n, in_null, b = _random_problem(seed)
+    fit = _kernels.FitArrays(z, n, in_null, b)
+    h = 1e-4 * phi
+    score, _ = _kernels.null_score_core(np.array([phi + h, phi - h]), np.array([pi0, pi0]), fit)
+    got = _kernels.null_score_core(np.array([phi]), np.array([pi0]), fit)[1][0]
+    assert got == pytest.approx((score[0] - score[1]) / (2.0 * h), rel=1e-6)
+
+
+def _mp_curvature(phi, pi0, z, sizes, in_null, b_upper):
+    """The second phi-derivative of the truncated-mixture log-likelihood,
+    term by term at 40 significant digits from the same float64 inputs: the
+    derivative of n (z^2/v - 1) / (2 v) in the interval, and of
+    pi0 pdf(b) b n / v / (1 - pi0 Q) outside it, with b = B / sqrt(v)."""
+    with mpmath.workdps(40):
+        phi, pi0 = mpmath.mpf(phi), mpmath.mpf(pi0)
+        acc = mpmath.mpf(0)
+        for zi, ni, inside, bi in zip(z.tolist(), sizes.tolist(), in_null.tolist(),
+                                      b_upper.tolist()):
+            ni = mpmath.mpf(ni)
+            if inside:
+                acc += mpmath.diff(lambda x: ni * (mpmath.mpf(zi) ** 2 / (1 + x * ni) - 1)
+                                   / (2 * (1 + x * ni)), phi)
+            else:
+                def out(x):
+                    v = 1 + x * ni
+                    b = mpmath.mpf(bi) / mpmath.sqrt(v)
+                    pdf = mpmath.exp(-b * b / 2) / mpmath.sqrt(2 * mpmath.pi)
+                    return pi0 * pdf * b * ni / v / (1 - pi0 * mpmath.erf(b / mpmath.sqrt(2)))
+                acc += mpmath.diff(out, phi)
+        return float(acc)
+
+
+@pytest.mark.parametrize("seed,phi,pi0", [(0, 0.05, 0.9), (1, 0.14, 1.0), (2, 0.3, 0.8),
+                                          (3, 0.002, 0.995)])
+def test_curvature_matches_mpmath(seed, phi, pi0):
+    z, n, in_null, b = _random_problem(seed)
+    got = _kernels.null_score_core(np.array([phi]), np.array([pi0]),
+                                   _kernels.FitArrays(z, n, in_null, b))[1][0]
+    assert got == pytest.approx(_mp_curvature(phi, pi0, z, n, in_null, b), rel=1e-12)
+
+
 def _one_column(phi, pi0, z, sizes, in_null, b_upper):
-    """The log-likelihood and its phi-score of one (phi, pi0) column, with
-    the operations in the kernels' order: the bits every column of a
-    batched call must keep."""
+    """The log-likelihood and its first and second phi-derivatives of one
+    (phi, pi0) column, with the operations in the kernels' order: the bits
+    every column of a batched call must keep."""
     v = 1.0 + phi * sizes
     out = ~in_null
-    ll = score = 0.0
+    ll = score = curvature = 0.0
     if in_null.any():
         zi, si, vi = z[in_null], sizes[in_null], v[in_null]
-        ll += float(np.sum(math.log(pi0) - 0.5 * (np.log(vi) + math.log(2.0 * math.pi))
-                           - 0.5 * zi * zi / vi))
-        score += float(np.sum((0.5 * zi * zi / vi - 0.5) * si / vi))
+        a = 0.5 * zi * zi / vi
+        ll += float(np.sum(math.log(pi0) - 0.5 * (np.log(vi) + math.log(2.0 * math.pi)) - a))
+        score += float(np.sum((a - 0.5) * si / vi))
+        curvature += float(np.sum((0.5 + a * -2.0) * (si / vi) * (si / vi)))
     if out.any():
         so, vo = sizes[out], v[out]
         b = b_upper[out] / np.sqrt(vo)
         q = 1.0 - np.frompyfunc(math.erfc, 1, 1)(b * (1.0 / math.sqrt(2.0))).astype(np.float64)
         t = 1.0 - q * pi0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ll = -math.inf if np.any(t <= 0.0) else ll + float(np.sum(np.log(t)))
-            score += float(np.sum(np.exp(b * b * -0.5) * b * so / vo
-                                  * (pi0 * (1.0 / math.sqrt(2.0 * math.pi))) / t))
-    return ll, score
+            h = np.exp(b * b * -0.5) * b * so / vo * (pi0 * (1.0 / math.sqrt(2.0 * math.pi))) / t
+            score += float(np.sum(h))
+            curvature += float(np.sum(((b * b - 3.0) * so / vo * 0.5 - h) * h))
+    return ll, score, curvature
 
 
 @pytest.mark.parametrize("n_centers", [12, 212, 5000])
@@ -111,24 +159,27 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     b = np.where(np.arange(n_centers) < 2, 60.0, 1.645 * np.sqrt(1.0 + 0.1 * n))
     z[:2] = 70.0
     in_null = np.abs(z) <= b
-    phi = np.exp(rng.normal(-3.0, 3.0, 30))
-    phi[5:12] = phi[0]      # columns sharing a phi
-    phi[12:14] = 0.0
+    mixed = np.exp(rng.normal(-3.0, 3.0, 30))
+    mixed[5:12] = mixed[0]      # columns sharing a phi
+    mixed[12:14] = 0.0
     pi0 = rng.choice(np.linspace(0.8, 1.0, 41), 30)
     pi0[[0, 7, 12]] = 1.0
-    want = [_one_column(float(x), float(p), z, n, in_null, b) for x, p in zip(phi, pi0)]
-    want_ll, want_score = ([w[i] for w in want] for i in (0, 1))
-    assert want_ll[0] == -math.inf and not math.isfinite(want_score[0])
-    # blocks of the default size, of one column and of all columns
-    for block in (_kernels._BLOCK_ELEMENTS, 1, phi.size * n_centers):
-        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
-        fit = _kernels.FitArrays(z, n, in_null, b)
-        assert _kernels.null_loglik_core(phi, pi0, fit).tolist() == want_ll
-        got = _kernels.null_score_core(phi, pi0, fit)
-        assert np.array_equal(got, want_score, equal_nan=True)
-        # a column alone in its call keeps the same bits
-        one = _kernels.null_score_core(phi[3:4], pi0[3:4], fit)
-        assert one.tolist() == [want_score[3]]
+    # the kernels compute each distinct phi's rows once: mixed phis, and all
+    # columns at one phi, as in the first step of a fit
+    for phi in (mixed, np.full(30, mixed[0])):
+        want = np.array([_one_column(float(x), float(p), z, n, in_null, b)
+                         for x, p in zip(phi, pi0)])
+        assert want[0, 0] == -math.inf and not math.isfinite(want[0, 1])
+        # blocks of the default size, of one column and of all columns
+        for block in (_kernels._BLOCK_ELEMENTS, 1, phi.size * n_centers):
+            monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
+            fit = _kernels.FitArrays(z, n, in_null, b)
+            assert _kernels.null_loglik_core(phi, pi0, fit).tolist() == want[:, 0].tolist()
+            got = np.column_stack(_kernels.null_score_core(phi, pi0, fit))
+            assert np.array_equal(got, want[:, 1:], equal_nan=True)
+            # a column alone in its call keeps the same bits
+            one = _kernels.null_score_core(phi[3:4], pi0[3:4], fit)
+            assert [one[0][0], one[1][0]] == want[3, 1:].tolist()
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
