@@ -10,9 +10,9 @@ but supported outside a per-center interval [-B_i, B_i], which makes
 For a fixed pi0 the log-likelihood is smooth in phi, and its phi-score and
 curvature have closed forms (``_kernels.null_score_core``). The fit takes
 each pi0 grid point's phi at the root of that score, found by Newton steps
-kept inside a bracket, with Illinois regula falsi where a Newton step
-would leave it, moving the whole grid in lockstep; and the profile
-log-likelihood at the roots.
+kept inside a bracket, with bisection where a Newton step would leave it,
+moving the whole grid in lockstep; and the profile log-likelihood at the
+roots.
 """
 
 from __future__ import annotations
@@ -168,57 +168,37 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     bracket, taken from 0 while lo is missing. Otherwise: with no hi yet the
     bracket grows upward, to 2 lo + ``step``; with no lo yet the column
     tries phi = 0, and a score there that is not positive makes 0 the root;
-    with both ends, Illinois regula falsi (Dowell & Jarratt 1971), with a
-    bisection step where it cannot interpolate. A column starts at
-    ``phi_init``. It stops at the point it evaluated when its Newton step
-    is at most ``_PHI_RTOL`` times that point, or at hi when the bracket is
+    with both ends, it bisects. A column starts at ``phi_init``. It stops at
+    the point it evaluated when the score there is 0 or its Newton step is
+    at most ``_PHI_RTOL`` times that point, or at hi when the bracket is
     narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts as
     positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
     its score 0/0 or +inf.
     """
     # lo < 0: no positive score yet; hi = inf: no score that is not positive
     lo, hi = np.full(m, -1.0), np.full(m, np.inf)
-    f_lo, f_hi = np.zeros(m), np.zeros(m)
-    # the end the last interpolation replaced: 1 for lo, -1 for hi
-    last = np.zeros(m, dtype=np.int8)
-    # whether the next point is a Newton step, which is no interpolation
-    newton = np.zeros(m, dtype=np.bool_)
-    calls = np.zeros(m, dtype=np.int64)
-    converged = np.zeros(m, dtype=np.bool_)
-    root = np.zeros(m)
+    calls, converged, root = np.zeros(m, np.int64), np.zeros(m, np.bool_), np.zeros(m)
     x, open_ = np.full(m, phi_init), np.arange(m)
     while open_.size:
         at = x[open_]
         f, df = score(at, open_)
         calls[open_] += 1
         pos = ~(f <= 0.0)
-        # Illinois: an end kept by two interpolations in a row has its score
-        # halved
-        side = np.where((lo[open_] >= 0.0) & (hi[open_] < np.inf) & ~newton[open_],
-                        np.where(pos, 1, -1), 0)
-        f_hi[open_[(side == 1) & (last[open_] == 1)]] *= 0.5
-        f_lo[open_[(side == -1) & (last[open_] == -1)]] *= 0.5
-        last[open_] = side
-        up, down = open_[pos], open_[~pos]
-        lo[up], f_lo[up] = at[pos], f[pos]
-        hi[down], f_hi[down] = at[~pos], f[~pos]
-
-        a, b, fa, fb = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
+        lo[open_[pos]], hi[open_[~pos]] = at[pos], at[~pos]
+        a, b = lo[open_], hi[open_]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d = f / df
-            c = b - fb * (b - a) / (fb - fa)
         target = at - d
         tangent = df < 0.0
         stop = tangent & (np.abs(d) <= _PHI_RTOL * at)
-        done = stop | (b == 0.0) | ((a >= 0.0) & (b < np.inf)
-                                    & ((fb == 0.0) | (b - a <= _PHI_RTOL * b)))
+        # a zero score makes the point hi, so the root is hi
+        done = stop | (f == 0.0) | (b == 0.0) | ((a >= 0.0) & (b < np.inf)
+                                                 & (b - a <= _PHI_RTOL * b))
         converged[open_[done]] = True
         root[open_] = np.where(stop, at, np.where(b < np.inf, b, a))
         take = tangent & (np.maximum(a, 0.0) < target) & (target < b)
-        newton[open_] = take
-        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
         x[open_] = np.where(take, target, np.where(b == np.inf, 2.0 * a + step,
-                                                   np.where(a < 0.0, 0.0, c)))
+                                                   np.where(a < 0.0, 0.0, 0.5 * (a + b))))
         open_ = open_[~done & (calls[open_] < _MAX_SCORE_CALLS)]
     return root, calls, converged
 
@@ -306,8 +286,8 @@ def z_empirical_null(
     This is the one rescaling for every overdispersion estimate: the
     empirical-null phi_hat, or the method-of-moments phi_mom.
     """
-    if not phi_hat >= 0:
-        raise InputError(f"phi_hat must be nonnegative, got {phi_hat}")
+    if not 0 <= phi_hat < math.inf:
+        raise InputError(f"phi_hat must be nonnegative and finite, got {phi_hat}")
     n = np.asarray(size, dtype=np.float64)
     if np.any(n < 0):
         raise InputError(f"size must be nonnegative, got {np.min(n)}")
@@ -327,11 +307,11 @@ def control_limits(
     Inverts the fixed-effects standardization and the empirical-null
     correction at |Z| = alpha_z:
     1 +/- alpha_z * sqrt(a_psi * size * (1 + phi * size)) / expected.
-    phi = 0 gives the fixed-effects limits. A phi that is not >= 0, or a
-    limit beyond the float range, raises InputError.
+    phi = 0 gives the fixed-effects limits. A phi that is not finite and
+    >= 0, or a limit beyond the float range, raises InputError.
     """
-    if not phi >= 0:
-        raise InputError(f"phi must be nonnegative, got {phi}")
+    if not 0 <= phi < math.inf:
+        raise InputError(f"phi must be nonnegative and finite, got {phi}")
     e = np.asarray(expected, dtype=np.float64)
     n = np.asarray(size, dtype=np.float64)
     if np.any(e <= 0) or np.any(n <= 0):

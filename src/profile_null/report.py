@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments
 from .composite import CompositeResult
 from .empirical_null import EnConfig, NullFit, control_limits, fit_empirical_null, z_empirical_null
-from .errors import InputError
+from .errors import InputError, ProfileNullError
 from .measures import (
     CenterTable,
     MeasureSpec,
@@ -196,15 +196,14 @@ def read_measure_config(path: str | Path) -> list[MeasureSpec]:
             en_config=EnConfig(**{key: _json_value(entry[key], float, where, key)
                                   for key in _EN_KEYS if key in entry}),
         )
-        # measure ids become parts of output file names
-        if any(ch in spec.measure_id for ch in "/\\\0"):
-            raise InputError(f"measures entry {i}: measure_id "
-                             f"{spec.measure_id!r} must not contain '/', '\\' "
-                             f"or NUL")
-        if spec.measure_id in seen:
-            raise InputError(f"duplicate measure_id {spec.measure_id!r} "
-                             f"(entry {i})")
-        seen.add(spec.measure_id)
+        # measure ids name output files, and the centers reader strips ids
+        mid = spec.measure_id
+        if not mid or mid != mid.strip() or any(ch in mid for ch in "/\\\0"):
+            raise InputError(f"{where}: measure_id {mid!r} must be non-empty, with no "
+                             f"surrounding whitespace, '/', '\\' or NUL")
+        if mid in seen:
+            raise InputError(f"duplicate measure_id {mid!r} (entry {i})")
+        seen.add(mid)
         specs.append(spec)
     return specs
 
@@ -382,7 +381,10 @@ def standardize(
 
 def _fit_measure(task: tuple) -> NullFit:
     # module level, so that the process pool can pickle it
-    return fit_empirical_null(*task)
+    try:
+        return fit_empirical_null(*task)
+    except ProfileNullError as exc:
+        raise type(exc)(f"measure {task[4]!r}: {exc}") from None
 
 
 def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:
@@ -553,8 +555,11 @@ def write_diagnostics(
         scored = (table.measure == k) & ~np.isnan(run.z_fe)
         if not scored.any():
             continue
-        groups = group_variance_diagnostic(run.z_fe[scored], table.size[scored],
-                                           n_groups)
+        try:
+            groups = group_variance_diagnostic(run.z_fe[scored], table.size[scored],
+                                               n_groups)
+        except ProfileNullError as exc:
+            raise type(exc)(f"measure {spec.measure_id!r}: {exc}") from None
         rows += [[spec.measure_id, g, fmt6(mean_size), fmt6(var), fmt6(prop)]
                  for g, (mean_size, var, prop) in enumerate(groups, start=1)]
     path = Path(out_path)

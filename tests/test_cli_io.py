@@ -141,9 +141,10 @@ class TestReadMeasureConfig:
         with pytest.raises(InputError, match="not found"):
             read_measure_config(FIXTURES / "nope.json")
 
-    @pytest.mark.parametrize("bad_id", ["a/../../escaped", "..\\escaped", "a\0b"])
+    @pytest.mark.parametrize("bad_id", ["a/../../escaped", "..\\escaped", "a\0b", "", " A"])
     def test_path_characters_in_measure_id_exit_2(self, tmp_path, capsys, bad_id):
-        # measure ids name the funnel files, so they must not leave --out
+        # measure ids name the funnel files, so they must not leave --out;
+        # and the centers reader strips ids, so " A" could match no row
         spec = json.loads((FIXTURES / "measures.json").read_text())
         spec[1]["measure_id"] = bad_id
         measures = tmp_path / "measures.json"
@@ -488,6 +489,26 @@ class TestValidationEdges:
                      "--method", "en", "--out", str(tmp_path / "out")])
         assert code == 3
         assert "null set" in capsys.readouterr().err
+
+    def test_fit_and_diagnose_errors_name_the_measure(self, tmp_path, capsys):
+        # A fits at 30 centers; B has 4, too few to fit or to split in 3 groups
+        rng = np.random.default_rng(7)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in ("A", "B")]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 30)):
+            rows += [[f"C{i}", m, int(rng.poisson(e)), f"{e:.6f}", ""]
+                     for m in ("A", "B")[:2 if i < 4 else 1]]
+        _write_rows(tmp_path / "c.csv", rows)
+        too_few = "empirical-null fit needs at least 10 centers, got 4"
+        for cmd, code, message in [
+                ("standardize", 3, too_few), ("composite", 3, too_few),
+                ("funnel", 3, too_few),
+                ("diagnose", 2, "need at least 2 centers per group: 4 centers for 3 groups")]:
+            assert main([cmd, "--centers", str(tmp_path / "c.csv"), "--measures",
+                         str(tmp_path / "m.json"), "--out", str(tmp_path / cmd)]) == code
+            assert capsys.readouterr().err == f"error: measure 'B': {message}\n"
 
     def test_clamped_zero_fit_prints_identical_columns(self, measures, tmp_path):
         # underdispersed scores clamp phi_hat to zero: the corrected column

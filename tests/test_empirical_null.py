@@ -396,8 +396,9 @@ class TestScoreRoots:
                 >= _mp_score(fit.phi_hat * (1.0 + 1e-9), *data)
 
     def test_evaluation_counts_on_simulated_fits(self, monkeypatch):
-        # ten flagging-experiment fits at 212 centers, where Illinois steps
-        # alone took 467.6 score evaluations in 13.4 calls per fit
+        # ten flagging-experiment fits at 212 centers, where the root search
+        # took 467.6 score evaluations in 13.4 calls per fit before it took
+        # Newton steps
         calls = _recording(monkeypatch, "null_score_core")
         cfg = SimConfig(n_centers=212, seed=5, outlier_fraction=0.1)
         for seed in range(10):
@@ -423,6 +424,35 @@ class TestScoreRoots:
         assert 0.0 in seen
         assert converged[0] and calls[0] == len(seen)
         assert root[0] == pytest.approx(0.25, rel=1e-11)
+
+    def test_bracket_grows_where_the_curvature_is_not_negative(self):
+        # the score 3 - (phi - 1)^2 is positive with a positive derivative
+        # at 0 and a zero one at 1, so the bracket grows to 1, then to 3
+        seen = []
+
+        def score(x, columns):
+            seen.extend(x.tolist())
+            return 3.0 - (x - 1.0) ** 2, -2.0 * (x - 1.0)
+
+        root, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
+        assert seen[:3] == [0.0, 1.0, 3.0]
+        assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
+        assert root[0] == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-11)
+
+    def test_bisects_where_the_newton_step_leaves_the_bracket(self):
+        # the score atan(3 - phi) is flat far from its root 3: from 0 the
+        # Newton step overshoots to about 12.5, and the next would land
+        # below 0, so the column bisects [0, 12.5]
+        seen = []
+
+        def score(x, columns):
+            seen.extend(x.tolist())
+            return np.arctan(3.0 - x), -1.0 / (1.0 + (3.0 - x) ** 2)
+
+        root, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
+        assert seen[2] == 0.5 * seen[1]
+        assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
+        assert root[0] == pytest.approx(3.0, rel=1e-11)
 
 
 def _two_sizes(phi, seed):
@@ -530,7 +560,7 @@ class TestZEmpiricalNull:
         with pytest.raises(InputError):
             z_empirical_null([1.0, 1.0], [10.0, -1.0], 0.1)
 
-    @pytest.mark.parametrize("phi", [-0.001, math.nan])
+    @pytest.mark.parametrize("phi", [-0.001, math.nan, math.inf])
     def test_phi_must_be_nonnegative(self, phi):
         with pytest.raises(InputError, match="phi_hat must be nonnegative"):
             z_empirical_null(1.0, 10.0, phi)
@@ -591,7 +621,7 @@ class TestControlLimits:
         with pytest.raises(InputError):
             control_limits(0.1, 10.0, 10.0, alpha_z=0.0)
 
-    @pytest.mark.parametrize("phi", [-0.001, math.nan])
+    @pytest.mark.parametrize("phi", [-0.001, math.nan, math.inf])
     def test_phi_must_be_nonnegative(self, phi):
         with pytest.raises(InputError, match="phi must be nonnegative"):
             control_limits(phi, 10.0, 10.0)

@@ -146,7 +146,8 @@ def test_first_failing_measure_raises_on_both_paths(tmp_path, two_cpus, capsys):
     assert outcomes[0] == outcomes[1]
     kind, message, code, err = outcomes[0]
     assert kind is FittingError and code == 3
-    assert message.startswith("degenerate null set") and "of 1400 centers" in message
+    assert message.startswith("measure 'B': degenerate null set")
+    assert "of 1400 centers" in message
     assert err == f"error: {message}\n"
 
 
