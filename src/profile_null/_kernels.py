@@ -216,14 +216,23 @@ def neg_null_loglik_u(u, pi0, fit):
     return neg
 
 
+def _median(x):
+    """``np.median`` of a finite 1-d array, bit for bit, from one partition
+    about its middle elements. ``np.median`` sums from +0, so a zero median
+    is +0 there, and + 0.0 makes it so here."""
+    k = x.size // 2
+    p = np.partition(x, (k - 1, k))
+    return ((p[k - 1] + p[k]) / 2.0 if x.size % 2 == 0 else p[k]) + 0.0
+
+
 def biweight_irls(z, c, tol, max_iter):
     """Tukey biweight location by iteratively reweighted least squares,
     started at the median with the MAD scale re-estimated every step.
 
     Returns (location, MAD scale about the location, iterations, converged).
     """
-    m = float(np.median(z))
-    scale = MAD_SCALE * float(np.median(np.abs(z - m)))
+    m = float(_median(z))
+    scale = MAD_SCALE * float(_median(np.abs(z - m)))
     if scale <= 0.0:
         return m, 0.0, 0, True
     converged = False
@@ -231,7 +240,7 @@ def biweight_irls(z, c, tol, max_iter):
     while it < max_iter:
         it += 1
         resid = z - m
-        scale = MAD_SCALE * float(np.median(np.abs(resid)))
+        scale = MAD_SCALE * float(_median(np.abs(resid)))
         if scale <= 0.0:
             converged = True
             break
@@ -246,7 +255,7 @@ def biweight_irls(z, c, tol, max_iter):
             converged = True
             break
         m = m_new
-    scale = MAD_SCALE * float(np.median(np.abs(z - m)))
+    scale = MAD_SCALE * float(_median(np.abs(z - m)))
     return m, scale, it, converged
 
 

@@ -10,9 +10,10 @@ but supported outside a per-center interval [-B_i, B_i], which makes
 For a fixed pi0 the log-likelihood is smooth in phi, and its phi-score and
 curvature have closed forms (``_kernels.null_score_core``). The fit takes
 each pi0 grid point's phi at the root of that score, found by Newton steps
-kept inside a bracket, with bisection where a Newton step would leave it,
-moving the whole grid in lockstep; and the profile log-likelihood at the
-roots.
+on (1 + phi * mean size)^2 times the score, capped at twice the plain
+Newton step and kept inside a bracket, with bisection where a step would
+leave it, moving the whole grid in lockstep; and the profile
+log-likelihood at the roots.
 """
 
 from __future__ import annotations
@@ -162,17 +163,22 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     and whether it converged.
 
     Each column keeps a bracket [lo, hi], score(lo) > 0 >= score(hi), whose
-    ends may still be missing, and its next point is a Newton step x -
-    score/derivative (Press et al., Numerical Recipes, 3rd ed., 9.4) where
-    the derivative is negative and the step lands strictly inside the
+    ends may still be missing, and its next point is a Newton step (Press
+    et al., Numerical Recipes, 3rd ed., 9.4) on (1 + x/``step``)^2 times
+    the score, which has the same roots: x - score / min(derivative +
+    2 score/(x + ``step``), derivative/2), where ``step`` is 1/mean(n).
+    From below the root, that product is nearly linear where the convex
+    score is not, and the min keeps the step at most twice the plain one,
+    x - score/derivative, where the product is flat. The column takes it
+    where the derivative is negative and the step lands strictly inside the
     bracket, taken from 0 while lo is missing. Otherwise: with no hi yet the
     bracket grows upward, to 2 lo + ``step``; with no lo yet the column
     tries phi = 0, and a score there that is not positive makes 0 the root;
     with both ends, it bisects. A column starts at ``phi_init``. It stops at
-    the point it evaluated when the score there is 0 or its Newton step is
-    at most ``_PHI_RTOL`` times that point, or at hi when the bracket is
-    narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts as
-    positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
+    the point it evaluated when the score there is 0 or its plain Newton
+    step is at most ``_PHI_RTOL`` times that point, or at hi when the
+    bracket is narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts
+    as positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
     its score 0/0 or +inf.
     """
     # lo < 0: no positive score yet; hi = inf: no score that is not positive
@@ -188,7 +194,8 @@ def _score_roots(score, phi_init: float, step: float, m: int):
         a, b = lo[open_], hi[open_]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d = f / df
-        target = at - d
+            # Newton on (1 + x/step)^2 score, at most twice the plain step
+            target = at - f / np.minimum(df + 2.0 * f / (at + step), 0.5 * df)
         tangent = df < 0.0
         stop = tangent & (np.abs(d) <= _PHI_RTOL * at)
         # a zero score makes the point hi, so the root is hi

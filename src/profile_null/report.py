@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import repeat
@@ -366,8 +367,9 @@ def standardize(
             fit_rows.append(rows)
             fit_tasks.append((z, sizes, spec.en_config, spec.a_psi, spec.measure_id))
         elif method == "mom":
-            mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
-                                        a_psi=spec.a_psi)
+            with _naming(spec.measure_id):
+                mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
+                                            a_psi=spec.a_psi)
             run.mom_fits[spec.measure_id] = mom
             run.z_mom[rows] = z_empirical_null(z, sizes, mom.phi_mom)
     n_fitted = sum(task[0].size for task in fit_tasks)
@@ -379,12 +381,20 @@ def standardize(
     return run
 
 
+@contextmanager
+def _naming(measure_id: str):
+    """Re-raise a package error as the same class, its message prefixed
+    with the measure it arose in."""
+    try:
+        yield
+    except ProfileNullError as exc:
+        raise type(exc)(f"measure {measure_id!r}: {exc}") from None
+
+
 def _fit_measure(task: tuple) -> NullFit:
     # module level, so that the process pool can pickle it
-    try:
+    with _naming(task[4]):
         return fit_empirical_null(*task)
-    except ProfileNullError as exc:
-        raise type(exc)(f"measure {task[4]!r}: {exc}") from None
 
 
 def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:
@@ -555,11 +565,9 @@ def write_diagnostics(
         scored = (table.measure == k) & ~np.isnan(run.z_fe)
         if not scored.any():
             continue
-        try:
+        with _naming(spec.measure_id):
             groups = group_variance_diagnostic(run.z_fe[scored], table.size[scored],
                                                n_groups)
-        except ProfileNullError as exc:
-            raise type(exc)(f"measure {spec.measure_id!r}: {exc}") from None
         rows += [[spec.measure_id, g, fmt6(mean_size), fmt6(var), fmt6(prop)]
                  for g, (mean_size, var, prop) in enumerate(groups, start=1)]
     path = Path(out_path)

@@ -510,6 +510,23 @@ class TestValidationEdges:
                          str(tmp_path / "m.json"), "--out", str(tmp_path / cmd)]) == code
             assert capsys.readouterr().err == f"error: measure 'B': {message}\n"
 
+    def test_moment_fit_error_names_the_measure(self, tmp_path, capsys):
+        # A has 30 centers; B has 1, too few for the moment fit
+        rng = np.random.default_rng(8)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in ("A", "B")]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 30)):
+            rows += [[f"C{i}", m, int(rng.poisson(e)), f"{e:.6f}", ""]
+                     for m in ("A", "B")[:2 if i < 1 else 1]]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["standardize", "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--method", "mom",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err \
+            == "error: measure 'B': method-of-moments needs at least 2 centers\n"
+
     def test_clamped_zero_fit_prints_identical_columns(self, measures, tmp_path):
         # underdispersed scores clamp phi_hat to zero: the corrected column
         # must equal the naive one at printed precision

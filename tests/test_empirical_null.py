@@ -398,21 +398,22 @@ class TestScoreRoots:
     def test_evaluation_counts_on_simulated_fits(self, monkeypatch):
         # ten flagging-experiment fits at 212 centers, where the root search
         # took 467.6 score evaluations in 13.4 calls per fit before it took
-        # Newton steps
+        # Newton steps, and 288.7 in 8.3 with plain Newton steps on the score
         calls = _recording(monkeypatch, "null_score_core")
         cfg = SimConfig(n_centers=212, seed=5, outlier_fraction=0.1)
         for seed in range(10):
             data = gen_single_measure(cfg, np.random.default_rng(seed), gamma_focal=2.0)
-            assert fit_empirical_null(data.z_fixed_effects(), data.effective_size) \
-                .converged.all()
-        assert sum(phi.size for phi, _ in calls) <= 320 * 10
-        assert len(calls) <= 10 * 10
+            fit = fit_empirical_null(data.z_fixed_effects(), data.effective_size)
+            assert fit.converged.all() and fit.iterations.max() <= 7
+        assert sum(phi.size for phi, _ in calls) <= 230 * 10
+        assert len(calls) <= 7 * 10
 
     @pytest.mark.parametrize("special", [math.inf, math.nan])
     def test_nan_or_inf_score_counts_as_positive(self, special):
         # the score is 0.5 - sqrt(phi), and +inf or NaN below 1e-3 as where
-        # 1 - pi0*Q underflows. The Newton step from phi = 1 lands on 0, so
-        # the column tries 0, and a positive score there brackets the root
+        # 1 - pi0*Q underflows. With step 100 the Newton step from phi = 2
+        # lands below 0, so the column tries 0, and a positive score there
+        # brackets the root
         seen = []
 
         def score(x, columns):
@@ -420,8 +421,8 @@ class TestScoreRoots:
             near, r = x < 1e-3, np.sqrt(np.maximum(x, 1e-3))
             return np.where(near, special, 0.5 - r), np.where(near, special, -0.5 / r)
 
-        root, calls, converged = empirical_null._score_roots(score, 1.0, 1.0, 1)
-        assert 0.0 in seen
+        root, calls, converged = empirical_null._score_roots(score, 2.0, 100.0, 1)
+        assert seen[:2] == [2.0, 0.0]
         assert converged[0] and calls[0] == len(seen)
         assert root[0] == pytest.approx(0.25, rel=1e-11)
 
@@ -440,19 +441,39 @@ class TestScoreRoots:
         assert root[0] == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-11)
 
     def test_bisects_where_the_newton_step_leaves_the_bracket(self):
-        # the score atan(3 - phi) is flat far from its root 3: from 0 the
-        # Newton step overshoots to about 12.5, and the next would land
-        # below 0, so the column bisects [0, 12.5]
+        # the score atan(3 (3 - phi)) is flat far from its root 3: from 5
+        # the step lands at about 2.44, where the step, capped at twice the
+        # Newton step, lands beyond 5, so the column bisects [2.44, 5]
         seen = []
 
         def score(x, columns):
             seen.extend(x.tolist())
-            return np.arctan(3.0 - x), -1.0 / (1.0 + (3.0 - x) ** 2)
+            return np.arctan(3.0 * (3.0 - x)), -3.0 / (1.0 + (3.0 * (3.0 - x)) ** 2)
 
-        root, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
-        assert seen[2] == 0.5 * seen[1]
+        root, calls, converged = empirical_null._score_roots(score, 5.0, 1.0, 1)
+        assert seen[1] < 3.0 and seen[2] == 0.5 * (seen[1] + seen[0])
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(3.0, rel=1e-11)
+
+    def test_newton_step_is_at_most_twice_the_plain_step(self):
+        # the score (1 - phi^2/4) / (1 + phi)^2 times (1 + phi)^2, that is
+        # 1 - phi^2/4, is nearly flat at 0.01: Newton on that product would
+        # step to about 200, and the cap keeps the step at twice the Newton
+        # step on the score
+        seen = []
+
+        def score(x, columns):
+            seen.extend(x.tolist())
+            return (1.0 - x * x / 4.0) / (1.0 + x) ** 2, \
+                -0.5 * x / (1.0 + x) ** 2 - 2.0 * (1.0 - x * x / 4.0) / (1.0 + x) ** 3
+
+        at = 0.01
+        f, df = (float(v[0]) for v in score(np.array([at]), None))
+        seen.clear()
+        root, calls, converged = empirical_null._score_roots(score, at, 1.0, 1)
+        assert at - f / df < seen[1] <= at - 2.0 * f / df
+        assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
+        assert root[0] == pytest.approx(2.0, rel=1e-11)
 
 
 def _two_sizes(phi, seed):

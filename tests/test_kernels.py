@@ -1,8 +1,9 @@
 """The numpy kernels against independent references: a 40-digit mpmath
 evaluation of the truncated likelihood and of its curvature, central
 differences of the likelihood for the score and of the score for the
-curvature, a one-column-at-a-time loop for the bits of batched calls, and
-the fixed-point conditions of the biweight IRLS."""
+curvature, a one-column-at-a-time loop for the bits of batched calls, the
+fixed-point conditions of the biweight IRLS, and ``np.median`` for the
+median the IRLS takes."""
 
 import math
 
@@ -195,6 +196,26 @@ def test_biweight_reaches_its_fixed_point(seed):
     assert abs(float(np.sum(w * (z - loc)) / np.sum(w))) < 1e-8
     # the far cluster gets no weight, so the location stays near the bulk
     assert abs(loc - 0.3) < 0.5
+
+
+@pytest.mark.parametrize("size", [3, 4, 11, 212, 1001, 8000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_median_matches_numpy_bit_for_bit(size, ties):
+    x = np.random.default_rng(size).normal(0.0, 3.0, size)
+    if ties:
+        # whole numbers: from 11 values on, the middle ones repeat, and
+        # rounding makes both -0 and +0
+        x = np.round(x)
+    before = x.copy()
+    assert _kernels._median(x).hex() == float(np.median(x)).hex()
+    assert x.tolist() == before.tolist()
+
+
+@pytest.mark.parametrize("x", [[2.0, 1.0, 2.0], [0.1, 0.7, 0.2], [3.0, 1.0, 1.0, 3.0],
+                               [0.1, 0.7, 0.2, 0.3], [5.0, 5.0, 5.0, -1.0],
+                               [-0.0, 1.0, -1.0], [-0.0, -0.0, 2.0, -3.0]])
+def test_median_of_three_and_four(x):
+    assert _kernels._median(np.array(x)).hex() == float(np.median(x)).hex()
 
 
 def test_backend_reports_a_valid_choice():
