@@ -15,7 +15,6 @@ from .baselines import (
 )
 from .composite import (
     CompositeConfig,
-    CompositeResult,
     capped_corr_weights,
     composite_score,
     composite_table,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "backend",
     "MomFit", "fit_method_of_moments", "mom_phi", "winsorize",
-    "CompositeConfig", "CompositeResult", "capped_corr_weights",
+    "CompositeConfig", "capped_corr_weights",
     "composite_score", "composite_table", "correlation_matrix",
     "flag", "inverse_corr_weights", "published_weights",
     "EnConfig", "NullFit", "control_limits", "fit_empirical_null",

@@ -39,6 +39,9 @@ EPS_PHI = 1e-8
 # consistency factor mapping MAD to the normal scale.
 TUKEY_C = 4.685
 MAD_SCALE = 1.4826
+# The IRLS converges on a location step below IRLS_TOL within IRLS_MAX_ITER.
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 200
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -225,38 +228,33 @@ def _median(x):
     return ((p[k - 1] + p[k]) / 2.0 if x.size % 2 == 0 else p[k]) + 0.0
 
 
-def biweight_irls(z, c, tol, max_iter):
+def biweight_irls(z):
     """Tukey biweight location by iteratively reweighted least squares,
-    started at the median with the MAD scale re-estimated every step.
+    with tuning constant ``TUKEY_C``, started at the median with the MAD
+    scale re-estimated every step.
 
-    Returns (location, MAD scale about the location, iterations, converged).
+    Returns (location, MAD scale about the location, converged).
     """
     m = float(_median(z))
-    scale = MAD_SCALE * float(_median(np.abs(z - m)))
-    if scale <= 0.0:
-        return m, 0.0, 0, True
     converged = False
-    it = 0
-    while it < max_iter:
-        it += 1
+    for _ in range(IRLS_MAX_ITER):
         resid = z - m
         scale = MAD_SCALE * float(_median(np.abs(resid)))
         if scale <= 0.0:
             converged = True
             break
-        u = np.abs(resid) / (c * scale)
+        u = np.abs(resid) / (TUKEY_C * scale)
         w = np.where(u < 1.0, (1.0 - u * u) ** 2, 0.0)
         wsum = float(np.sum(w))
         if wsum == 0.0:
             break
         m_new = float(np.sum(w * z) / wsum)
-        if abs(m_new - m) < tol:
-            m = m_new
-            converged = True
-            break
+        converged = abs(m_new - m) < IRLS_TOL
         m = m_new
+        if converged:
+            break
     scale = MAD_SCALE * float(_median(np.abs(z - m)))
-    return m, scale, it, converged
+    return m, scale, converged
 
 
 def backend() -> str:

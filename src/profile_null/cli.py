@@ -105,9 +105,9 @@ def _cmd_composite(args) -> int:
     config = CompositeConfig(weight_scheme=args.weight_scheme,
                              flag_lower=args.flag_lower,
                              flag_upper=args.flag_upper)
-    results, skipped = composite_table(center_ids, aligned,
-                                       [m.measure_id for m in table.measures], config)
-    written.append(write_composite_report(results, Path(args.out) / "composite.csv"))
+    scored, skipped = composite_table(center_ids, aligned,
+                                      [m.measure_id for m in table.measures], config)
+    written.append(write_composite_report(scored, Path(args.out) / "composite.csv"))
     if skipped:
         print(f"note: {len(skipped)} centers had fewer than 2 measures and "
               f"no composite", file=sys.stderr)

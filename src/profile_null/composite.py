@@ -36,25 +36,10 @@ class CompositeConfig:
         if (self.user_weights is not None) != (self.weight_scheme == "user_supplied"):
             raise InputError("user_weights must be given exactly when "
                              "weight_scheme='user_supplied'")
-        if self.user_weights is not None and any(w <= 0 for w in self.user_weights):
-            raise InputError("user weights must all be positive")
+        if self.user_weights is not None and not all(0 < w < math.inf for w in self.user_weights):
+            raise InputError("user weights must all be positive and finite")
         if not self.flag_lower < self.flag_upper:
             raise InputError("flag_lower must be below flag_upper")
-
-
-@dataclass(frozen=True)
-class CompositeResult:
-    """Composite score, flag label, and the weights/correlations behind it
-    for one center. ``partial`` marks composites computed from a strict
-    subset of the declared measures."""
-
-    center_id: str
-    z_cs: float
-    label: str
-    weights: tuple[float, ...]
-    correlation: np.ndarray
-    measures_used: tuple[str, ...]
-    partial: bool = False
 
 
 def correlation_matrix(
@@ -123,15 +108,20 @@ def inverse_corr_weights(corr: np.ndarray) -> np.ndarray:
     return np.sum(np.linalg.inv(c), axis=1)
 
 
-def _normalized_sums(z: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The composite of each row of ``z`` for a validated correlation
-    matrix ``c``."""
+def _quad_norm(w: np.ndarray, c: np.ndarray) -> float:
+    """sqrt(sum_kl w_k w_l c_kl) for a validated correlation matrix ``c``."""
     quad = float(w @ c @ w)
     if quad <= 0:
         raise InputError(f"weight quadratic form must be positive, got {quad:.6g}")
+    return math.sqrt(quad)
+
+
+def _normalized_sums(z: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The composite of each row of ``z`` for a validated correlation
+    matrix ``c``."""
     # vecdot takes the same per-row dot product as w @ z_row, bit for bit,
     # where a matrix-vector product may round differently
-    return np.vecdot(z, w) / math.sqrt(quad)
+    return np.vecdot(z, w) / _quad_norm(w, c)
 
 
 def composite_score(
@@ -156,22 +146,17 @@ def published_weights(w: Sequence[float], corr: np.ndarray) -> np.ndarray:
     w_k / sqrt(sum_kl w_k w_l c_kl): the reporting convention that
     reproduces the published composite weight tables."""
     wv = np.asarray(w, dtype=np.float64)
-    c = _validate_corr(corr)
-    quad = float(wv @ c @ wv)
-    if quad <= 0:
-        raise InputError(f"weight quadratic form must be positive, got {quad:.6g}")
-    return wv / math.sqrt(quad)
+    return wv / _quad_norm(wv, _validate_corr(corr))
 
 
-def flag(z_cs: float, config: CompositeConfig | None = None) -> str:
-    """Classify a composite score against the flag thresholds; boundary
-    values count as average."""
+def flag(z_cs: float | np.ndarray, config: CompositeConfig | None = None) -> str | np.ndarray:
+    """Classify composite scores against the flag thresholds, elementwise;
+    boundary values count as average. A float gives a str."""
     cfg = config if config is not None else CompositeConfig()
-    if z_cs < cfg.flag_lower:
-        return "poor"
-    if z_cs > cfg.flag_upper:
-        return "good"
-    return "average"
+    z = np.asarray(z_cs)
+    labels = np.where(z < cfg.flag_lower, "poor",
+                      np.where(z > cfg.flag_upper, "good", "average"))
+    return labels.item() if labels.ndim == 0 else labels
 
 
 def weights_for(corr: np.ndarray, config: CompositeConfig) -> np.ndarray:
@@ -191,18 +176,22 @@ def composite_table(
     aligned: np.ndarray,
     measure_ids: Sequence[str],
     config: CompositeConfig | None = None,
-) -> tuple[list[CompositeResult], list[str]]:
+) -> tuple[np.recarray, list[str]]:
     """Composite scores for a centers x measures table of aligned scores.
 
     Weights and correlations come from the full table. Centers missing some
     measures are scored on the matching sub-blocks of the weights and
     correlation matrix and marked partial, one block per pattern of missing
-    measures; centers with fewer than 2 available measures are skipped and
-    their ids returned separately.
+    measures; centers with fewer than 2 available measures (with a single
+    declared measure, with none) are skipped.
+
+    Returns a record array of the scored centers in input order (fields
+    center_id, z_cs, label, partial, weights, measures_used) and the skipped ids.
     """
     cfg = config if config is not None else CompositeConfig()
     mat = np.asarray(aligned, dtype=np.float64)
-    ids = list(center_ids)
+    # object, not unicode: numpy unicode drops trailing NULs, so "a\0" would be "a"
+    ids = np.array(list(center_ids), dtype=object)
     names = tuple(measure_ids)
     if mat.ndim != 2 or mat.shape[0] != len(ids) or mat.shape[1] != len(names):
         raise InputError("aligned table shape must match center and measure ids")
@@ -213,29 +202,22 @@ def composite_table(
 
     patterns, pattern_of = np.unique(np.isfinite(mat), axis=0, return_inverse=True)
     pattern_of = pattern_of.reshape(-1)
-    skip = (patterns.sum(axis=1) < 2) & (len(names) > 1)
+    n_used = patterns.sum(axis=1)
+    skip = n_used < min(2, len(names))
     z_cs = np.full(len(ids), np.nan)
-    # per pattern: the weights, measures used and partial flag of its centers
-    shared: list[tuple | None] = []
-    for p, avail in enumerate(patterns):
-        if skip[p]:
-            shared.append(None)
-            continue
-        idx = np.flatnonzero(avail)
+    weights, used = np.empty((2, len(patterns)), dtype=object)
+    for p in np.flatnonzero(~skip).tolist():
+        idx = np.flatnonzero(patterns[p])
         rows = np.flatnonzero(pattern_of == p)
         z_cs[rows] = _normalized_sums(mat[np.ix_(rows, idx)], w[idx],
                                       corr[np.ix_(idx, idx)])
-        shared.append((tuple(w[idx].tolist()), tuple(names[j] for j in idx),
-                       len(idx) < len(names)))
+        weights[p] = tuple(w[idx].tolist())
+        used[p] = tuple(names[j] for j in idx)
 
-    results: list[CompositeResult] = []
-    skipped: list[str] = []
-    for cid, p, score in zip(ids, pattern_of.tolist(), z_cs.tolist()):
-        if shared[p] is None:
-            skipped.append(cid)
-            continue
-        weights, used, partial = shared[p]
-        results.append(CompositeResult(
-            center_id=cid, z_cs=score, label=flag(score, cfg), weights=weights,
-            correlation=corr, measures_used=used, partial=partial))
-    return results, skipped
+    keep = ~skip[pattern_of]
+    p_kept, z_kept = pattern_of[keep], z_cs[keep]
+    scored = np.rec.fromarrays(
+        [ids[keep], z_kept, flag(z_kept, cfg), n_used[p_kept] < len(names),
+         weights[p_kept], used[p_kept]],
+        names="center_id,z_cs,label,partial,weights,measures_used")
+    return scored, ids[~keep].tolist()

@@ -174,9 +174,8 @@ def robust_intercept_scale(z: Sequence[float]) -> RobustLocationScale:
         raise InputError("robust estimation requires finite values")
     if np.ptp(arr) == 0.0:
         return RobustLocationScale(location=float(arr[0]), scale=0.0)
-    loc, scale, _, converged = _kernels.biweight_irls(
-        arr, _kernels.TUKEY_C, 1e-8, 200
-    )
+    loc, scale, converged = _kernels.biweight_irls(arr)
     if not converged:
-        raise ConvergenceError("biweight IRLS did not converge in 200 iterations")
+        raise ConvergenceError(f"biweight IRLS did not converge in "
+                               f"{_kernels.IRLS_MAX_ITER} iterations")
     return RobustLocationScale(location=float(loc), scale=float(scale))

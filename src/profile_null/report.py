@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments
-from .composite import CompositeResult
 from .empirical_null import EnConfig, NullFit, control_limits, fit_empirical_null, z_empirical_null
 from .errors import InputError, ProfileNullError
 from .measures import (
@@ -352,8 +351,14 @@ def standardize(
     # per measure to fit: its rows of the table, and the arguments of its fit
     fit_rows: list[np.ndarray] = []
     fit_tasks: list[tuple] = []
-    run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
-                                       t.size[usable], a_psi[usable])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
+                                           t.size[usable], a_psi[usable])
+    overflow = usable & ~np.isfinite(run.z_fe)
+    if overflow.any():
+        center, measure = t.row_ids(int(np.argmax(overflow)))
+        raise InputError(f"center {center!r}, measure {measure!r}: the fixed-effects "
+                         f"score overflows the float range")
     for k, spec in enumerate(t.measures):
         rows = t.measure == k
         for i in np.flatnonzero(rows & ~usable):
@@ -472,26 +477,22 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
     return written
 
 
-def write_composite_report(
-    results: Sequence[CompositeResult],
-    out_path: str | Path,
-) -> Path:
-    """Per-center composite rows plus a trailing summary block with the
-    poor/average/good percentages."""
-    if not results:
+def write_composite_report(scored: np.recarray, out_path: str | Path) -> Path:
+    """Per-center composite rows of the record array ``composite_table``
+    returns, plus a trailing summary block with the poor/average/good
+    percentages."""
+    total = len(scored)
+    if not total:
         raise InputError("no composite results to report")
-    rows = [["center_id", "z_cs", "label", "partial"]]
-    counts = {"poor": 0, "average": 0, "good": 0}
-    z_cs = fmt6(np.array([res.z_cs for res in results]))
-    for res, z in zip(results, z_cs):
-        counts[res.label] += 1
-        rows.append([res.center_id, z, res.label, "true" if res.partial else "false"])
-    total = len(results)
-    rows.append(["summary", "poor_pct", "average_pct", "good_pct"])
-    rows.append(["percent"] + [fmt6(100.0 * counts[k] / total)
-                               for k in ("poor", "average", "good")])
+    partial = np.where(scored.partial, "true", "false").tolist()
+    percent = [fmt6(100.0 * np.count_nonzero(scored.label == k) / total)
+               for k in ("poor", "average", "good")]
     path = Path(out_path)
-    _write_csv(path, rows)
+    _write_csv(path, [["center_id", "z_cs", "label", "partial"],
+                      *zip(scored.center_id.tolist(), fmt6(scored.z_cs),
+                           scored.label.tolist(), partial),
+                      ["summary", "poor_pct", "average_pct", "good_pct"],
+                      ["percent", *percent]])
     return path
 
 

@@ -278,11 +278,11 @@ class TestCompositeReport:
         assert len(lines) == 1 + 212 + 2
 
     def test_all_average(self, tmp_path):
-        from profile_null.composite import CompositeResult
-        res = [CompositeResult(center_id=f"C{i}", z_cs=0.0, label="average",
-                               weights=(1.0,), correlation=np.eye(1),
-                               measures_used=("A",)) for i in range(4)]
-        path = write_composite_report(res, tmp_path / "c.csv")
+        scored = np.rec.fromarrays(
+            [np.array([f"C{i}" for i in range(4)], dtype=object), np.zeros(4),
+             np.full(4, "average"), np.zeros(4, dtype=bool)],
+            names="center_id,z_cs,label,partial")
+        path = write_composite_report(scored, tmp_path / "c.csv")
         lines = path.read_text().splitlines()
         assert lines[-1] == "percent,0.000000,100.000000,0.000000"
 
@@ -526,6 +526,22 @@ class TestValidationEdges:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err \
             == "error: measure 'B': method-of-moments needs at least 2 centers\n"
+
+    def test_overflowing_fixed_effects_score_names_the_center(self, tmp_path, capsys):
+        # finite inputs whose score (observed - expected) / sqrt(size)
+        # overflows; numpy warnings are errors in this suite
+        rng = np.random.default_rng(9)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": "A", "family": "normal", "direction": "higher_is_better"}]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        rows += [[f"C{i}", "A", f"{rng.normal(5.0, 1.0):.6f}", "5", "1"] for i in range(30)]
+        rows.append(["CX", "A", "1.7e308", "1", "1e-300"])
+        _write_rows(tmp_path / "c.csv", rows)
+        for cmd in (["standardize", "--method", "fe"], ["composite"], ["diagnose"]):
+            assert main([*cmd, "--centers", str(tmp_path / "c.csv"), "--measures",
+                         str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == ("error: center 'CX', measure 'A': the "
+                                               "fixed-effects score overflows the float range\n")
 
     def test_clamped_zero_fit_prints_identical_columns(self, measures, tmp_path):
         # underdispersed scores clamp phi_hat to zero: the corrected column

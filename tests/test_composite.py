@@ -20,7 +20,7 @@ from profile_null import (
     published_weights,
 )
 import profile_null.composite as composite_module
-from profile_null.report import align_scores, standardize
+from profile_null.report import align_scores, standardize, write_composite_report
 
 # sample correlations among the four transplant measures, with published
 # weights (0.39, 0.40, 0.37, 0.38)
@@ -213,6 +213,19 @@ class TestFlag:
         assert flag(-1.5, cfg) == "poor"
         assert flag(2.5, cfg) == "average"
 
+    @pytest.mark.parametrize("cfg", [None, CompositeConfig(flag_lower=-1.0, flag_upper=3.0)])
+    def test_array_matches_scalar(self, cfg):
+        lo, hi = (-1.96, 1.96) if cfg is None else (-1.0, 3.0)
+        z = np.concatenate([np.linspace(-4, 4, 97), [-1.96, 1.96, -1.0, 3.0],
+                            np.nextafter([lo, lo, hi, hi], [-5, 5, -5, 5]),
+                            [np.nan, -np.inf, np.inf]])
+        scalar = [flag(float(v), cfg) for v in z]
+        assert all(type(label) is str for label in scalar)
+        # the rule as written before flag took arrays
+        assert scalar == ["poor" if v < lo else "good" if v > hi else "average"
+                          for v in z.tolist()]
+        assert flag(z, cfg).tolist() == scalar
+
 
 class TestCompositeConfig:
     def test_user_weights_consistency(self):
@@ -222,6 +235,9 @@ class TestCompositeConfig:
             CompositeConfig(user_weights=(1.0, 2.0))
         with pytest.raises(InputError):
             CompositeConfig(weight_scheme="user_supplied", user_weights=(1.0, -1.0))
+        for bad in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                CompositeConfig(weight_scheme="user_supplied", user_weights=(bad, 1.0))
         cfg = CompositeConfig(weight_scheme="user_supplied", user_weights=(1.0, 2.0))
         assert cfg.user_weights == (1.0, 2.0)
 
@@ -249,6 +265,14 @@ class TestCompositeTable:
         assert by_id["C0"].measures_used == ("A", "B")
         assert not by_id["C2"].partial
 
+    def test_single_measure_skips_centers_without_a_score(self):
+        z = np.random.default_rng(27).normal(size=12)
+        z[4] = np.nan
+        results, skipped = composite_table([f"C{i}" for i in range(12)], z[:, None], ["A"])
+        assert skipped == ["C4"]
+        assert results.z_cs.tolist() == np.delete(z, 4).tolist()
+        assert not results.partial.any()
+
     def test_validates_correlations_once_per_table(self, monkeypatch):
         calls = []
         real = composite_module._validate_corr
@@ -275,3 +299,30 @@ class TestCompositeTable:
         results, _ = composite_table([f"C{i}" for i in range(30)], mat,
                                      ["A", "B"], cfg)
         assert results[0].weights == (2.0, 1.0)
+
+    def test_ids_stay_distinct_through_the_report(self, tmp_path):
+        # a numpy unicode id column would drop the NUL of "a\0" and merge
+        # the first two ids
+        ids = ["a", "a\x00", "x,y", '"q"'] + [f"C{i}" for i in range(16)]
+        mat = np.random.default_rng(25).normal(size=(20, 2))
+        scored, skipped = composite_table(ids, mat, ["A", "B"])
+        assert scored.center_id.tolist() == ids and not skipped
+        path = write_composite_report(scored, tmp_path / "composite.csv")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        # the id cell as the CSV quoting writes it; z_cs, label and partial
+        # hold no commas
+        assert [line.rsplit(",", 3)[0] for line in lines[1:5]] \
+            == ["a", "a\x00", '"x,y"', '"""q"""']
+
+    def test_columns_match_records(self):
+        rng = np.random.default_rng(26)
+        mat = 3.0 * rng.normal(size=(40, 3))
+        mat[0, 2] = mat[1, 1:] = mat[2, 0] = np.nan
+        scored, skipped = composite_table([f"C{i}" for i in range(40)], mat,
+                                          ["A", "B", "C"])
+        assert skipped == ["C1"]
+        assert scored.dtype.names == ("center_id", "z_cs", "label", "partial",
+                                      "weights", "measures_used")
+        assert set(scored.label) == {"poor", "average", "good"}
+        for name in scored.dtype.names:
+            assert getattr(scored, name).tolist() == [getattr(r, name) for r in scored]

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from profile_null import (
+    ConvergenceError,
     InputError,
     nelder_mead_minimize,
     robust_intercept_scale,
     std_normal_cdf,
     std_normal_quantile,
 )
+from profile_null import _kernels
 
 
 def _cdf_oracle(x: float) -> float:
@@ -176,6 +178,14 @@ class TestRobustInterceptScale:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             robust_intercept_scale([1.0, float("nan"), 2.0, 3.0])
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the first step from the median moves the location by far more
+        # than the tolerance, so one step cannot converge
+        monkeypatch.setattr(_kernels, "IRLS_MAX_ITER", 1)
+        z = np.random.default_rng(3).normal(0.0, 1.0, 50)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations"):
+            robust_intercept_scale(z)
 
     @given(st.floats(-1e6, 1e6, allow_nan=False))
     @settings(max_examples=50, deadline=None)
