@@ -109,8 +109,10 @@ def _cmd_composite(args) -> int:
                                       [m.measure_id for m in table.measures], config)
     written.append(write_composite_report(scored, Path(args.out) / "composite.csv"))
     if skipped:
-        print(f"note: {len(skipped)} centers had fewer than 2 measures and "
-              f"no composite", file=sys.stderr)
+        # a one-measure table skips only the centers without a score
+        rule = "fewer than 2 measures" if len(table.measures) > 1 else "no score"
+        print(f"note: {len(skipped)} center{'' if len(skipped) == 1 else 's'} had "
+              f"{rule} and no composite", file=sys.stderr)
     for path in written:
         print(path)
     return EXIT_OK

@@ -158,9 +158,9 @@ def null_loglik(
 
 def _score_roots(score, phi_init: float, step: float, m: int):
     """The root phi >= 0 of each of m columns' score, ``score(phi,
-    columns)`` returning the score and its phi-derivative for all open
-    columns in one call per step; also the score evaluations of each column
-    and whether it converged.
+    columns)`` returning the score, its phi-derivative and a value to keep
+    for all open columns in one call per step; also the kept value at each
+    root, the score evaluations of each column and whether it converged.
 
     Each column keeps a bracket [lo, hi], score(lo) > 0 >= score(hi), whose
     ends may still be missing, and its next point is a Newton step (Press
@@ -183,14 +183,17 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     """
     # lo < 0: no positive score yet; hi = inf: no score that is not positive
     lo, hi = np.full(m, -1.0), np.full(m, np.inf)
+    # the kept values at lo, at hi and at each root
+    at_lo, at_hi, at_root = np.zeros(m), np.zeros(m), np.zeros(m)
     calls, converged, root = np.zeros(m, np.int64), np.zeros(m, np.bool_), np.zeros(m)
     x, open_ = np.full(m, phi_init), np.arange(m)
     while open_.size:
         at = x[open_]
-        f, df = score(at, open_)
+        f, df, kept = score(at, open_)
         calls[open_] += 1
         pos = ~(f <= 0.0)
         lo[open_[pos]], hi[open_[~pos]] = at[pos], at[~pos]
+        at_lo[open_[pos]], at_hi[open_[~pos]] = kept[pos], kept[~pos]
         a, b = lo[open_], hi[open_]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d = f / df
@@ -203,11 +206,12 @@ def _score_roots(score, phi_init: float, step: float, m: int):
                                                  & (b - a <= _PHI_RTOL * b))
         converged[open_[done]] = True
         root[open_] = np.where(stop, at, np.where(b < np.inf, b, a))
+        at_root[open_] = np.where(stop, kept, np.where(b < np.inf, at_hi[open_], at_lo[open_]))
         take = tangent & (np.maximum(a, 0.0) < target) & (target < b)
         x[open_] = np.where(take, target, np.where(b == np.inf, 2.0 * a + step,
                                                    np.where(a < 0.0, 0.0, 0.5 * (a + b))))
         open_ = open_[~done & (calls[open_] < _MAX_SCORE_CALLS)]
-    return root, calls, converged
+    return root, at_root, calls, converged
 
 
 def fit_empirical_null(
@@ -225,10 +229,11 @@ def fit_empirical_null(
     keep the grid point with the largest profile likelihood, breaking ties
     toward the larger pi0.
 
-    The grid points are solved together (``_score_roots``), and one
-    likelihood call at the roots gives the profile; every grid point gets
-    the same result as a fit on a grid of that point alone. Raises
-    ConvergenceError when no grid point converges.
+    The grid points are solved together (``_score_roots``). The score
+    kernel also returns each point's out-of-interval log-likelihood, so the
+    profile at the roots needs only their in-interval terms; every grid
+    point gets the same result as a fit on a grid of that point alone.
+    Raises ConvergenceError when no grid point converges.
     """
     cfg = config if config is not None else EnConfig()
     zarr = np.ascontiguousarray(z, dtype=np.float64)
@@ -257,13 +262,13 @@ def fit_empirical_null(
     grid = cfg.pi0_grid()
     # every call shares the fit's arrays
     arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
-    phi, iterations, converged = _score_roots(
+    phi, log_out, iterations, converged = _score_roots(
         lambda x, columns: _kernels.null_score_core(x, grid[columns], arrays),
         phi_init, 1.0 / float(np.mean(sarr)), grid.size)
     if not converged.any():
         raise ConvergenceError("phi root search failed to converge at every "
                                "pi0 grid point")
-    profile = _kernels.null_loglik_core(phi, grid, arrays)
+    profile = _kernels.null_loglik_core(phi, grid, arrays, log_out)
     # the last maximum: ties go to the larger pi0
     best = grid.size - 1 - int(np.argmax(profile[::-1]))
     phi_hat = float(phi[best])

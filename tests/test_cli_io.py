@@ -543,6 +543,29 @@ class TestValidationEdges:
             assert capsys.readouterr().err == ("error: center 'CX', measure 'A': the "
                                                "fixed-effects score overflows the float range\n")
 
+    @pytest.mark.parametrize("declared,missing,note", [
+        (("A",), 1, "1 center had no score"),
+        (("A",), 2, "2 centers had no score"),
+        (("A", "B"), 1, "1 center had fewer than 2 measures"),
+        (("A", "B"), 3, "3 centers had fewer than 2 measures")])
+    def test_composite_note_counts_the_skipped_centers(self, tmp_path, capsys, declared,
+                                                       missing, note):
+        # the first ``missing`` centers have no score for the last measure:
+        # a zero expected count skips the row
+        rng = np.random.default_rng(10)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in declared]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 30)):
+            rows += [[f"C{i}", m, int(rng.poisson(e)),
+                      "0" if i < missing and m == declared[-1] else f"{e:.6f}", ""]
+                     for m in declared]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["composite", "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == f"note: {note} and no composite\n"
+
     def test_clamped_zero_fit_prints_identical_columns(self, measures, tmp_path):
         # underdispersed scores clamp phi_hat to zero: the corrected column
         # must equal the naive one at printed precision

@@ -256,12 +256,12 @@ def _one_point_fit(z, n, cfg, pi0):
 
 def _recording(monkeypatch, name):
     """Rebind the kernel ``name`` to one that keeps the (phi, pi0) arrays
-    of every call in the returned list."""
+    and the further arguments of every call in the returned list."""
     calls, kernel = [], getattr(_kernels, name)
 
-    def recording_kernel(phi, pi0, arrays):
-        calls.append((phi.copy(), pi0.copy()))
-        return kernel(phi, pi0, arrays)
+    def recording_kernel(phi, pi0, arrays, *rest):
+        calls.append((phi.copy(), pi0.copy(), *rest))
+        return kernel(phi, pi0, arrays, *rest)
 
     monkeypatch.setattr(_kernels, name, recording_kernel)
     return calls
@@ -277,8 +277,13 @@ class TestLockstepFit:
             at_roots = _recording(m, "null_loglik_core")
             fit = fit_empirical_null(z, n, cfg)
         assert len(at_roots) == 1
-        roots, pi0 = at_roots[0]
-        assert pi0.tolist() == grid.tolist()
+        # the closing call adds the score's out-of-interval sums
+        roots, pi0, log_out = at_roots[0]
+        assert pi0.tolist() == grid.tolist() and log_out.shape == grid.shape
+        # with the bits of a likelihood call that computes them afresh
+        arrays = _kernels.FitArrays(z, n, fit.null_set, fit.interval_bounds[:, 1])
+        assert fit.profile_loglik.tolist() \
+            == _kernels.null_loglik_core(roots, grid, arrays).tolist()
         ones = [_one_point_fit(z, n, cfg, float(p)) for p in grid]
         assert roots.tolist() == [f.phi_hat for f in ones]
         assert fit.profile_loglik.tolist() == [f.loglik for f in ones]
@@ -307,7 +312,7 @@ class TestLockstepFit:
         z, n = _contaminated(212, 0.01, seed=9)
         calls = _recording(monkeypatch, "null_score_core")
         fit_empirical_null(z, n)
-        points = [p for phi, pi0 in calls for p in zip(pi0.tolist(), phi.tolist())]
+        points = [p for phi, pi0, *_ in calls for p in zip(pi0.tolist(), phi.tolist())]
         assert len(points) > 150
         assert len(points) == len(set(points))
 
@@ -405,7 +410,7 @@ class TestScoreRoots:
             data = gen_single_measure(cfg, np.random.default_rng(seed), gamma_focal=2.0)
             fit = fit_empirical_null(data.z_fixed_effects(), data.effective_size)
             assert fit.converged.all() and fit.iterations.max() <= 7
-        assert sum(phi.size for phi, _ in calls) <= 230 * 10
+        assert sum(phi.size for phi, *_ in calls) <= 230 * 10
         assert len(calls) <= 7 * 10
 
     @pytest.mark.parametrize("special", [math.inf, math.nan])
@@ -419,12 +424,14 @@ class TestScoreRoots:
         def score(x, columns):
             seen.extend(x.tolist())
             near, r = x < 1e-3, np.sqrt(np.maximum(x, 1e-3))
-            return np.where(near, special, 0.5 - r), np.where(near, special, -0.5 / r)
+            return np.where(near, special, 0.5 - r), np.where(near, special, -0.5 / r), -x
 
-        root, calls, converged = empirical_null._score_roots(score, 2.0, 100.0, 1)
+        root, kept, calls, converged = empirical_null._score_roots(score, 2.0, 100.0, 1)
         assert seen[:2] == [2.0, 0.0]
         assert converged[0] and calls[0] == len(seen)
         assert root[0] == pytest.approx(0.25, rel=1e-11)
+        # the kept value is the one at the point that is the root
+        assert kept[0] == -root[0]
 
     def test_bracket_grows_where_the_curvature_is_not_negative(self):
         # the score 3 - (phi - 1)^2 is positive with a positive derivative
@@ -433,12 +440,13 @@ class TestScoreRoots:
 
         def score(x, columns):
             seen.extend(x.tolist())
-            return 3.0 - (x - 1.0) ** 2, -2.0 * (x - 1.0)
+            return 3.0 - (x - 1.0) ** 2, -2.0 * (x - 1.0), -x
 
-        root, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
+        root, kept, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
         assert seen[:3] == [0.0, 1.0, 3.0]
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-11)
+        assert kept[0] == -root[0]
 
     def test_bisects_where_the_newton_step_leaves_the_bracket(self):
         # the score atan(3 (3 - phi)) is flat far from its root 3: from 5
@@ -448,12 +456,13 @@ class TestScoreRoots:
 
         def score(x, columns):
             seen.extend(x.tolist())
-            return np.arctan(3.0 * (3.0 - x)), -3.0 / (1.0 + (3.0 * (3.0 - x)) ** 2)
+            return np.arctan(3.0 * (3.0 - x)), -3.0 / (1.0 + (3.0 * (3.0 - x)) ** 2), -x
 
-        root, calls, converged = empirical_null._score_roots(score, 5.0, 1.0, 1)
+        root, kept, calls, converged = empirical_null._score_roots(score, 5.0, 1.0, 1)
         assert seen[1] < 3.0 and seen[2] == 0.5 * (seen[1] + seen[0])
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(3.0, rel=1e-11)
+        assert kept[0] == -root[0]
 
     def test_newton_step_is_at_most_twice_the_plain_step(self):
         # the score (1 - phi^2/4) / (1 + phi)^2 times (1 + phi)^2, that is
@@ -465,15 +474,16 @@ class TestScoreRoots:
         def score(x, columns):
             seen.extend(x.tolist())
             return (1.0 - x * x / 4.0) / (1.0 + x) ** 2, \
-                -0.5 * x / (1.0 + x) ** 2 - 2.0 * (1.0 - x * x / 4.0) / (1.0 + x) ** 3
+                -0.5 * x / (1.0 + x) ** 2 - 2.0 * (1.0 - x * x / 4.0) / (1.0 + x) ** 3, -x
 
         at = 0.01
-        f, df = (float(v[0]) for v in score(np.array([at]), None))
+        f, df, _ = (float(v[0]) for v in score(np.array([at]), None))
         seen.clear()
-        root, calls, converged = empirical_null._score_roots(score, at, 1.0, 1)
+        root, kept, calls, converged = empirical_null._score_roots(score, at, 1.0, 1)
         assert at - f / df < seen[1] <= at - 2.0 * f / df
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(2.0, rel=1e-11)
+        assert kept[0] == -root[0]
 
 
 def _two_sizes(phi, seed):
@@ -549,12 +559,63 @@ class TestProfileOracle:
         at_zero = _kernels.null_score_core(zero, one, arrays)[0][0]
         assert at_zero == score_at_zero or (math.isnan(at_zero) and math.isnan(score_at_zero))
         assert _kernels.null_loglik_core(zero, one, arrays)[0] == -math.inf
+        # the score's out-of-interval sum is -inf too, and closes the same
+        log_out = _kernels.null_score_core(zero, one, arrays)[2]
+        assert log_out[0] == -math.inf
+        assert _kernels.null_loglik_core(zero, one, arrays, log_out)[0] == -math.inf
         grid = EnConfig().pi0_grid()
         assert fit.converged[-1] and math.isfinite(fit.profile_loglik[-1])
         assert abs(fit.profile_loglik[-1] - _scan_profile(z, n, fit, grid[-1:])[0]) <= 1e-11
         if score_at_zero == math.inf:
             # the pi0 = 1 column has the largest profile
             assert fit.pi0_hat == 1.0
+
+
+# name: the transformed (z, n, rng), and the (phi, profile) its fit should
+# give from the fit of the data
+_TRANSFORMS = {
+    "concatenated with itself": (lambda z, n, rng: (np.tile(z, 2), np.tile(n, 2)),
+                                 lambda phi, profile: (phi, 2.0 * profile)),
+    "sizes times 1000": (lambda z, n, rng: (z, 1000.0 * n),
+                         lambda phi, profile: (phi / 1000.0, profile)),
+    "rows permuted": (lambda z, n, rng: (lambda p: (z[p], n[p]))(rng.permutation(z.size)),
+                      lambda phi, profile: (phi, profile)),
+    "z negated": (lambda z, n, rng: (-z, n), lambda phi, profile: (phi, profile)),
+}
+
+
+class TestMetamorphic:
+    """The fit respects the model's symmetries: the likelihood of data
+    concatenated with itself is twice the likelihood; sizes times c with
+    phi / c leave every variance 1 + phi*n as it was; the likelihood sums
+    over centers in any order; and it reads z only as z^2, with a
+    biweight location that is odd in z. A reordered sum can move by an ulp,
+    so the bound is 1e-12 relative and not bit equality."""
+
+    @pytest.mark.parametrize("transform", list(_TRANSFORMS))
+    @given(n_centers=st.one_of(st.integers(12, 300), st.integers(300, 8000)),
+           q=st.sampled_from([2.5, 5.0, 10.0, 15.0, 20.0]),
+           phi=st.sampled_from([0.0, 0.002, 0.01, 0.05]),
+           outliers=st.sampled_from([0.0, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_fit_respects_the_symmetry(self, transform, n_centers, q, phi, outliers, seed):
+        where = f"{transform}, seed {seed} (n {n_centers}, q {q}, phi {phi}, outliers {outliers})"
+        z, n = _contaminated(n_centers, phi, seed, outliers)
+        change, expect = _TRANSFORMS[transform]
+        z_moved, n_moved = change(z, n, np.random.default_rng(seed))
+        cfg = EnConfig(q_percent=q)
+        try:
+            fit = fit_empirical_null(z, n, cfg)
+        except FittingError as error:
+            with pytest.raises(type(error)):
+                fit_empirical_null(z_moved, n_moved, cfg)
+            return
+        moved = fit_empirical_null(z_moved, n_moved, cfg)
+        phi_hat, profile = expect(fit.phi_hat, fit.profile_loglik)
+        assert moved.pi0_hat == fit.pi0_hat, where
+        assert moved.phi_hat == pytest.approx(phi_hat, rel=1e-12, abs=0.0), where
+        assert np.allclose(moved.profile_loglik, profile, rtol=1e-12, atol=0.0), where
 
 
 class TestZEmpiricalNull:

@@ -1,8 +1,8 @@
 """The numpy kernels against independent references: a 40-digit mpmath
-evaluation of the truncated likelihood and of its curvature, central
-differences of the likelihood for the score and of the score for the
-curvature, a one-column-at-a-time loop for the bits of batched calls, the
-fixed-point conditions of the biweight IRLS, and ``np.median`` for the
+evaluation of the truncated likelihood, of its curvature and of erfc,
+central differences of the likelihood for the score and of the score for
+the curvature, a one-column-at-a-time loop for the bits of batched calls,
+the fixed-point conditions of the biweight IRLS, and ``np.median`` for the
 median the IRLS takes."""
 
 import math
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import profile_null
-from profile_null import _kernels
+from profile_null import _erfc_table, _kernels
 
 
 def _random_problem(seed):
@@ -86,7 +86,7 @@ def test_curvature_matches_central_difference(seed, phi, pi0):
     z, n, in_null, b = _random_problem(seed)
     fit = _kernels.FitArrays(z, n, in_null, b)
     h = 1e-4 * phi
-    score, _ = _kernels.null_score_core(np.array([phi + h, phi - h]), np.array([pi0, pi0]), fit)
+    score = _kernels.null_score_core(np.array([phi + h, phi - h]), np.array([pi0, pi0]), fit)[0]
     got = _kernels.null_score_core(np.array([phi]), np.array([pi0]), fit)[1][0]
     assert got == pytest.approx((score[0] - score[1]) / (2.0 * h), rel=1e-6)
 
@@ -140,7 +140,8 @@ def _one_column(phi, pi0, z, sizes, in_null, b_upper):
     if out.any():
         so, vo = sizes[out], v[out]
         b = b_upper[out] / np.sqrt(vo)
-        q = 1.0 - np.frompyfunc(math.erfc, 1, 1)(b * (1.0 / math.sqrt(2.0))).astype(np.float64)
+        # erfc of this column's row alone: the kernels take it over whole blocks
+        q = 1.0 - _kernels._erfc(b * (1.0 / math.sqrt(2.0)))
         t = 1.0 - q * pi0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ll = -math.inf if np.any(t <= 0.0) else ll + float(np.sum(np.log(t)))
@@ -176,11 +177,74 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
             monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
             fit = _kernels.FitArrays(z, n, in_null, b)
             assert _kernels.null_loglik_core(phi, pi0, fit).tolist() == want[:, 0].tolist()
-            got = np.column_stack(_kernels.null_score_core(phi, pi0, fit))
-            assert np.array_equal(got, want[:, 1:], equal_nan=True)
+            score, curvature, log_out = _kernels.null_score_core(phi, pi0, fit)
+            assert np.array_equal(np.column_stack([score, curvature]), want[:, 1:],
+                                  equal_nan=True)
+            # the score's out-of-interval sums close the likelihood
+            assert _kernels.null_loglik_core(phi, pi0, fit, log_out).tolist() \
+                == want[:, 0].tolist()
             # a column alone in its call keeps the same bits
             one = _kernels.null_score_core(phi[3:4], pi0[3:4], fit)
             assert [one[0][0], one[1][0]] == want[3, 1:].tolist()
+
+
+def _ulps(got, x):
+    """|got - erfc(x)| in ulps of erfc(x), from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        ref = [mpmath.erfc(v) for v in x.tolist()]
+        return np.array([float(abs(g - r)) / math.ulp(float(r))
+                         for g, r in zip(got.tolist(), ref)])
+
+
+def _segment_edges():
+    """Each segment start of the erfc table and the point where it turns to
+    0, with their neighbours one ulp below and above."""
+    edges = np.array(_erfc_table.EDGES[1:] + (_erfc_table.ZERO,))
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+def test_erfc_within_4_ulp_of_mpmath():
+    rng = np.random.default_rng(20)
+    x = np.concatenate([rng.uniform(0.0, 26.0, 16000), rng.uniform(0.0, 2.0, 4000),
+                        np.linspace(0.0, 26.0, 1001), _segment_edges(),
+                        [5e-324, 1e-300, 1e-17, 1e-8, math.nextafter(26.0, 0.0)]])
+    x = np.sort(x[x <= 26.0])
+    assert x.size >= 20000
+    ulps = _ulps(_kernels._erfc(x), x)
+    assert ulps.max() <= 4.0, (x[np.argmax(ulps)], ulps.max())
+
+
+def test_erfc_is_zero_where_libm_is_and_below_the_normal_range():
+    x = np.concatenate([np.linspace(25.0, 40.0, 30001), _segment_edges(), [1e10, 1e300]])
+    got = _kernels._erfc(x)
+    assert np.all(got[np.array([math.erfc(v) for v in x.tolist()]) == 0.0] == 0.0)
+    # from ZERO on erfc is below the smallest normal double, and returns 0
+    assert np.all((got == 0.0) == (x >= _erfc_table.ZERO))
+    assert np.all(got[x < _erfc_table.ZERO] >= np.finfo(np.float64).tiny)
+
+
+def test_erfc_is_non_increasing():
+    # with the segment edges, but not their neighbours: below x = 1 erfc
+    # moves by less than an ulp from one double to the next, and across an
+    # edge the two segments' roundings may differ by an ulp either way (in
+    # 1 of the 864 steps within 8 ulps of an edge, at 0.46875)
+    x = np.sort(np.concatenate([np.random.default_rng(21).uniform(0.0, 30.0, 200000),
+                                _erfc_table.EDGES, [_erfc_table.ZERO]]))
+    got = _kernels._erfc(x)
+    assert got[0] == 1.0 and np.all(np.diff(got) <= 0.0)
+
+
+def test_erfc_of_a_value_alone_has_its_bits_in_a_block():
+    rng = np.random.default_rng(22)
+    block = rng.uniform(0.0, 3.0, (41, 65))
+    block[::7] = rng.uniform(3.0, 30.0, (6, 65))
+    block[0, :3] = _erfc_table.EDGES[1:4]
+    whole = _kernels._erfc(block)
+    alone = np.array([_kernels._erfc(np.array([v]))[0] for v in block.ravel().tolist()])
+    assert whole.tobytes() == alone.reshape(block.shape).tobytes()
+    # and in a row of the block on its own, and the block's transpose
+    assert _kernels._erfc(block[5]).tobytes() == whole[5].tobytes()
+    assert _kernels._erfc(block.T).tobytes() == whole.T.tobytes()
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
