@@ -37,8 +37,6 @@ from .simulation import (
     SimConfig,
     SweepResult,
     TuningResult,
-    map_items,
-    resolve_workers,
     run_composite_experiment,
     run_flagging_experiment,
     run_tuning_sensitivity,
@@ -50,14 +48,6 @@ SCORES_HEADER = ["center_id", "measure_id", "z_fe", "z_en", "z_mom"]
 FUNNEL_HEADER = ["effective_size", "ratio", "fe_lower", "fe_upper", "en_lower", "en_upper"]
 
 RUN_METHODS = ("fe", "mom", "en")
-
-# Fewest fitted rows for which standardize fits its measures in the process
-# pool. A pool costs its start and, the first time, the import of
-# multiprocessing's pool modules. Measured on 2 CPUs, 4 measures: 109 ms
-# in-process against 124 ms pooled at 1,980 rows, 254 against 180 ms at
-# 3,960; and with no threshold the registry-8k benchmark's setup_s, whose
-# 200-center warm-up report then starts two pools, was 0.4-19% worse.
-POOL_MIN_ROWS = 4000
 
 _EN_KEYS = tuple(f.name for f in fields(EnConfig))
 _MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
@@ -332,14 +322,9 @@ def standardize(
     requested method, the empirical-null or method-of-moments corrections.
 
     Rows with non-positive effective size or expected count are excluded
-    from all fitting and recorded in the skipped list.
-
-    The empirical-null fits, one per measure, run in the simulation process
-    pool (``simulation.map_items``, at most ``resolve_workers()`` processes)
-    once they span ``POOL_MIN_ROWS`` rows or more, and in this process below
-    that. Each fit is the same pure function either way, so the results do
-    not depend on the worker count, and the first measure whose fit fails,
-    in declaration order, raises its error.
+    from all fitting and recorded in the skipped list. The measures are
+    fitted in declaration order, so the first one whose fit fails raises
+    its error.
     """
     if method not in RUN_METHODS:
         raise InputError(f"method must be one of {RUN_METHODS}, got {method!r}")
@@ -348,9 +333,6 @@ def standardize(
     usable = ~no_size & (t.expected > 0)
     run = StandardizationRun(method, t, *(np.full(len(t), np.nan) for _ in range(3)))
     a_psi = np.array([m.a_psi for m in t.measures])[t.measure]
-    # per measure to fit: its rows of the table, and the arguments of its fit
-    fit_rows: list[np.ndarray] = []
-    fit_tasks: list[tuple] = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
                                            t.size[usable], a_psi[usable])
@@ -369,20 +351,17 @@ def standardize(
             continue
         z, sizes = run.z_fe[rows], t.size[rows]
         if method == "en":
-            fit_rows.append(rows)
-            fit_tasks.append((z, sizes, spec.en_config, spec.a_psi, spec.measure_id))
+            with _naming(spec.measure_id):
+                fit = fit_empirical_null(z, sizes, spec.en_config, spec.a_psi,
+                                         spec.measure_id)
+            run.null_fits[spec.measure_id] = fit
+            run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
         elif method == "mom":
             with _naming(spec.measure_id):
                 mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
                                             a_psi=spec.a_psi)
             run.mom_fits[spec.measure_id] = mom
             run.z_mom[rows] = z_empirical_null(z, sizes, mom.phi_mom)
-    n_fitted = sum(task[0].size for task in fit_tasks)
-    workers = min(resolve_workers(), len(fit_tasks)) if n_fitted >= POOL_MIN_ROWS else 1
-    fits = map_items(_fit_measure, fit_tasks, workers)
-    for rows, (z, sizes, *_), fit in zip(fit_rows, fit_tasks, fits):
-        run.null_fits[fit.measure_id] = fit
-        run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
     return run
 
 
@@ -394,12 +373,6 @@ def _naming(measure_id: str):
         yield
     except ProfileNullError as exc:
         raise type(exc)(f"measure {measure_id!r}: {exc}") from None
-
-
-def _fit_measure(task: tuple) -> NullFit:
-    # module level, so that the process pool can pickle it
-    with _naming(task[4]):
-        return fit_empirical_null(*task)
 
 
 def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:

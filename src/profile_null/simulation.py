@@ -314,10 +314,10 @@ def map_items(fn: Callable[[object], object], items: Sequence,
     """``[fn(x) for x in items]``, spread over at most ``workers`` processes.
 
     The one process pool of the package: the simulation runners map their
-    iterations through it and ``report.standardize`` its per-measure fits.
-    Results come back in item order, and the first item that raises, in
-    that order, raises its exception here. The pool starts all its
-    processes at once, so it gets no more of them than there are items.
+    iterations through it. Results come back in item order, and the first
+    item that raises, in that order, raises its exception here. The pool
+    starts all its processes at once, so it gets no more of them than there
+    are items.
     """
     workers = min(workers, len(items))
     if workers <= 1:
