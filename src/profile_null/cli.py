@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: machine parallelism, "
+                   help="most worker processes in the run's one pool, "
+                        "clamped to the usable CPUs (default: those CPUs, "
                         "capped by PROFILE_NULL_THREADS)")
 
     p = sub.add_parser("diagnose", help="size-grouped Z-score variance table")

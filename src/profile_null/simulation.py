@@ -6,7 +6,9 @@ discrimination for engineered probe centers.
 
 Every iteration draws from its own generator keyed by (seed, iteration), so
 results are bit-identical for a given config regardless of how many worker
-processes evaluate them. PROFILE_NULL_THREADS caps the process pool.
+processes evaluate them. A run maps all its grid points through one pool
+of one worker per usable CPU, fewer when an explicit worker count, or else
+PROFILE_NULL_THREADS, is lower.
 """
 
 from __future__ import annotations
@@ -144,16 +146,16 @@ class TuningResult:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker-process count: explicit argument, else the CPUs this process
-    may run on capped by PROFILE_NULL_THREADS."""
-    if workers is not None:
-        if workers < 1:
-            raise InputError("workers must be at least 1")
-        return workers
+    """Worker-process count: the CPUs this process may run on, capped by an
+    explicit ``workers``, else by PROFILE_NULL_THREADS."""
+    if workers is not None and workers < 1:
+        raise InputError("workers must be at least 1")
     try:
         n = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         n = os.cpu_count() or 1
+    if workers is not None:
+        return min(n, workers)
     cap = os.environ.get(ENV_THREADS, "").strip()
     if cap:
         try:
@@ -293,11 +295,12 @@ def _method_scores(z: np.ndarray, sizes: np.ndarray, config: SimConfig,
                      for phi in (0.0, phi_mom, phi_en)])
 
 
-def _flagging_iteration(iteration: int, config: SimConfig, gamma: float):
-    """One single-measure iteration; returns (method, probe) flags or None.
-    The probes are the focal center 0 and the last center: it never carries
-    a quality effect, so its flags give an exchangeability reference for the
-    focal center at gamma = 0."""
+def _flagging_iteration(config: SimConfig, item: tuple[float, int]):
+    """One single-measure iteration at ``item = (gamma, iteration)``; returns
+    (method, probe) flags or None. The probes are the focal center 0 and the
+    last center: it never carries a quality effect, so its flags give an
+    exchangeability reference for the focal center at gamma = 0."""
+    gamma, iteration = item
     rng = _iteration_rng(config.seed, iteration)
     data = gen_single_measure(config, rng, gamma_focal=gamma)
     z = data.z_fixed_effects()
@@ -313,8 +316,9 @@ def map_items(fn: Callable[[object], object], items: Sequence,
               workers: int) -> list:
     """``[fn(x) for x in items]``, spread over at most ``workers`` processes.
 
-    The one process pool of the package: the simulation runners map their
-    iterations through it. Results come back in item order, and the first
+    The one process pool of the package: a simulation run maps the
+    iterations of all its grid points through it in one call, so no worker
+    waits at a grid point. Results come back in item order, and the first
     item that raises, in that order, raises its exception here. The pool
     starts all its processes at once, so it gets no more of them than there
     are items.
@@ -327,20 +331,25 @@ def map_items(fn: Callable[[object], object], items: Sequence,
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _iterate(iteration: Callable, config: SimConfig, workers: int, gamma: float,
-             context: str) -> list:
-    """The outcomes of ``config.iterations`` calls of ``iteration`` at one
-    gamma that did not fail (return None). Raises ConvergenceError when more
-    than ``MAX_FAILED_FRACTION`` of them failed."""
-    outcomes = map_items(partial(iteration, config=config, gamma=gamma),
-                         range(config.iterations), workers)
-    ok = [o for o in outcomes if o is not None]
-    n_failed = config.iterations - len(ok)
-    if n_failed > MAX_FAILED_FRACTION * config.iterations:
-        raise ConvergenceError(
-            f"{n_failed} of {config.iterations} iterations failed during "
-            f"{context}; limit is {MAX_FAILED_FRACTION:.0%}")
-    return ok
+def _iterate(iteration: Callable, config: SimConfig, workers: int | None,
+             gammas: Sequence[float], context: str) -> list[list]:
+    """Per gamma, the outcomes of ``iteration(config, (gamma, i))`` for i in
+    ``range(config.iterations)`` that did not fail (return None), all from
+    one ``map_items`` call. Raises ConvergenceError, naming the run with
+    ``context.format(gamma)``, at the first gamma where more than
+    ``MAX_FAILED_FRACTION`` of the calls failed."""
+    n = config.iterations
+    items = [(float(gamma), i) for gamma in gammas for i in range(n)]
+    outcomes = map_items(partial(iteration, config), items, resolve_workers(workers))
+    per_gamma = []
+    for k, gamma in enumerate(gammas):
+        ok = [o for o in outcomes[k * n:(k + 1) * n] if o is not None]
+        if n - len(ok) > MAX_FAILED_FRACTION * n:
+            raise ConvergenceError(
+                f"{n - len(ok)} of {n} iterations failed during "
+                f"{context.format(gamma)}; limit is {MAX_FAILED_FRACTION:.0%}")
+        per_gamma.append(ok)
+    return per_gamma
 
 
 def _sweep(iteration: Callable, config: SimConfig, workers: int | None,
@@ -348,14 +357,11 @@ def _sweep(iteration: Callable, config: SimConfig, workers: int | None,
     """Flag rates across the gamma grid. At each gamma, ``iteration`` runs
     ``config.iterations`` times and returns a (method, probe) bool array, or
     None when a fit failed; failed iterations leave the denominators."""
-    w = resolve_workers(workers)
-    means, n_eff = [], []
-    for gamma in config.gamma_grid:
-        ok = _iterate(iteration, config, w, float(gamma), f"{run} run at gamma={gamma}")
-        means.append(np.mean(np.stack(ok), axis=0))
-        n_eff.append(len(ok))
-    n_eff = np.array(n_eff, dtype=np.int64)
-    rates = np.stack(means, axis=-1)    # (method, probe, gamma)
+    per_gamma = _iterate(iteration, config, workers, config.gamma_grid,
+                         f"{run} run at gamma={{}}")
+    n_eff = np.array([len(ok) for ok in per_gamma], dtype=np.int64)
+    # (method, probe, gamma)
+    rates = np.stack([np.mean(np.stack(ok), axis=0) for ok in per_gamma], axis=-1)
     se = np.sqrt(rates * (1.0 - rates) / n_eff)
     return SweepResult(config=config, flag_rates=dict(zip(METHOD_KEYS, rates)),
                        flag_se=dict(zip(METHOD_KEYS, se)),
@@ -382,7 +388,8 @@ def run_flagging_experiment(config: SimConfig,
     return _sweep(_flagging_iteration, config, workers, "flagging")
 
 
-def _tuning_iteration(iteration: int, config: SimConfig, gamma: float):
+def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
+    gamma, iteration = item
     rng = _iteration_rng(config.seed, iteration)
     data = gen_single_measure(config, rng, gamma_focal=gamma)
     z = data.z_fixed_effects()
@@ -422,8 +429,8 @@ def run_tuning_sensitivity(config: SimConfig,
     """
     if not config.q_grid:
         raise InputError("q_grid must not be empty")
-    ok = _iterate(_tuning_iteration, config, resolve_workers(workers),
-                  float(config.gamma_grid[0]), "tuning sensitivity run")
+    [ok] = _iterate(_tuning_iteration, config, workers, config.gamma_grid[:1],
+                    "tuning sensitivity run")
     en_s2, mom_s2, en_flag, mom_flag = (np.vstack(col) for col in zip(*ok))
 
     def col_mean(mat: np.ndarray) -> np.ndarray:
@@ -447,8 +454,9 @@ def run_tuning_sensitivity(config: SimConfig,
         n_effective=np.full(n_q, len(ok), dtype=np.int64))
 
 
-def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
-    """One two-measure iteration; returns (method, probe) flags or None.
+def _composite_iteration(config: SimConfig, item: tuple[float, int]):
+    """One two-measure iteration at ``item = (gamma, iteration)``; returns
+    (method, probe) flags or None.
 
     Measure 1 is higher-is-better (access), measure 2 lower-is-better
     (adverse outcomes); the aligned composite is (z1 - z2) / sqrt(2).
@@ -459,6 +467,7 @@ def _composite_iteration(iteration: int, config: SimConfig, gamma: float):
     measure 1, in a block after the probes, and half on measure 2, in the
     next block; within a block the first half (rounded down) gets +effect.
     """
+    gamma, iteration = item
     s2_1, s2_2 = config.sigma2_alpha[0], config.sigma2_alpha[1]
     f = config.n_centers
     rng = _iteration_rng(config.seed, iteration)

@@ -587,6 +587,8 @@ class TestValidationEdges:
 class TestWorkerResolution:
     def test_env_caps_machine_parallelism(self, monkeypatch):
         from profile_null.simulation import resolve_workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         monkeypatch.setenv("PROFILE_NULL_THREADS", "1")
         assert resolve_workers(None) == 1
         monkeypatch.setenv("PROFILE_NULL_THREADS", "notanint")
@@ -610,6 +612,19 @@ class TestWorkerResolution:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert resolve_workers(None) == 3
+
+    def test_explicit_count_is_capped_by_the_cpus(self, monkeypatch):
+        # no process starts here: only the count is resolved
+        from profile_null.simulation import resolve_workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delenv("PROFILE_NULL_THREADS", raising=False)
+        assert resolve_workers(10_000) == 2
+        monkeypatch.setenv("PROFILE_NULL_THREADS", "1")
+        assert resolve_workers(None) == 1
+        # an explicit count takes the variable's place
+        assert resolve_workers(10_000) == 2
+        with pytest.raises(InputError):
+            resolve_workers(0)
 
 
 class TestAdditionalCliPaths:

@@ -2,11 +2,14 @@
 runners, and reproducibility."""
 
 import math
+import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 from profile_null import (
+    ConvergenceError,
     EnConfig,
     InputError,
     SimConfig,
@@ -16,6 +19,7 @@ from profile_null import (
     run_composite_experiment,
     run_flagging_experiment,
     run_tuning_sensitivity,
+    simulation,
 )
 
 
@@ -141,9 +145,43 @@ class TestGamma2Calibration:
 SMALL = dict(iterations=60, n_centers=212)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools built during the test, in
+    order. The pools map in this process."""
+    asked = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+_flagging_iteration = simulation._flagging_iteration
+
+
+def _failing_at(failures, config, item):
+    """The flagging iteration, failed (None) at the (gamma, iteration) pairs
+    in ``failures``."""
+    return None if item in failures else _flagging_iteration(config, item)
+
+
 class TestRunFlaggingExperiment:
     def test_reproducible_and_parallel_invariant(self):
-        config = SimConfig(seed=31, gamma_grid=(0.0, 1.0), **SMALL)
+        config = SimConfig(seed=31, gamma_grid=(0.0, 1.0, 2.0), **SMALL)
         r1 = run_flagging_experiment(config, workers=1)
         r2 = run_flagging_experiment(config, workers=2)
         for m in ("fe", "mom", "en"):
@@ -173,6 +211,31 @@ class TestRunFlaggingExperiment:
         p = res.flag_rates["fe"][0, 0]
         n = res.n_effective[0]
         assert res.flag_se["fe"][0, 0] == pytest.approx(math.sqrt(p * (1 - p) / n))
+
+    def test_failures_within_the_cap_leave_the_denominators(self, monkeypatch):
+        # 5% of 60 iterations: 3 may fail at each gamma
+        config = SimConfig(seed=34, gamma_grid=(0.0, 1.0), **SMALL)
+        failures = {(1.0, 5), (1.0, 17), (1.0, 59)}
+        monkeypatch.setattr(simulation, "_flagging_iteration",
+                            partial(_failing_at, failures))
+        res = run_flagging_experiment(config, workers=1)
+        assert res.n_failed.tolist() == [0, 3]
+        assert res.n_effective.tolist() == [60, 57]
+        for k, gamma in enumerate(config.gamma_grid):
+            kept = [_flagging_iteration(config, (gamma, i)) for i in range(60)
+                    if (gamma, i) not in failures]
+            for m, rate in zip(("fe", "mom", "en"), np.mean(np.stack(kept), axis=0)):
+                assert np.array_equal(res.flag_rates[m][:, k], rate)
+
+    def test_failures_beyond_the_cap_name_the_first_failing_gamma(self, monkeypatch):
+        config = SimConfig(seed=34, gamma_grid=(0.0, 1.0), **SMALL)
+        failures = {(gamma, i) for gamma in (0.0, 1.0) for i in range(4)}
+        monkeypatch.setattr(simulation, "_flagging_iteration",
+                            partial(_failing_at, failures))
+        with pytest.raises(ConvergenceError, match=(
+                r"^4 of 60 iterations failed during flagging run at gamma=0\.0; "
+                r"limit is 5%$")):
+            run_flagging_experiment(config, workers=1)
 
 
 class TestRunTuningSensitivity:
@@ -284,31 +347,21 @@ class TestPinnedBits:
 class TestMapItems:
     @pytest.mark.parametrize("workers,n_items,started", [
         (64, 2, [2]), (3, 10, [3]), (64, 1, []), (64, 0, []), (1, 5, [])])
-    def test_no_more_processes_than_items(self, monkeypatch, workers, n_items,
+    def test_no_more_processes_than_items(self, pools, workers, n_items,
                                           started):
-        from profile_null import simulation
-        asked = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records the worker count
-            it is asked for and maps in this process."""
-
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
         items = list(range(n_items))
         assert simulation.map_items(abs, items, workers) == items
-        assert asked == started
+        assert pools == started
+
+    def test_one_pool_per_run(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_flagging_experiment(SimConfig(
+            seed=35, gamma_grid=(0.0, 1.0, 2.0), iterations=20), workers=2)
+        assert pools == [2]
+        run_composite_experiment(SimConfig(
+            seed=53, gamma_grid=(0.5, 1.0), iterations=20,
+            sigma2_alpha=(0.14, 0.04), exposure_mean=2.5e6), workers=2)
+        assert pools == [2, 2]
 
 
 class TestConfigValidation:
