@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -17,7 +18,6 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -397,16 +397,22 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def _write_csv(path: Path, rows) -> None:
-    """Write rows of cells, each record ending in "\n", quoting any cell that
-    holds a comma, a quote or a line break, so every id reads back
+def _quoted(ids) -> list[str]:
+    """Each id as a CSV cell, by ``csv.writer``'s QUOTE_MINIMAL rule: in
+    quotes, with each quote doubled, when it holds a comma, a quote or a line
+    break, else as it is. Any other character, NUL included, is written as it
+    is, as ``csv.writer`` does from Python 3.11 on; so every id reads back
     unchanged."""
-    records: list[str] = []
-    # the writer quotes only the line breaks of its own terminator, so it
-    # writes "\r\n"; it passes each record to one write call
-    csv.writer(SimpleNamespace(write=records.append),
-               lineterminator="\r\n").writerows(rows)
-    _write_text(path, "".join(r[:-2] + "\n" for r in records))
+    needs_quotes = re.compile('[,"\r\n]').search
+    return ['"' + s.replace('"', '""') + '"' if needs_quotes(s) else s for s in ids]
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write rows of string cells, each record ending in "\n", with one join
+    for the whole file. The cells are written as they are: ids come quoted
+    by ``_quoted``, once per distinct id, and number cells from ``fmt6`` or
+    ``str`` never need quotes."""
+    _write_text(path, "\n".join(map(",".join, rows)) + "\n")
 
 
 def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Path]:
@@ -416,8 +422,9 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
     out = Path(out_dir)
     written: list[Path] = []
 
-    center_ids = np.array(t.center_ids, dtype=object)[t.center].tolist()
-    measure_ids = np.array([m.measure_id for m in t.measures], dtype=object)[t.measure].tolist()
+    center_ids = np.array(_quoted(t.center_ids), dtype=object)[t.center].tolist()
+    measure_ids = np.array(_quoted(m.measure_id for m in t.measures),
+                           dtype=object)[t.measure].tolist()
     scores = map(_fmt6_or_blank, (run.z_fe, run.z_en, run.z_mom))
     scores_path = out / "scores.csv"
     _write_csv(scores_path, [SCORES_HEADER, *zip(center_ids, measure_ids, *scores)])
@@ -445,7 +452,8 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
 
     if run.skipped:
         skipped_path = out / "skipped.csv"
-        _write_csv(skipped_path, [["center_id", "measure_id", "reason"], *run.skipped])
+        _write_csv(skipped_path, [["center_id", "measure_id", "reason"],
+                                  *map(_quoted, run.skipped)])
         written.append(skipped_path)
     return written
 
@@ -462,7 +470,7 @@ def write_composite_report(scored: np.recarray, out_path: str | Path) -> Path:
                for k in ("poor", "average", "good")]
     path = Path(out_path)
     _write_csv(path, [["center_id", "z_cs", "label", "partial"],
-                      *zip(scored.center_id.tolist(), fmt6(scored.z_cs),
+                      *zip(_quoted(scored.center_id.tolist()), fmt6(scored.z_cs),
                            scored.label.tolist(), partial),
                       ["summary", "poor_pct", "average_pct", "good_pct"],
                       ["percent", *percent]])
@@ -542,7 +550,8 @@ def write_diagnostics(
         with _naming(spec.measure_id):
             groups = group_variance_diagnostic(run.z_fe[scored], table.size[scored],
                                                n_groups)
-        rows += [[spec.measure_id, g, fmt6(mean_size), fmt6(var), fmt6(prop)]
+        mid = _quoted([spec.measure_id])[0]
+        rows += [[mid, str(g), fmt6(mean_size), fmt6(var), fmt6(prop)]
                  for g, (mean_size, var, prop) in enumerate(groups, start=1)]
     path = Path(out_path)
     _write_csv(path, rows)
@@ -578,7 +587,7 @@ def read_sim_config(path: str | Path) -> tuple[SimConfig, str]:
 
 def _write_columns(out_dir: str | Path, name: str, header: str, cols) -> list[Path]:
     path = Path(out_dir) / name
-    _write_csv(path, [header.split(","), *zip(*cols)])
+    _write_csv(path, [header.split(","), *zip(*(map(str, col) for col in cols))])
     return [path]
 
 

@@ -14,6 +14,10 @@ GENERATOR_COMMENT = "<!-- profile-null funnel svg v1 -->"
 _W, _H = 720.0, 480.0
 _ML, _MR, _MT, _MB = 64.0, 16.0, 36.0, 48.0
 
+# the integer and fraction parts of the 2-decimal cells 0.00 to 720.99
+_INT = np.array([str(i) for i in range(int(_W) + 1)], dtype=object)
+_FRAC = np.array([f".{i:02d}" for i in range(100)], dtype=object)
+
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     if hi <= lo:
@@ -34,6 +38,27 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks or [lo, hi]
 
 
+def _cells(px: np.ndarray) -> np.ndarray:
+    """``format(v, ".2f")`` of each pixel coordinate, as an object array.
+
+    A value ``v`` whose ``100 * v`` lies strictly within 1/2 of an integer
+    ``m`` prints as ``m / 100``, looked up in ``_INT`` and ``_FRAC``. The
+    product is off by at most half an ulp of 72,100, under 1e-11, so a value
+    is looked up only when the product is more than 1e-6 from the midpoint.
+    The rest take ``format``: the values near a 2-decimal tie, those with the
+    sign bit set (which may print "-0.00") and those beyond the table.
+    """
+    h = 100.0 * px
+    m = np.rint(h)
+    with np.errstate(invalid="ignore"):  # a non-finite value takes format
+        looked_up = (np.abs(h - m) < 0.5 - 1e-6) & ~np.signbit(px) & (m < 100 * _INT.size)
+    k = m[looked_up].astype(np.int64)
+    cells = np.empty(px.size, dtype=object)
+    cells[looked_up] = _INT[k // 100] + _FRAC[k % 100]
+    cells[~looked_up] = [format(v, ".2f") for v in px[~looked_up].tolist()]
+    return cells
+
+
 def funnel_svg(
     title: str,
     sizes: Sequence[float],
@@ -48,8 +73,12 @@ def funnel_svg(
     ``sizes`` must be ascending so the per-center limit values trace the
     control curves; the solid curves are the fixed-effects limits, the dotted
     curves the empirical-null limits, and the dash-dotted line the null
-    ratio of one. Coordinates are printed with 2 decimals.
+    ratio of one. Coordinates are printed with 2 decimals, each pixel column
+    formatted as a whole by ``_cells``: the x cells once for all four curves
+    and the circles, and each curve's and the circles' text joined once.
+    ``&``, ``<`` and ``>`` in the title are escaped.
     """
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     sizes = np.asarray(sizes, dtype=np.float64)
     ys = [np.asarray(c, dtype=np.float64)
           for c in (ratios, fe_lower, fe_upper, en_lower, en_upper)]
@@ -66,11 +95,13 @@ def funnel_svg(
     def sy(v):
         return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
-    size_px = sx(sizes).tolist()
-    ratio_px, fe_lo_px, fe_hi_px, en_lo_px, en_hi_px = (sy(c).tolist() for c in ys)
+    x_cells = _cells(sx(sizes))
+    ratio_cells, fe_lo_cells, fe_hi_cells, en_lo_cells, en_hi_cells = (
+        _cells(sy(c)) for c in ys)
+    x_comma = x_cells + ","
 
-    def polyline(y_px: list[float], style: str) -> str:
-        pts = " ".join(map("{:.2f},{:.2f}".format, size_px, y_px))
+    def polyline(y_cells: np.ndarray, style: str) -> str:
+        pts = " ".join((x_comma + y_cells).tolist())
         return f'<polyline fill="none" {style} points="{pts}"/>'
 
     parts = [
@@ -110,12 +141,12 @@ def funnel_svg(
     # control-limit curves
     solid = 'stroke="black" stroke-width="1.2"'
     dotted = 'stroke="black" stroke-width="1.2" stroke-dasharray="2,3"'
-    parts.append(polyline(fe_lo_px, solid))
-    parts.append(polyline(fe_hi_px, solid))
-    parts.append(polyline(en_lo_px, dotted))
-    parts.append(polyline(en_hi_px, dotted))
+    parts.append(polyline(fe_lo_cells, solid))
+    parts.append(polyline(fe_hi_cells, solid))
+    parts.append(polyline(en_lo_cells, dotted))
+    parts.append(polyline(en_hi_cells, dotted))
     # centers
-    parts += map('<circle cx="{:.2f}" cy="{:.2f}" r="2.4" fill="none" '
-                 'stroke="steelblue" stroke-width="1"/>'.format, size_px, ratio_px)
+    parts += ('<circle cx="' + x_cells + '" cy="' + ratio_cells
+              + '" r="2.4" fill="none" stroke="steelblue" stroke-width="1"/>').tolist()
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

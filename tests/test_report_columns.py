@@ -1,11 +1,19 @@
 """The report path works by column: the CSV reader parses whole columns,
-``fmt6`` formats whole arrays and the funnel SVG computes its coordinates as
-arrays. Each is checked here against a per-value reference: the per-row
-parse, the scalar ``fmt6`` and the per-point SVG formula."""
+``fmt6`` formats whole arrays, and each output file's text is built from
+columns of cells and joined once. Ids are quoted once per distinct id, and
+the funnel SVG turns each pixel column into 2-decimal cells by integer
+rounding, sending only near-ties, values with the sign bit set and values
+beyond its table through ``format``. Each is checked here against a
+per-value reference: the per-row parse, the scalar ``fmt6``, ``csv.writer``
+and ``csv.reader``, ``format(x, ".2f")`` and the per-point SVG formula."""
 
 import csv
+import io
+import json
 import re
+import shutil
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from profile_null.cli import main
 from profile_null.empirical_null import NullFit, control_limits
 from profile_null.errors import InputError
 from profile_null.measures import measure_ratio
 from profile_null.report import (
+    _quoted,
     emit_funnel,
     fmt6,
     read_center_stats,
@@ -24,7 +34,7 @@ from profile_null.report import (
     standardize,
     write_scores_report,
 )
-from profile_null.svg import _H, _MB, _ML, _MR, _MT, _W, funnel_svg
+from profile_null.svg import _H, _MB, _ML, _MR, _MT, _W, _cells, funnel_svg
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADER = ["center_id", "measure_id", "observed", "expected", "effective_size"]
@@ -178,9 +188,7 @@ def _registry(path, n_centers, seed=11):
 
 
 class TestWritersAtScale:
-    def test_every_cell_is_the_scalar_fmt6(self, measures, tmp_path, monkeypatch):
-        # one worker keeps the four fits in this process
-        monkeypatch.setenv("PROFILE_NULL_THREADS", "1")
+    def test_every_cell_is_the_scalar_fmt6(self, measures, tmp_path):
         _registry(tmp_path / "centers.csv", 1500)
         table = read_center_stats(tmp_path / "centers.csv", measures)
         assert len(table) == 6000
@@ -240,6 +248,13 @@ class TestSvgPoints:
     # the same operations prints a different digit
     @example([(1.4773828125000006, 1.0, 0.5, 0.6), (1.6414453125000006, 1.1, 0.4, 0.5),
               (2.1336328125000006, 0.9, 0.3, 0.4), (100.0, 1.0, 0.1, 0.2)])
+    # y coordinates within an ulp of a 2-decimal tie: with the limits spanning
+    # 0.4 to 1.6, these ratios land at 250.12500000000003, 123.45499999999998,
+    # 98.76499999999999, 300.00499999999994 and 300.005
+    @example([(1.0, 1.0, 0.5, 0.6), (2.0, 1.1, 0.4, 0.5), (3.0, 0.9, 0.3, 0.4),
+              (1.2, 0.9462499999999999, 0.2, 0.3), (1.4, 1.3684833333333335, 0.2, 0.3),
+              (1.6, 1.4507833333333335, 0.2, 0.3), (1.8, 0.7799833333333336, 0.2, 0.3),
+              (2.2, 0.7799833333333333, 0.2, 0.3)])
     @settings(max_examples=100, deadline=None)
     def test_points_match_the_per_point_formula(self, data):
         data.sort()
@@ -274,3 +289,121 @@ def test_equal_sizes_come_out_in_id_order(measures, tmp_path):
         ("20.000000", "1.500000"),   # é
         ("30.000000", "3.000000"),   # 0
     ]
+
+
+# ---------------------------------------------------------------------------
+# SVG pixel cells against format(x, ".2f")
+
+
+def _near_tie(k: int, ulps: int) -> float:
+    """The float ``ulps`` steps away from the one nearest (k + 0.5) / 100."""
+    x = (k + 0.5) / 100
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+# the table holds 0.00 to 720.99; 0.125 and 250.125 are exact ties
+_ALL_FALLBACK = [-0.0, -1e-300, -0.004, -0.005, -3.25, 0.125, 250.125,
+                 720.995, 721.0, 1e6, 1e300]
+_PIXELS = (st.floats(0.0, 800.0)
+           | st.builds(_near_tie, st.integers(0, 72_200), st.integers(-4, 4))
+           | st.floats(-1.0, 0.0)
+           | st.floats(720.0, 1e300)
+           | st.sampled_from(_ALL_FALLBACK))
+
+
+class TestPixelCells:
+    @given(st.lists(_PIXELS, max_size=60))
+    @example([_near_tie(k, u) for k in (0, 12_345, 25_012, 72_098, 72_099)
+              for u in range(-3, 4)])
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_format(self, values):
+        cells = _cells(np.array(values, dtype=np.float64))
+        assert cells.tolist() == [format(v, ".2f") for v in values]
+
+    def test_a_column_of_fallbacks(self):
+        # every value here is a tie, has its sign bit set or is beyond the table
+        cells = _cells(np.array(_ALL_FALLBACK))
+        assert cells.tolist() == [format(v, ".2f") for v in _ALL_FALLBACK]
+        assert cells.tolist()[:2] == ["-0.00", "-0.00"]
+
+    def test_empty(self):
+        assert _cells(np.array([])).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# CSV quoting against csv.writer, and ids read back from every report
+
+_ID_PIECES = st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", " ", "\x1c", "a", "é"])
+_ODD_TEXT = st.lists(_ID_PIECES, max_size=8).map("".join) | st.text()
+
+# ids holding commas, quotes and line breaks, and characters written as
+# they are; csv reads and writes a NUL only from Python 3.11 on
+_ODD_IDS = ["a,b", '"q"', 'x"y', "a\rb", "a\nb", "a\r\nb", "a b", "a\x1cb", "é"]
+if sys.version_info >= (3, 11):
+    _ODD_IDS.append("a\x00b")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="csv.writer cannot write a NUL before Python 3.11")
+@given(st.lists(_ODD_TEXT, max_size=10))
+@example(["", ",", '"', "\r", "\n", "\r\n", "\x00", " ", "\x1c"])
+@settings(max_examples=300, deadline=None)
+def test_quoting_matches_csv_writer(ids):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(["0.000000", *ids])
+    assert buf.getvalue() == ",".join(["0.000000", *_quoted(ids)]) + "\r\n"
+
+
+def _renamed_fixture(directory: Path, measure_ids: dict, center_ids: dict) -> list[str]:
+    """The fixture inputs with some measures and centers renamed, written to
+    ``directory``; returns their CLI arguments, with ``out`` as the output."""
+    specs = json.loads((FIXTURES / "measures.json").read_text(encoding="utf-8"))
+    for spec in specs:
+        spec["measure_id"] = measure_ids.get(spec["measure_id"], spec["measure_id"])
+    (directory / "measures.json").write_text(json.dumps(specs), encoding="utf-8")
+    header, *rows = _read_rows(FIXTURES / "centers.csv")
+    _write_rows(directory / "centers.csv",
+                [header, *([center_ids.get(c, c), measure_ids.get(m, m), *rest]
+                           for c, m, *rest in rows)])
+    return ["--centers", str(directory / "centers.csv"),
+            "--measures", str(directory / "measures.json"), "--out", str(directory / "out")]
+
+
+def test_ids_read_back_from_every_report(tmp_path):
+    renamed = {"TRR": 'T,"R"', "SAR": "S\nA"}
+    centers = sorted({row[0] for row in _read_rows(FIXTURES / "centers.csv")[1:]})
+    args = _renamed_fixture(tmp_path, renamed, dict(zip(centers, _ODD_IDS)))
+    # a poisson row with no expected count, and so no size, is skipped
+    header, skipped_row, *rest = _read_rows(tmp_path / "centers.csv")
+    skipped_row[3] = "0"
+    _write_rows(tmp_path / "centers.csv", [header, skipped_row, *rest])
+    assert main(["composite", *args]) == 0
+    assert main(["diagnose", *args]) == 0
+    out = tmp_path / "out"
+    measures = read_measure_config(tmp_path / "measures.json")
+    table = read_center_stats(tmp_path / "centers.csv", measures)
+    assert set(_ODD_IDS) <= set(table.center_ids)
+
+    scores = _read_rows(out / "scores.csv")[1:]
+    assert [tuple(row[:2]) for row in scores] == list(map(table.row_ids, range(len(table))))
+    assert _read_rows(out / "skipped.csv") == [["center_id", "measure_id", "reason"],
+                                               [*skipped_row[:2], "effective_size <= 0"]]
+    *composite, summary, _ = _read_rows(out / "composite.csv")[1:]
+    assert summary[0] == "summary"
+    assert sorted(row[0] for row in composite) == sorted(table.center_ids)
+    diagnostics = _read_rows(out / "diagnostics.csv")[1:]
+    assert [row[0] for row in diagnostics] == [m.measure_id for m in measures
+                                               for _ in range(3)]
+
+
+def test_funnel_svgs_parse_with_markup_in_the_measure_id(tmp_path):
+    args = _renamed_fixture(tmp_path, {"TRR": "A&B<1>"}, {})
+    assert main(["funnel", *args, "--alpha-z", "1.96", "--alpha-z", "3"]) == 0
+    svgs = sorted((tmp_path / "out").glob("*.svg"))
+    assert len(svgs) == 8
+    titles = [ET.parse(p).getroot().find("{http://www.w3.org/2000/svg}text").text
+              for p in svgs]
+    assert "A&B<1> funnel (|Z| = 1.96)" in titles
+    assert "A&B<1> funnel (|Z| = 3)" in titles
