@@ -6,22 +6,27 @@ and score kernels take equal-length 1-d arrays of phi and pi0, one column
 per pair, and return one value per column (the score kernel three: the
 score, the curvature and the out-of-interval sum of the log-likelihood),
 so the empirical-null fit makes one score call per step of its root search
-for its whole pi0 grid. The score pass has seen every root, so the closing
-likelihood call at the roots takes its out-of-interval sums and computes
-only the in-interval terms, with no erfc. A column's value has the same
-bits whatever else shares its call: ``math.log(pi0)`` and pi0 enter each
-term elementwise, every other term is an elementwise ufunc or ``_erfc``,
-whose operations are the same for every element, and each column is summed
-by one pairwise ``np.sum`` over a row of a C-contiguous block, as the
-one-dimensional sum of a single column would be.
+for its whole pi0 grid.
+
+The score kernel is the only one that walks blocks of distinct phi and
+computes the out-of-interval terms. The likelihood kernel computes the
+in-interval terms and adds each column's out-of-interval sum from the
+score kernel: the fit keeps the sums of its score calls at the roots, and
+any other caller gets them from one score call at its own columns. A
+column's value has the same bits whatever else shares its call:
+``math.log(pi0)`` and pi0 enter each term elementwise, every other term is
+an elementwise ufunc or ``_erfc``, whose operations are the same for every
+element, and each column is summed by one pairwise ``np.sum`` over a row
+of a C-contiguous block, as the one-dimensional sum of a single column
+would be.
 
 A fit builds its ``FitArrays`` once and passes it to all its calls. The
-out-of-interval erfc is the costliest term of both kernels; the score adds
-one ``np.exp`` per element beside it. Both depend on phi alone, so a call
-computes them, with the other out-of-interval terms free of pi0, once per
-distinct phi among its columns: the first step of a fit puts every column
-at one phi. ``_erfc`` takes a whole block in about 40 numpy calls, from a
-table of 55 segments: at most 4 ulp from erfc (1.9 measured, where
+out-of-interval erfc is the costliest term, with one ``np.exp`` per element
+beside it for the normal density. Both depend on phi alone, so a score
+call computes them, with the other out-of-interval terms free of pi0, once
+per distinct phi among its columns: the first step of a fit puts every
+column at one phi. ``_erfc`` takes a whole block in about 40 numpy calls,
+from a table of 55 segments: at most 4 ulp from erfc (1.9 measured, where
 ``math.erfc`` measured 2.5). It is about twice as fast as ``math.erfc`` one
 element at a time on a block of a few thousand elements, and slower below
 about 500, where the calls' overhead dominates. The cheap in-interval
@@ -128,95 +133,34 @@ class FitArrays:
         self.bo = b_upper[out]
 
 
-def _blocks(phi, pi0, fit):
-    """Split the distinct values of phi into blocks of at most about
-    ``_BLOCK_ELEMENTS`` (value, center) elements. Yield for each block v =
-    1 + phi*n and b = B / sqrt(v) of the out-of-interval centers, one row per
-    distinct phi, and its chunks.
-
-    A chunk is at most as many of the columns whose phi lies in the block:
-    their indices, the row of each, v of the in-interval centers and 1 -
-    pi0*Q of the out-of-interval centers, one row per column. Q = 1 -
-    erfc(b / sqrt 2) is the null probability of (-B, B), computed once per
-    distinct phi.
-    """
-    # the columns of each distinct phi, in order of first appearance. A dict
-    # and not np.unique: the fit sorts nothing else, and numpy's first sort
-    # in a process adds about 0.3 MiB to its resident set
-    groups = {}
-    for k, x in enumerate(phi.tolist()):
-        groups.setdefault(x, []).append(k)
-    values, members = np.array(list(groups)), list(groups.values())
-    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-    for start in range(0, values.size, per_block):
-        vo = np.multiply(values[start:start + per_block, None], fit.so)
-        vo += 1.0
-        b = fit.bo / np.sqrt(vo)
-        q = 1.0 - _erfc(b * _INV_SQRT2)
-        block = members[start:start + per_block]
-        yield vo, b, _chunks(np.array([k for g in block for k in g]),
-                             np.repeat(np.arange(len(block)), [len(g) for g in block]),
-                             phi, pi0, q, fit, per_block)
-
-
-def _chunks(columns, rows, phi, pi0, q, fit, per_block):
-    """The chunks of one block of ``_blocks``: ``columns`` take the block's
-    rows ``rows``."""
-    for k in range(0, columns.size, per_block):
-        cols, r = columns[k:k + per_block], rows[k:k + per_block]
-        vi = np.multiply(phi[cols, None], fit.si)
-        vi += 1.0
-        t = q[r]
-        t *= pi0[cols, None]
-        np.subtract(1.0, t, out=t)
-        yield cols, r, vi, t
-
-
-def _loglik_in(v, log_pi0, fit):
-    """Each row's sum of the in-interval terms log pi0 - 0.5 (log 2pi + log
-    v) - (z^2 / 2) / v, from a chunk's v, which it overwrites."""
-    u = np.log(v)
-    u += _LOG_2PI
-    u *= 0.5
-    np.subtract(log_pi0, u, out=u)
-    np.divide(fit.half_z2, v, out=v)
-    u -= v
-    return np.sum(u, axis=1)
-
-
 def null_loglik_core(phi, pi0, fit, log_out=None):
     """Truncated-mixture log-likelihood of each column (phi[k], pi0[k]) over
     the center arrays of ``fit``, a ``FitArrays``; -inf for a column where an
     out-of-interval log argument is 0.
 
-    ``phi`` and ``pi0`` are equal-length 1-d float arrays. Each block's
-    terms are computed in place, in the order of the one-column formula.
-    ``log_out``, each column's out-of-interval sum as ``null_score_core``
-    returns it, spares the call its ``erfc`` rows: it then computes only the
-    in-interval terms, and adds them to ``log_out`` as it would to its own.
+    ``phi`` and ``pi0`` are equal-length 1-d float arrays. ``log_out`` is
+    each column's out-of-interval sum as ``null_score_core`` returns it, and
+    is taken from that call when None. This call adds to it each column's
+    in-interval terms, log pi0 - 0.5 (log 2pi + log v) - (z^2 / 2) / v,
+    computed in place in blocks of columns.
     """
+    if log_out is None:
+        log_out = null_score_core(phi, pi0, fit)[2]
     log_pi0 = np.array([math.log(p) for p in pi0.tolist()])[:, None]
     ll = np.zeros(phi.size)
-    if log_out is not None:
-        per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-        for k in range(0, phi.size, per_block):
-            cols = slice(k, k + per_block)
-            v = np.multiply(phi[cols, None], fit.si)
-            v += 1.0
-            ll[cols] = _loglik_in(v, log_pi0[cols], fit) + log_out[cols]
-        return ll
-    for _, _, chunks in _blocks(phi, pi0, fit):
-        for cols, _, v, t in chunks:
-            ll[cols] = _loglik_in(v, log_pi0[cols], fit) + _sum_log(t)
+    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
+    for k in range(0, phi.size, per_block):
+        cols = slice(k, k + per_block)
+        v = np.multiply(phi[cols, None], fit.si)
+        v += 1.0
+        u = np.log(v)
+        u += _LOG_2PI
+        u *= 0.5
+        np.subtract(log_pi0[cols], u, out=u)
+        np.divide(fit.half_z2, v, out=v)
+        u -= v
+        ll[cols] = np.sum(u, axis=1) + log_out[cols]
     return ll
-
-
-def _sum_log(t):
-    """Each row's sum of log(1 - pi0 Q), from a chunk's t = 1 - pi0 Q, which
-    it overwrites. 0 <= pi0 Q <= 1, so a row with a 0 sums to -inf."""
-    with np.errstate(divide="ignore"):
-        np.log(t, out=t)
-    return np.sum(t, axis=1)
 
 
 def null_score_core(phi, pi0, fit):
@@ -232,11 +176,28 @@ def null_score_core(phi, pi0, fit):
 
     A column where some 1 - pi0*Q is 0, whose log-likelihood is -inf, has a
     score of +inf or NaN and a curvature that is not finite.
+
+    The distinct values of phi are taken in blocks of at most about
+    ``_BLOCK_ELEMENTS`` (value, center) elements, and the columns of a
+    block in chunks of at most as many columns.
     """
     score, curvature, log_out = np.zeros(phi.size), np.zeros(phi.size), np.zeros(phi.size)
-    for vo, b, chunks in _blocks(phi, pi0, fit):
-        # one row per distinct phi: pdf(b) b n / v, and n (b^2 - 3) / (2 v)
-        # in place of b
+    # the columns of each distinct phi, in order of first appearance. A dict
+    # and not np.unique: the fit sorts nothing else, and numpy's first sort
+    # in a process adds about 0.3 MiB to its resident set
+    groups = {}
+    for k, x in enumerate(phi.tolist()):
+        groups.setdefault(x, []).append(k)
+    values, members = np.array(list(groups)), list(groups.values())
+    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
+    for start in range(0, values.size, per_block):
+        # one row per distinct phi: v and b = B / sqrt(v), Q = 1 - erfc(b /
+        # sqrt 2), the null probability of (-B, B), pdf(b) b n / v, and
+        # n (b^2 - 3) / (2 v) in place of b
+        vo = np.multiply(values[start:start + per_block, None], fit.so)
+        vo += 1.0
+        b = fit.bo / np.sqrt(vo)
+        q = 1.0 - _erfc(b * _INV_SQRT2)
         e = np.multiply(b, b)
         e *= -0.5
         np.exp(e, out=e)
@@ -248,7 +209,14 @@ def null_score_core(phi, pi0, fit):
         g *= fit.so
         g /= vo
         g *= 0.5
-        for cols, r, vi, t in chunks:
+        # the block's columns and the row of each
+        block = members[start:start + per_block]
+        columns = np.array([k for m in block for k in m])
+        rows = np.repeat(np.arange(len(block)), [len(m) for m in block])
+        for j in range(0, columns.size, per_block):
+            cols, r = columns[j:j + per_block], rows[j:j + per_block]
+            vi = np.multiply(phi[cols, None], fit.si)
+            vi += 1.0
             # n ((z^2 / 2) / v - 1/2) / v
             u = np.divide(fit.half_z2, vi)
             u -= 0.5
@@ -263,17 +231,22 @@ def null_score_core(phi, pi0, fit):
             u *= vi
             u *= vi
             curvature_in = np.sum(u, axis=1)
-            # h = pi0 pdf(b) b n / v / (1 - pi0 Q), and h (n (b^2 - 3) / (2 v) - h)
+            # t = 1 - pi0 Q, h = pi0 pdf(b) b n / v / t, and h (n (b^2 - 3) /
+            # (2 v) - h). 0 <= pi0 Q <= 1, so a t of 0 makes log t -inf
+            t = q[r]
+            t *= pi0[cols, None]
+            np.subtract(1.0, t, out=t)
             h = e[r]
             h *= pi0[cols, None] * _INV_SQRT_2PI
-            k = g[r]
+            c = g[r]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 h /= t
-                k -= h
-                k *= h
+                c -= h
+                c *= h
+                np.log(t, out=t)
             score[cols] = score_in + np.sum(h, axis=1)
-            curvature[cols] = curvature_in + np.sum(k, axis=1)
-            log_out[cols] = _sum_log(t)
+            curvature[cols] = curvature_in + np.sum(c, axis=1)
+            log_out[cols] = np.sum(t, axis=1)
     return score, curvature, log_out
 
 

@@ -136,10 +136,11 @@ def null_loglik(
     In-interval centers contribute log(pi0 * N(0, 1 + phi*n) density);
     out-of-interval centers contribute log(1 - pi0 * Q_i(phi)) where Q_i is
     the null probability of the interval (-B_i, B_i), B_i >= 0. Returns -inf
-    instead of raising when a log argument is non-positive.
+    instead of raising when a log argument is non-positive, and the limit
+    when 1 + phi*n overflows.
     """
-    if not phi >= 0:
-        raise InputError(f"phi must be nonnegative, got {phi}")
+    if not 0 <= phi < math.inf:
+        raise InputError(f"phi must be nonnegative and finite, got {phi}")
     if not (0.0 < pi0 <= 1.0):
         raise InputError(f"pi0 must lie in (0, 1], got {pi0}")
     zarr = np.ascontiguousarray(z, dtype=np.float64)
@@ -152,8 +153,9 @@ def null_loglik(
     bad = np.flatnonzero((aarr != -barr) | ~(barr >= 0.0))
     if bad.size:
         raise InputError(f"bounds[{bad[0]}] is not (-B, B) with B >= 0")
-    return float(_kernels.null_loglik_core(np.array([float(phi)]), np.array([float(pi0)]),
-                                           _kernels.FitArrays(zarr, sarr, mask, barr))[0])
+    with np.errstate(over="ignore"):
+        return float(_kernels.null_loglik_core(np.array([float(phi)]), np.array([float(pi0)]),
+                                               _kernels.FitArrays(zarr, sarr, mask, barr))[0])
 
 
 def _score_roots(score, phi_init: float, step: float, m: int):

@@ -51,6 +51,10 @@ RUN_METHODS = ("fe", "mom", "en")
 
 _EN_KEYS = tuple(f.name for f in fields(EnConfig))
 _MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
+# what a measure id may not hold: path separators, as ids name output files,
+# and what XML 1.0 forbids, as they go into the funnel SVG: every C0 control
+# but tab, LF and CR, the surrogates, U+FFFE and U+FFFF
+_BAD_ID_CHAR = re.compile(r"[/\\\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 # SimConfig fields a simulation config may set, with their JSON types
 _SIM_FIELDS = {
@@ -186,11 +190,12 @@ def read_measure_config(path: str | Path) -> list[MeasureSpec]:
             en_config=EnConfig(**{key: _json_value(entry[key], float, where, key)
                                   for key in _EN_KEYS if key in entry}),
         )
-        # measure ids name output files, and the centers reader strips ids
+        # the centers reader strips ids
         mid = spec.measure_id
-        if not mid or mid != mid.strip() or any(ch in mid for ch in "/\\\0"):
+        if not mid or mid != mid.strip() or _BAD_ID_CHAR.search(mid):
             raise InputError(f"{where}: measure_id {mid!r} must be non-empty, with no "
-                             f"surrounding whitespace, '/', '\\' or NUL")
+                             f"surrounding whitespace, '/', '\\' or character that XML "
+                             f"1.0 forbids")
         if mid in seen:
             raise InputError(f"duplicate measure_id {mid!r} (entry {i})")
         seen.add(mid)

@@ -105,9 +105,6 @@ class SimDataset:
     gamma_true: np.ndarray
     alpha: np.ndarray
 
-    def z_fixed_effects(self) -> np.ndarray:
-        return z_fixed_effects(self.observed, self.expected, self.effective_size)
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -303,7 +300,7 @@ def _flagging_iteration(config: SimConfig, item: tuple[float, int]):
     gamma, iteration = item
     rng = _iteration_rng(config.seed, iteration)
     data = gen_single_measure(config, rng, gamma_focal=gamma)
-    z = data.z_fixed_effects()
+    z = z_fixed_effects(data.observed, data.expected, data.effective_size)
     try:
         scores = _method_scores(z, data.effective_size, config,
                                 [0, config.n_centers - 1])
@@ -392,7 +389,7 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
     gamma, iteration = item
     rng = _iteration_rng(config.seed, iteration)
     data = gen_single_measure(config, rng, gamma_focal=gamma)
-    z = data.z_fixed_effects()
+    z = z_fixed_effects(data.observed, data.expected, data.effective_size)
     sizes = data.effective_size
     z1, n1 = float(z[0]), float(sizes[0])
     n_q = len(config.q_grid)

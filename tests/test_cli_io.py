@@ -141,10 +141,12 @@ class TestReadMeasureConfig:
         with pytest.raises(InputError, match="not found"):
             read_measure_config(FIXTURES / "nope.json")
 
-    @pytest.mark.parametrize("bad_id", ["a/../../escaped", "..\\escaped", "a\0b", "", " A"])
+    @pytest.mark.parametrize("bad_id", ["a/../../escaped", "..\\escaped", "a\0b", "", " A",
+                                        "A\x1cB", "A\uffffB"])
     def test_path_characters_in_measure_id_exit_2(self, tmp_path, capsys, bad_id):
         # measure ids name the funnel files, so they must not leave --out;
-        # and the centers reader strips ids, so " A" could match no row
+        # the centers reader strips ids, so " A" could match no row; and they
+        # title the funnel SVGs, where XML 1.0 forbids "\x1c" and "\uffff"
         spec = json.loads((FIXTURES / "measures.json").read_text())
         spec[1]["measure_id"] = bad_id
         measures = tmp_path / "measures.json"
@@ -708,10 +710,12 @@ class TestIdRoundTrip:
             _write_rows(d / "centers.csv", rows)
             # ids the reader must return as they are: no surrounding blanks
             # (it strips cells), no clash with the fixed ids, and no path
-            # characters in the measure id
+            # characters or characters XML 1.0 forbids in the measure id
             must_accept = (center == center.strip() and measure == measure.strip()
                            and center not in ids[1:] and measure not in ("Q", "R")
-                           and not any(ch in measure for ch in "/\\\0"))
+                           and not any(ch in "/\\" or ch in "\ufffe\uffff"
+                                       or (ord(ch) < 32 and ch not in "\t\n\r")
+                                       or 0xD800 <= ord(ch) <= 0xDFFF for ch in measure))
             try:
                 table = read_center_stats(d / "centers.csv",
                                           read_measure_config(d / "measures.json"))

@@ -25,6 +25,7 @@ from profile_null import (
     null_loglik,
     robust_intercept_scale,
     z_empirical_null,
+    z_fixed_effects,
 )
 from profile_null import _kernels, empirical_null
 from profile_null.simulation import SimConfig, gen_single_measure
@@ -131,8 +132,30 @@ class TestNullLoglik:
             null_loglik(-0.1, 0.9, [0.0], [1.0], [True], [(-1, 1)])
         with pytest.raises(InputError):
             null_loglik(0.1, 0.0, [0.0], [1.0], [True], [(-1, 1)])
-        with pytest.raises(InputError, match="phi must be nonnegative, got nan"):
+        with pytest.raises(InputError, match="phi must be nonnegative and finite, got nan"):
             null_loglik(math.nan, 0.9, [0.0], [1.0], [True], [(-1, 1)])
+        with pytest.raises(InputError, match="phi must be nonnegative and finite, got inf"):
+            null_loglik(math.inf, 0.9, [0.0], [1.0], [True], [(-1, 1)])
+
+    def test_overflowing_variance_gives_the_limit(self):
+        # 1 + phi*n overflows at n = 2: the out-of-interval term tends to
+        # log(1 - 0) = 0, with no overflow warning
+        ll = null_loglik(1e308, 0.9, [0.0, 3.0], [1.0, 2.0], [True, False],
+                         [(-1.96, 1.96)] * 2)
+        assert ll == null_loglik(1e308, 0.9, [0.0], [1.0], [True], [(-1.96, 1.96)])
+        assert ll == pytest.approx(math.log(0.9) - 0.5 * (math.log(2 * math.pi) + math.log(1e308)),
+                                   rel=1e-12)
+
+    @pytest.mark.parametrize("n_centers", [12, 212, 2000])
+    def test_matches_the_fit_bit_for_bit(self, n_centers):
+        # the public likelihood and the fit's profile close on one path
+        rng = np.random.default_rng(n_centers)
+        n = _sizes(rng, n_centers)
+        z = rng.normal(0.0, np.sqrt(1.0 + 0.05 * n))
+        z[:n_centers // 10] += 4.0
+        fit = fit_empirical_null(z, n)
+        assert null_loglik(fit.phi_hat, fit.pi0_hat, z, n, fit.null_set,
+                           fit.interval_bounds) == fit.loglik
 
     @pytest.mark.parametrize("pair", [(-100.0, 1.96), (3.0, 1.96), (1.0, -1.0),
                                       (math.nan, math.nan)])
@@ -408,7 +431,8 @@ class TestScoreRoots:
         cfg = SimConfig(n_centers=212, seed=5, outlier_fraction=0.1)
         for seed in range(10):
             data = gen_single_measure(cfg, np.random.default_rng(seed), gamma_focal=2.0)
-            fit = fit_empirical_null(data.z_fixed_effects(), data.effective_size)
+            z = z_fixed_effects(data.observed, data.expected, data.effective_size)
+            fit = fit_empirical_null(z, data.effective_size)
             assert fit.converged.all() and fit.iterations.max() <= 7
         assert sum(phi.size for phi, *_ in calls) <= 230 * 10
         assert len(calls) <= 7 * 10

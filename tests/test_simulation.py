@@ -20,6 +20,7 @@ from profile_null import (
     run_flagging_experiment,
     run_tuning_sensitivity,
     simulation,
+    z_fixed_effects,
 )
 
 
@@ -66,7 +67,7 @@ class TestGenSingleMeasure:
         for _ in range(200):
             data = gen_single_measure(config, np.random.default_rng(
                 rng_master.integers(2**63)), gamma_focal=0.0)
-            zs.append(data.z_fixed_effects())
+            zs.append(z_fixed_effects(data.observed, data.expected, data.effective_size))
             ns.append(data.effective_size)
         z = np.concatenate(zs)
         n = np.concatenate(ns)
