@@ -16,22 +16,23 @@ any other caller gets them from one score call at its own columns. A
 column's value has the same bits whatever else shares its call:
 ``math.log(pi0)`` and pi0 enter each term elementwise, every other term is
 an elementwise ufunc or ``_erfc``, whose operations are the same for every
-element, and each column is summed by one pairwise ``np.sum`` over a row
-of a C-contiguous block, as the one-dimensional sum of a single column
-would be.
+element, and each sum is one pairwise ``np.add.reduce`` over a row of a
+C-contiguous block, as the one-dimensional sum of a single column would
+be.
 
 A fit builds its ``FitArrays`` once and passes it to all its calls. The
 out-of-interval erfc is the costliest term, with one ``np.exp`` per element
-beside it for the normal density. Both depend on phi alone, so a score
-call computes them, with the other out-of-interval terms free of pi0, once
-per distinct phi among its columns: the first step of a fit puts every
-column at one phi. ``_erfc`` takes a whole block in about 40 numpy calls,
-from a table of 55 segments: at most 4 ulp from erfc (1.9 measured, where
-``math.erfc`` measured 2.5). It is about twice as fast as ``math.erfc`` one
-element at a time on a block of a few thousand elements, and slower below
-about 500, where the calls' overhead dominates. The cheap in-interval
-terms are computed per column, which keeps a call's temporaries to two
-rows of in-interval centers per column.
+beside it for the normal density. Every term free of pi0, in and out of
+the interval, depends on phi alone, so a score call computes those rows
+once per distinct phi among its columns: the first step of a fit puts
+every column at one phi. Only the terms with pi0 in them (1 - pi0 Q, its
+log, h and the out-of-interval curvature) are per column, and after the
+first step, where every column has a phi of its own, they are computed in
+place in the phi rows. ``_erfc`` takes a whole block in about 40 numpy
+calls, from a table of 55 segments: at most 4 ulp from erfc (1.9 measured,
+where ``math.erfc`` measured 2.5). It is about twice as fast as
+``math.erfc`` one element at a time on a block of a few thousand elements,
+and slower below about 500, where the calls' overhead dominates.
 
 The empirical null fit reads ``null_score_core`` and ``null_loglik_core``
 and the robust scale reads ``biweight_irls`` from this module at call time,
@@ -159,7 +160,7 @@ def null_loglik_core(phi, pi0, fit, log_out=None):
         np.subtract(log_pi0[cols], u, out=u)
         np.divide(fit.half_z2, v, out=v)
         u -= v
-        ll[cols] = np.sum(u, axis=1) + log_out[cols]
+        ll[cols] = np.add.reduce(u, axis=1) + log_out[cols]
     return ll
 
 
@@ -181,20 +182,43 @@ def null_score_core(phi, pi0, fit):
     ``_BLOCK_ELEMENTS`` (value, center) elements, and the columns of a
     block in chunks of at most as many columns.
     """
-    score, curvature, log_out = np.zeros(phi.size), np.zeros(phi.size), np.zeros(phi.size)
-    # the columns of each distinct phi, in order of first appearance. A dict
-    # and not np.unique: the fit sorts nothing else, and numpy's first sort
-    # in a process adds about 0.3 MiB to its resident set
-    groups = {}
-    for k, x in enumerate(phi.tolist()):
-        groups.setdefault(x, []).append(k)
-    values, members = np.array(list(groups)), list(groups.values())
+    score, curvature, log_out = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size)
+    phis = phi.tolist()
+    if len(set(phis)) == len(phis):
+        # every column has a phi of its own, as in almost every step of a fit
+        # after the first: column k is row k
+        values, members = phi, None
+    else:
+        # the columns of each distinct phi, in order of first appearance. A
+        # dict and not np.unique: the fit sorts nothing else, and numpy's
+        # first sort in a process adds about 0.3 MiB to its resident set
+        groups = {}
+        for k, x in enumerate(phis):
+            groups.setdefault(x, []).append(k)
+        values, members = np.array(list(groups)), list(groups.values())
     per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
     for start in range(0, values.size, per_block):
-        # one row per distinct phi: v and b = B / sqrt(v), Q = 1 - erfc(b /
-        # sqrt 2), the null probability of (-B, B), pdf(b) b n / v, and
+        x = values[start:start + per_block, None]
+        # one row per distinct phi. In the interval: v, the score terms
+        # n ((z^2 / 2) / v - 1/2) / v and the curvature terms
+        # (1/2 - z^2 / v) (n / v)^2
+        vi = np.multiply(x, fit.si)
+        vi += 1.0
+        a = np.divide(fit.half_z2, vi)
+        u = np.subtract(a, 0.5)
+        u *= fit.si
+        u /= vi
+        score_in = np.add.reduce(u, axis=1)
+        a *= -2.0
+        a += 0.5
+        np.divide(fit.si, vi, out=vi)
+        a *= vi
+        a *= vi
+        curvature_in = np.add.reduce(a, axis=1)
+        # out of it: v and b = B / sqrt(v), Q = 1 - erfc(b / sqrt 2), the
+        # null probability of (-B, B), pdf(b) b n / v, and
         # n (b^2 - 3) / (2 v) in place of b
-        vo = np.multiply(values[start:start + per_block, None], fit.so)
+        vo = np.multiply(x, fit.so)
         vo += 1.0
         b = fit.bo / np.sqrt(vo)
         q = 1.0 - _erfc(b * _INV_SQRT2)
@@ -209,44 +233,36 @@ def null_score_core(phi, pi0, fit):
         g *= fit.so
         g /= vo
         g *= 0.5
-        # the block's columns and the row of each
-        block = members[start:start + per_block]
-        columns = np.array([k for m in block for k in m])
-        rows = np.repeat(np.arange(len(block)), [len(m) for m in block])
-        for j in range(0, columns.size, per_block):
-            cols, r = columns[j:j + per_block], rows[j:j + per_block]
-            vi = np.multiply(phi[cols, None], fit.si)
-            vi += 1.0
-            # n ((z^2 / 2) / v - 1/2) / v
-            u = np.divide(fit.half_z2, vi)
-            u -= 0.5
-            u *= fit.si
-            u /= vi
-            score_in = np.sum(u, axis=1)
-            # (1/2 - z^2 / v) (n / v)^2
-            np.divide(fit.half_z2, vi, out=u)
-            u *= -2.0
-            u += 0.5
-            np.divide(fit.si, vi, out=vi)
-            u *= vi
-            u *= vi
-            curvature_in = np.sum(u, axis=1)
+        # the block's columns in chunks of at most per_block, and the row of
+        # each column
+        if members is None:
+            chunks = [(slice(start, start + per_block), None)]
+        else:
+            block = members[start:start + per_block]
+            columns = np.array([k for m in block for k in m])
+            rows = np.repeat(np.arange(len(block)), [len(m) for m in block])
+            chunks = [(columns[j:j + per_block], rows[j:j + per_block])
+                      for j in range(0, columns.size, per_block)]
+        for cols, r in chunks:
             # t = 1 - pi0 Q, h = pi0 pdf(b) b n / v / t, and h (n (b^2 - 3) /
-            # (2 v) - h). 0 <= pi0 Q <= 1, so a t of 0 makes log t -inf
-            t = q[r]
+            # (2 v) - h). 0 <= pi0 Q <= 1, so a t of 0 makes log t -inf. A
+            # block of one column per row is one chunk, and takes its rows
+            # in place
+            if r is None:
+                t, h, c, s_in, c_in = q, e, g, score_in, curvature_in
+            else:
+                t, h, c, s_in, c_in = q[r], e[r], g[r], score_in[r], curvature_in[r]
             t *= pi0[cols, None]
             np.subtract(1.0, t, out=t)
-            h = e[r]
             h *= pi0[cols, None] * _INV_SQRT_2PI
-            c = g[r]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 h /= t
                 c -= h
                 c *= h
                 np.log(t, out=t)
-            score[cols] = score_in + np.sum(h, axis=1)
-            curvature[cols] = curvature_in + np.sum(c, axis=1)
-            log_out[cols] = np.sum(t, axis=1)
+            score[cols] = s_in + np.add.reduce(h, axis=1)
+            curvature[cols] = c_in + np.add.reduce(c, axis=1)
+            log_out[cols] = np.add.reduce(t, axis=1)
     return score, curvature, log_out
 
 
@@ -278,22 +294,30 @@ def biweight_irls(z):
     with tuning constant ``TUKEY_C``, started at the median with the MAD
     scale re-estimated every step.
 
-    Returns (location, MAD scale about the location, converged).
+    Returns (location, MAD scale about the location, converged). The
+    weights are (1 - min(u, 1)^2)^2 at u = |z - m| / (c * scale), 0 from
+    u = 1 on, where u may overflow to inf.
     """
     m = float(_median(z))
     converged = False
     for _ in range(IRLS_MAX_ITER):
-        resid = z - m
-        scale = MAD_SCALE * float(_median(np.abs(resid)))
+        # |z - m|, for the MAD and then in place for the weights
+        w = np.subtract(z, m)
+        np.abs(w, out=w)
+        scale = MAD_SCALE * float(_median(w))
         if scale <= 0.0:
             converged = True
             break
-        u = np.abs(resid) / (TUKEY_C * scale)
-        w = np.where(u < 1.0, (1.0 - u * u) ** 2, 0.0)
-        wsum = float(np.sum(w))
+        with np.errstate(over="ignore"):
+            w /= TUKEY_C * scale
+        np.fmin(w, 1.0, out=w)
+        np.multiply(w, w, out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(w, w, out=w)
+        wsum = float(np.add.reduce(w))
         if wsum == 0.0:
             break
-        m_new = float(np.sum(w * z) / wsum)
+        m_new = float(np.add.reduce(np.multiply(w, z, out=w)) / wsum)
         converged = abs(m_new - m) < IRLS_TOL
         m = m_new
         if converged:

@@ -123,6 +123,17 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
     return max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
 
 
+def _check_z_and_sizes(zarr: np.ndarray, sarr: np.ndarray) -> None:
+    """Raise InputError unless every z is finite and every size finite and
+    positive."""
+    if not np.all(np.isfinite(zarr)):
+        raise InputError("z contains non-finite values")
+    if not np.all(np.isfinite(sarr)):
+        raise InputError("sizes contains non-finite values")
+    if not np.all(sarr > 0):
+        raise InputError("sizes must be positive")
+
+
 def null_loglik(
     phi: float,
     pi0: float,
@@ -135,9 +146,10 @@ def null_loglik(
 
     In-interval centers contribute log(pi0 * N(0, 1 + phi*n) density);
     out-of-interval centers contribute log(1 - pi0 * Q_i(phi)) where Q_i is
-    the null probability of the interval (-B_i, B_i), B_i >= 0. Returns -inf
-    instead of raising when a log argument is non-positive, and the limit
-    when 1 + phi*n overflows.
+    the null probability of the interval (-B_i, B_i), B_i >= 0. Every z must
+    be finite and every size finite and positive. Returns -inf instead of
+    raising when a log argument is non-positive, and the limit when
+    1 + phi*n overflows.
     """
     if not 0 <= phi < math.inf:
         raise InputError(f"phi must be nonnegative and finite, got {phi}")
@@ -150,6 +162,7 @@ def null_loglik(
     barr = np.ascontiguousarray([b for (_, b) in bounds], dtype=np.float64)
     if not (zarr.shape == sarr.shape == mask.shape == barr.shape):
         raise InputError("z, sizes, null_set, and bounds must have equal length")
+    _check_z_and_sizes(zarr, sarr)
     bad = np.flatnonzero((aarr != -barr) | ~(barr >= 0.0))
     if bad.size:
         raise InputError(f"bounds[{bad[0]}] is not (-B, B) with B >= 0")
@@ -245,12 +258,7 @@ def fit_empirical_null(
     if zarr.size < MIN_CENTERS:
         raise FittingError(f"empirical-null fit needs at least {MIN_CENTERS} "
                            f"centers, got {zarr.size}")
-    if not np.all(np.isfinite(zarr)):
-        raise InputError("z contains non-finite values")
-    if not np.all(np.isfinite(sarr)):
-        raise InputError("sizes contains non-finite values")
-    if not np.all(sarr > 0):
-        raise InputError("sizes must be positive")
+    _check_z_and_sizes(zarr, sarr)
 
     phi_init = initial_phi(zarr, sarr)
     v = std_normal_quantile(1.0 - cfg.q_percent / 100.0)

@@ -172,7 +172,8 @@ def robust_intercept_scale(z: Sequence[float]) -> RobustLocationScale:
         raise InputError("robust estimation needs at least 3 values")
     if not np.all(np.isfinite(arr)):
         raise InputError("robust estimation requires finite values")
-    if np.ptp(arr) == 0.0:
+    # not np.ptp, whose max - min overflows on finite input
+    if arr.min() == arr.max():
         return RobustLocationScale(location=float(arr[0]), scale=0.0)
     loc, scale, converged = _kernels.biweight_irls(arr)
     if not converged:

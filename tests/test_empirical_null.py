@@ -137,6 +137,25 @@ class TestNullLoglik:
         with pytest.raises(InputError, match="phi must be nonnegative and finite, got inf"):
             null_loglik(math.inf, 0.9, [0.0], [1.0], [True], [(-1, 1)])
 
+    # each of z and sizes is checked as the fit checks it, before a NaN
+    # reaches the result or a negative 1 + phi*n the log
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z(self, bad):
+        with pytest.raises(InputError, match="z contains non-finite values"):
+            null_loglik(0.1, 0.9, [0.0, bad], [1.0, 2.0], [True, False], [(-1.96, 1.96)] * 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_size(self, bad):
+        with pytest.raises(InputError, match="sizes contains non-finite values"):
+            null_loglik(0.1, 0.9, [0.0, 3.0], [1.0, bad], [True, False], [(-1.96, 1.96)] * 2)
+
+    @pytest.mark.parametrize("bad", [0.0, -20.0])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_size_not_positive(self, bad, inside):
+        # -20 makes 1 + phi*n negative, in the log or in the square root
+        with pytest.raises(InputError, match="sizes must be positive"):
+            null_loglik(0.1, 0.9, [0.0, 3.0], [1.0, bad], [True, inside], [(-1.96, 1.96)] * 2)
+
     def test_overflowing_variance_gives_the_limit(self):
         # 1 + phi*n overflows at n = 2: the out-of-interval term tends to
         # log(1 - 0) = 0, with no overflow warning

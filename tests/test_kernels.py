@@ -2,17 +2,20 @@
 evaluation of the truncated likelihood, of its curvature and of erfc,
 central differences of the likelihood for the score and of the score for
 the curvature, a one-column-at-a-time loop for the bits of batched calls,
-the fixed-point conditions of the biweight IRLS, and ``np.median`` for the
-median the IRLS takes."""
+the fixed-point conditions of the biweight IRLS and a plain copy of its
+loop for its bits, and ``np.median`` for the median the IRLS takes."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import profile_null
-from profile_null import _erfc_table, _kernels
+from profile_null import _erfc_table, _kernels, z_fixed_effects
+from profile_null.simulation import SimConfig, gen_single_measure
 
 
 def _random_problem(seed):
@@ -166,9 +169,12 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     mixed[12:14] = 0.0
     pi0 = rng.choice(np.linspace(0.8, 1.0, 41), 30)
     pi0[[0, 7, 12]] = 1.0
-    # the kernels compute each distinct phi's rows once: mixed phis, and all
-    # columns at one phi, as in the first step of a fit
-    for phi in (mixed, np.full(30, mixed[0])):
+    distinct = mixed.copy()
+    distinct[5:14] = np.exp(rng.normal(-3.0, 3.0, 9))
+    # the kernels compute each distinct phi's rows once: mixed phis, all
+    # columns at one phi, as in the first step of a fit, and a phi for each
+    # column, as in the later steps
+    for phi in (mixed, np.full(30, mixed[0]), distinct):
         want = np.array([_one_column(float(x), float(p), z, n, in_null, b)
                          for x, p in zip(phi, pi0)])
         assert want[0, 0] == -math.inf and not math.isfinite(want[0, 1])
@@ -260,6 +266,68 @@ def test_biweight_reaches_its_fixed_point(seed):
     assert abs(float(np.sum(w * (z - loc)) / np.sum(w))) < 1e-8
     # the far cluster gets no weight, so the location stays near the bulk
     assert abs(loc - 0.3) < 0.5
+
+
+def _reference_irls(z):
+    """The biweight IRLS written plainly, one new array per operation: the
+    bits ``biweight_irls`` must keep."""
+    m = float(_kernels._median(z))
+    converged = False
+    for _ in range(_kernels.IRLS_MAX_ITER):
+        resid = z - m
+        scale = _kernels.MAD_SCALE * float(_kernels._median(np.abs(resid)))
+        if scale <= 0.0:
+            converged = True
+            break
+        u = np.abs(resid) / (_kernels.TUKEY_C * scale)
+        w = np.where(u < 1.0, (1.0 - u * u) ** 2, 0.0)
+        wsum = float(np.sum(w))
+        if wsum == 0.0:
+            break
+        m_new = float(np.sum(w * z) / wsum)
+        converged = abs(m_new - m) < _kernels.IRLS_TOL
+        m = m_new
+        if converged:
+            break
+    scale = _kernels.MAD_SCALE * float(_kernels._median(np.abs(z - m)))
+    return m, scale, converged
+
+
+def _assert_irls_bits(z):
+    loc, scale, converged = _kernels.biweight_irls(z)
+    ref = _reference_irls(z)
+    assert (loc.hex(), scale.hex(), converged) == (ref[0].hex(), ref[1].hex(), ref[2])
+
+
+@st.composite
+def _irls_samples(draw):
+    """3 to 500 values about a drawn center and spread, some rounded to
+    ties, with signed zeros and a share of gross outliers."""
+    size = draw(st.integers(3, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(draw(st.floats(-5.0, 5.0)), draw(st.floats(1e-3, 1e3)), size)
+    if draw(st.booleans()):
+        z = np.round(z, draw(st.integers(0, 2)))
+    k = draw(st.integers(0, size // 3))
+    z[rng.permutation(size)[:k]] = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(3, 12, k)
+    zeros = rng.permutation(size)[:draw(st.integers(0, 3))]
+    z[zeros] = rng.choice([-0.0, 0.0], zeros.size)
+    return z
+
+
+@given(_irls_samples())
+@settings(max_examples=200, deadline=None)
+def test_biweight_keeps_the_bits_of_the_plain_loop(z):
+    _assert_irls_bits(z)
+
+
+def test_biweight_keeps_the_bits_of_the_plain_loop_on_simulated_fits():
+    # the initial scales of the ten flagging fits that the root search's
+    # evaluation counts are checked on
+    cfg = SimConfig(n_centers=212, seed=5, outlier_fraction=0.1)
+    for seed in range(10):
+        data = gen_single_measure(cfg, np.random.default_rng(seed), gamma_focal=2.0)
+        _assert_irls_bits(z_fixed_effects(data.observed, data.expected, data.effective_size))
 
 
 @pytest.mark.parametrize("size", [3, 4, 11, 212, 1001, 8000])
