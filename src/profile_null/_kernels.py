@@ -26,9 +26,13 @@ beside it for the normal density. Every term free of pi0, in and out of
 the interval, depends on phi alone, so a score call computes those rows
 once per distinct phi among its columns: the first step of a fit puts
 every column at one phi. Only the terms with pi0 in them (1 - pi0 Q, its
-log, h and the out-of-interval curvature) are per column, and after the
-first step, where every column has a phi of its own, they are computed in
-place in the phi rows. ``_erfc`` takes a whole block in about 40 numpy
+log, h and the out-of-interval curvature) are per column. In a call where
+every column has a phi of its own they are computed in place in the phi
+rows, with no gather of rows per column: 83% of the score calls of the
+flagging simulation at 212 centers (every call but each fit's first) and
+75% of those of a release report at 8,000 centers, where columns that
+fall back from their Newton step can land on a shared phi. Without that
+path the flagging benchmark ran about 7% slower. ``_erfc`` takes a whole block in about 40 numpy
 calls, from a table of 55 segments: at most 4 ulp from erfc (1.9 measured,
 where ``math.erfc`` measured 2.5). It is about twice as fast as
 ``math.erfc`` one element at a time on a block of a few thousand elements,
@@ -185,8 +189,8 @@ def null_score_core(phi, pi0, fit):
     score, curvature, log_out = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size)
     phis = phi.tolist()
     if len(set(phis)) == len(phis):
-        # every column has a phi of its own, as in almost every step of a fit
-        # after the first: column k is row k
+        # every column has a phi of its own (most calls of a fit but its
+        # first; see the module docstring): column k is row k
         values, members = phi, None
     else:
         # the columns of each distinct phi, in order of first appearance. A
@@ -296,7 +300,9 @@ def biweight_irls(z):
 
     Returns (location, MAD scale about the location, converged). The
     weights are (1 - min(u, 1)^2)^2 at u = |z - m| / (c * scale), 0 from
-    u = 1 on, where u may overflow to inf.
+    u = 1 on, where the division may overflow u to inf with no warning.
+    ``z - m`` itself, the median and the weighted sum still warn where
+    they overflow, as on values of opposite sign near the float limit.
     """
     m = float(_median(z))
     converged = False

@@ -179,10 +179,10 @@ class TestRobustInterceptScale:
         with pytest.raises(InputError):
             robust_intercept_scale([1.0, float("nan"), 2.0, 3.0])
 
-    @pytest.mark.filterwarnings("error")
     def test_no_warning_near_the_float_limits(self):
-        # max - min overflows on the first input, and u * u on its outer
-        # values; on the second, |z - m| / (c * scale) overflows on 1e300
+        # the suite turns warnings into errors. max - min overflows on the
+        # first input, and u * u on its outer values; on the second,
+        # |z - m| / (c * scale) overflows on 1e300
         res = robust_intercept_scale([-1e308, 0.0, 1e308, 1.0, 2.0])
         assert (res.location, res.scale) == (1.0, 1.4826)
         res = robust_intercept_scale([0.0, 0.0, 0.0, 1e-320, 2e-320, 3e-320, 1e300])
