@@ -10,7 +10,6 @@ from ._kernels import backend
 from .baselines import (
     MomFit,
     fit_method_of_moments,
-    mom_phi,
     winsorize,
 )
 from .composite import (
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "backend",
-    "MomFit", "fit_method_of_moments", "mom_phi", "winsorize",
+    "MomFit", "fit_method_of_moments", "winsorize",
     "CompositeConfig", "capped_corr_weights",
     "composite_score", "composite_table", "correlation_matrix",
     "flag", "inverse_corr_weights", "published_weights",

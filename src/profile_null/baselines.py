@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .empirical_null import _check_z_and_sizes
 from .errors import InputError
 
 DEFAULT_WINSOR_Q = 10.0
@@ -39,35 +40,24 @@ def winsorize(z: Sequence[float], q_percent: float) -> np.ndarray:
     return np.clip(arr, lo, hi)
 
 
-def mom_phi(
-    z_winsorized: Sequence[float],
-    sizes: Sequence[float],
-    q_percent: float = 0.0,
-    a_psi: float = 1.0,
-) -> MomFit:
-    """Method-of-moments overdispersion estimate from (possibly Winsorized)
-    Z-scores: max(0, (sum z^2 - F) / sum n), the estimator implied by the
-    null moment identity E[Z^2] = 1 + phi*n.
-
-    ``q_percent`` only records the Winsorization already applied upstream.
-    """
-    zarr = np.asarray(z_winsorized, dtype=np.float64)
-    sarr = np.asarray(sizes, dtype=np.float64)
-    if zarr.ndim != 1 or zarr.shape != sarr.shape:
-        raise InputError("z and sizes must be equal-length 1-d sequences")
-    if zarr.size < 2:
-        raise InputError("method-of-moments needs at least 2 centers")
-    if not np.all(sarr > 0):
-        raise InputError("sizes must be positive")
-    phi = max(0.0, float((np.sum(zarr * zarr) - zarr.size) / np.sum(sarr)))
-    return MomFit(phi_mom=phi, q_percent=q_percent, sigma2_alpha_hat=phi * a_psi)
-
-
 def fit_method_of_moments(
     z: Sequence[float],
     sizes: Sequence[float],
     q_percent: float = DEFAULT_WINSOR_Q,
     a_psi: float = 1.0,
 ) -> MomFit:
-    """Winsorize then estimate: the full baseline pipeline."""
-    return mom_phi(winsorize(z, q_percent), sizes, q_percent=q_percent, a_psi=a_psi)
+    """Winsorize the scores at ``q_percent``, then estimate the
+    overdispersion as max(0, (sum z^2 - F) / sum n) over the F centers: the
+    estimator implied by the null moment identity E[Z^2] = 1 + phi*n.
+    Every z must be finite and every size finite and positive.
+    """
+    zarr = np.asarray(z, dtype=np.float64)
+    sarr = np.asarray(sizes, dtype=np.float64)
+    if zarr.ndim != 1 or zarr.shape != sarr.shape:
+        raise InputError("z and sizes must be equal-length 1-d sequences")
+    if zarr.size < 2:
+        raise InputError("method-of-moments needs at least 2 centers")
+    _check_z_and_sizes(zarr, sarr)
+    zw = winsorize(zarr, q_percent)
+    phi = max(0.0, float((np.sum(zw * zw) - zw.size) / np.sum(sarr)))
+    return MomFit(phi_mom=phi, q_percent=q_percent, sigma2_alpha_hat=phi * a_psi)

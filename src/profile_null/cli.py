@@ -14,7 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import DEFAULT_WINSOR_Q
-from .composite import CompositeConfig, composite_table
+from .composite import WEIGHT_SCHEMES, CompositeConfig, composite_table
+from .empirical_null import FLAG_Z
 from .errors import ConvergenceError, FittingError, InputError
 from .report import (
     SIM_EXPERIMENTS,
@@ -29,6 +30,7 @@ from .report import (
     write_diagnostics,
     write_scores_report,
 )
+from .simulation import METHOD_KEYS
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -52,25 +54,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("standardize", help="compute standardized Z-scores")
     _add_data_args(p)
-    p.add_argument("--method", choices=("fe", "mom", "en"), default="en")
+    p.add_argument("--method", choices=METHOD_KEYS, default="en")
     p.add_argument("--mom-q", type=float, default=DEFAULT_WINSOR_Q,
                    help="Winsorization level for --method mom")
 
     p = sub.add_parser("composite", help="full pipeline to composite report")
     _add_data_args(p)
-    p.add_argument("--method", choices=("fe", "mom", "en"), default="en")
+    p.add_argument("--method", choices=METHOD_KEYS, default="en")
     p.add_argument("--mom-q", type=float, default=DEFAULT_WINSOR_Q)
-    p.add_argument("--weight-scheme",
-                   choices=("capped_corr_reciprocal", "inverse_corr_sum"),
-                   default="capped_corr_reciprocal")
-    p.add_argument("--flag-lower", type=float, default=-1.96)
-    p.add_argument("--flag-upper", type=float, default=1.96)
+    p.add_argument("--weight-scheme", choices=tuple(WEIGHT_SCHEMES),
+                   default=CompositeConfig.weight_scheme)
+    p.add_argument("--flag-lower", type=float, default=CompositeConfig.flag_lower)
+    p.add_argument("--flag-upper", type=float, default=CompositeConfig.flag_upper)
 
     p = sub.add_parser("funnel", help="funnel plots with control limits")
     _add_data_args(p)
     p.add_argument("--alpha-z", type=float, action="append", default=None,
                    help="|Z| threshold for the limit curves (repeatable; "
-                        "default 1.96)")
+                        f"default {FLAG_Z:g})")
 
     p = sub.add_parser("simulate", help="run a simulation experiment")
     p.add_argument("--config", required=True, help="simulation config JSON")
@@ -120,7 +121,7 @@ def _cmd_composite(args) -> int:
 
 
 def _cmd_funnel(args) -> int:
-    alphas = args.alpha_z if args.alpha_z else [1.96]
+    alphas = args.alpha_z if args.alpha_z else [FLAG_Z]
     for alpha_z in alphas:
         if not (alpha_z > 0 and math.isfinite(alpha_z)):
             raise InputError(f"--alpha-z must be a positive finite number, "
@@ -135,7 +136,7 @@ def _cmd_funnel(args) -> int:
             print(f"note: no usable centers for {spec.measure_id}",
                   file=sys.stderr)
             continue
-        written += emit_funnel(table, spec, fit, alphas, args.out)
+        written += emit_funnel(table, spec, fit.phi_hat, alphas, args.out)
     for path in written:
         print(path)
     return EXIT_OK

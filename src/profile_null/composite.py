@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .empirical_null import FLAG_Z
 from .errors import InputError
-
-WEIGHT_SCHEMES = ("inverse_corr_sum", "capped_corr_reciprocal", "user_supplied")
 
 MIN_PAIR_COMPLETE = 3
 COND_LIMIT = 1e12
@@ -24,20 +23,16 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class CompositeConfig:
+    """A key of ``WEIGHT_SCHEMES`` and the flag thresholds of a composite."""
+
     weight_scheme: str = "capped_corr_reciprocal"
-    user_weights: tuple[float, ...] | None = None
-    flag_lower: float = -1.96
-    flag_upper: float = 1.96
+    flag_lower: float = -FLAG_Z
+    flag_upper: float = FLAG_Z
 
     def __post_init__(self) -> None:
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise InputError(f"unknown weight scheme {self.weight_scheme!r}; "
-                             f"expected one of {WEIGHT_SCHEMES}")
-        if (self.user_weights is not None) != (self.weight_scheme == "user_supplied"):
-            raise InputError("user_weights must be given exactly when "
-                             "weight_scheme='user_supplied'")
-        if self.user_weights is not None and not all(0 < w < math.inf for w in self.user_weights):
-            raise InputError("user weights must all be positive and finite")
+                             f"expected one of {tuple(WEIGHT_SCHEMES)}")
         if not self.flag_lower < self.flag_upper:
             raise InputError("flag_lower must be below flag_upper")
 
@@ -159,16 +154,11 @@ def flag(z_cs: float | np.ndarray, config: CompositeConfig | None = None) -> str
     return labels.item() if labels.ndim == 0 else labels
 
 
-def weights_for(corr: np.ndarray, config: CompositeConfig) -> np.ndarray:
-    if config.weight_scheme == "capped_corr_reciprocal":
-        return capped_corr_weights(corr)
-    if config.weight_scheme == "inverse_corr_sum":
-        return inverse_corr_weights(corr)
-    w = np.asarray(config.user_weights, dtype=np.float64)
-    if w.shape[0] != corr.shape[0]:
-        raise InputError(f"user_weights has {w.shape[0]} entries for "
-                         f"{corr.shape[0]} measures")
-    return w
+# weight scheme -> its weights of a correlation matrix, in the order the CLI lists them
+WEIGHT_SCHEMES = {
+    "capped_corr_reciprocal": capped_corr_weights,
+    "inverse_corr_sum": inverse_corr_weights,
+}
 
 
 def composite_table(
@@ -198,7 +188,7 @@ def composite_table(
     # correlation_matrix builds a valid matrix, which the weight schemes
     # check once; the per-pattern blocks below are not checked again
     corr = correlation_matrix(mat, names)
-    w = weights_for(corr, cfg)
+    w = WEIGHT_SCHEMES[cfg.weight_scheme](corr)
 
     patterns, pattern_of = np.unique(np.isfinite(mat), axis=0, return_inverse=True)
     pattern_of = pattern_of.reshape(-1)

@@ -19,7 +19,7 @@ log-likelihood at the roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,9 @@ from . import _kernels
 from .errors import ConvergenceError, FittingError, InputError
 from .numerics import robust_intercept_scale, std_normal_quantile
 
+# the |Z| that flags a center, and the default level of the funnel limits:
+# the two-sided 5% standard normal quantile, to the paper's two decimals
+FLAG_Z = 1.96
 MIN_CENTERS = 10
 MIN_NULL_SET = 3
 # each pi0 grid point is one column of the lockstep root search in every fit
@@ -101,9 +104,9 @@ class NullFit:
     null_set: np.ndarray
     loglik: float
     sigma2_alpha_hat: float
-    profile_loglik: np.ndarray = field(default_factory=lambda: np.empty(0))
-    iterations: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    converged: np.ndarray = field(default_factory=lambda: np.empty(0, np.bool_))
+    profile_loglik: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
     @property
     def n_null_set(self) -> int:
@@ -321,7 +324,7 @@ def control_limits(
     expected: np.ndarray | float,
     size: np.ndarray | float,
     a_psi: float = 1.0,
-    alpha_z: float = 1.96,
+    alpha_z: float = FLAG_Z,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Funnel-plot control limits on the observed/expected ratio scale,
     elementwise over centers.

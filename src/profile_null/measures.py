@@ -11,13 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .empirical_null import EnConfig
+from .empirical_null import FLAG_Z, EnConfig, _check_z_and_sizes
 from .errors import InputError
 
 FAMILIES = ("normal", "binomial", "poisson")
 DIRECTIONS = ("higher_is_better", "lower_is_better")
-
-FLAG_Z = 1.96
 
 
 @dataclass(frozen=True)
@@ -124,6 +122,12 @@ class CenterTable:
     def __len__(self) -> int:
         return len(self.center)
 
+    @property
+    def usable(self) -> np.ndarray:
+        """Whether each row has a positive expected count and effective
+        size: the rows that are scored, fitted and plotted."""
+        return (self.expected > 0) & (self.size > 0)
+
     def row_ids(self, i: int) -> tuple[str, str]:
         """(center_id, measure_id) of row ``i``."""
         return (self.center_ids[self.center[i]],
@@ -160,21 +164,22 @@ def group_variance_diagnostic(
     z: Sequence[float],
     sizes: Sequence[float],
     n_groups: int,
-    flag_z: float = FLAG_Z,
 ) -> list[tuple[float, float, float]]:
     """Size-grouped Z-score dispersion diagnostic.
 
     Centers are sorted by effective size and split into ``n_groups``
     contiguous groups of near-equal count. Returns, per group, the mean
     effective size, the sample variance of the Z-scores, and the proportion
-    of centers with ``|z| > flag_z``. When risk adjustment is complete all
+    of centers with ``|z| > FLAG_Z``. When risk adjustment is complete all
     group variances sit near 1; variances that grow with size indicate
-    overdispersion from unobserved confounding.
+    overdispersion from unobserved confounding. Every z must be finite and
+    every size finite and positive.
     """
     zvals = np.asarray(z, dtype=np.float64)
     svals = np.asarray(sizes, dtype=np.float64)
     if zvals.shape != svals.shape or zvals.ndim != 1:
         raise InputError("z and sizes must be equal-length 1-d sequences")
+    _check_z_and_sizes(zvals, svals)
     if n_groups < 2:
         raise InputError("n_groups must be at least 2")
     if zvals.size < 2 * n_groups:
@@ -187,6 +192,6 @@ def group_variance_diagnostic(
         out.append((
             float(np.mean(svals[idx])),
             float(np.var(gz, ddof=1)),
-            float(np.mean(np.abs(gz) > flag_z)),
+            float(np.mean(np.abs(gz) > FLAG_Z)),
         ))
     return out

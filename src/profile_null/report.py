@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments
-from .empirical_null import EnConfig, NullFit, control_limits, fit_empirical_null, z_empirical_null
+from .empirical_null import (FLAG_Z, EnConfig, NullFit, control_limits, fit_empirical_null,
+                             z_empirical_null)
 from .errors import InputError, ProfileNullError
 from .measures import (
     CenterTable,
@@ -34,6 +35,7 @@ from .measures import (
     z_fixed_effects,
 )
 from .simulation import (
+    METHOD_KEYS,
     N_PROBES,
     SimConfig,
     SweepResult,
@@ -47,8 +49,6 @@ from .svg import funnel_svg
 CENTER_HEADER = ["center_id", "measure_id", "observed", "expected", "effective_size"]
 SCORES_HEADER = ["center_id", "measure_id", "z_fe", "z_en", "z_mom"]
 FUNNEL_HEADER = ["effective_size", "ratio", "fe_lower", "fe_upper", "en_lower", "en_upper"]
-
-RUN_METHODS = ("fe", "mom", "en")
 
 _EN_KEYS = tuple(f.name for f in fields(EnConfig))
 _MEASURE_KEYS = {"measure_id", "family", "direction", "a_psi", *_EN_KEYS}
@@ -66,6 +66,9 @@ _SIM_FIELDS = {
     "sigma2_alpha": tuple, "gamma_grid": tuple, "q_grid": tuple,
 }
 _SIM_KEYS = {"experiment", "q_percent", *_SIM_FIELDS}
+
+# the UTF-8 byte order mark spreadsheet programs write; an input file may start with one
+_BOM = "\ufeff"
 
 _JSON_KINDS = {str: "a string", int: "an integer", float: "a finite number",
                tuple: "a list of finite numbers"}
@@ -156,7 +159,7 @@ def _json_value(value, kind: type, where: str, key: str):
 
 def _read_json(p: Path, what: str):
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(p.read_text(encoding="utf-8").removeprefix(_BOM))
     except FileNotFoundError:
         raise InputError(f"{what} not found: {p}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -296,7 +299,8 @@ def read_center_stats(
     case it is filled with the expected count; binomial and normal rows must
     supply it. Errors carry the offending row number: the number of the
     record, blank records included, so a quoted line break does not count.
-    A byte that is not UTF-8 is named by its line and its offset in the file.
+    One leading byte order mark is dropped. A byte that is not UTF-8 is
+    named by its line and its offset in the file.
 
     The file is read and decoded whole. Text that ``csv.reader`` would split
     at line feeds and commas alone (no quote, CR or NUL, no overlong line,
@@ -312,7 +316,8 @@ def read_center_stats(
     except FileNotFoundError:
         raise InputError(f"centers file not found: {p}") from None
     try:
-        text = data.decode("utf-8")
+        # an error's offset counts from the file's first byte, a mark included
+        text = data.decode("utf-8").removeprefix(_BOM)
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         # "\r\n", a lone "\r" and a lone "\n" each end a line
@@ -377,11 +382,10 @@ def standardize(
     fitted in declaration order, so the first one whose fit fails raises
     its error.
     """
-    if method not in RUN_METHODS:
-        raise InputError(f"method must be one of {RUN_METHODS}, got {method!r}")
+    if method not in METHOD_KEYS:
+        raise InputError(f"method must be one of {METHOD_KEYS}, got {method!r}")
     t = table
-    no_size = t.size <= 0
-    usable = ~no_size & (t.expected > 0)
+    usable = t.usable
     run = StandardizationRun(method, t, *(np.full(len(t), np.nan) for _ in range(3)))
     a_psi = np.array([m.a_psi for m in t.measures])[t.measure]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
@@ -395,7 +399,7 @@ def standardize(
     for k, spec in enumerate(t.measures):
         rows = t.measure == k
         for i in np.flatnonzero(rows & ~usable):
-            reason = "effective_size <= 0" if no_size[i] else "expected <= 0"
+            reason = "effective_size <= 0" if t.size[i] <= 0 else "expected <= 0"
             run.skipped.append((*t.row_ids(i), reason))
         rows &= usable
         if not rows.any():
@@ -547,8 +551,8 @@ def funnel_suffixes(alpha_z_list: Sequence[float]) -> list[str]:
 def emit_funnel(
     table: CenterTable,
     spec: MeasureSpec,
-    null_fit: NullFit,
-    alpha_z_list: Sequence[float] = (1.96,),
+    phi_hat: float,
+    alpha_z_list: Sequence[float] = (FLAG_Z,),
     out_dir: str | Path = ".",
 ) -> list[Path]:
     """Funnel CSV and SVG for one measure of the table: per-center O/E
@@ -557,7 +561,7 @@ def emit_funnel(
     suffixes = funnel_suffixes(alpha_z_list)
     t = table
     in_measure = np.array([m.measure_id == spec.measure_id for m in t.measures])[t.measure]
-    rows = np.flatnonzero(in_measure & (t.expected > 0) & (t.size > 0))
+    rows = np.flatnonzero(in_measure & t.usable)
     if not rows.size:
         raise InputError(f"no plottable centers for measure "
                          f"{spec.measure_id!r}")
@@ -572,7 +576,7 @@ def emit_funnel(
     written: list[Path] = []
     for alpha_z, suffix in zip(alpha_z_list, suffixes):
         limits = (*control_limits(0.0, expected, size, spec.a_psi, alpha_z),
-                  *control_limits(null_fit.phi_hat, expected, size, spec.a_psi, alpha_z))
+                  *control_limits(phi_hat, expected, size, spec.a_psi, alpha_z))
         csv_path = out / f"funnel_{spec.measure_id}{suffix}.csv"
         _write_csv(csv_path, [FUNNEL_HEADER, *zip(size_cells, ratio_cells,
                                                   *map(fmt6, limits))])
@@ -593,9 +597,10 @@ def write_diagnostics(
     """Size-grouped Z-score variance table per measure (fixed-effects
     scores), the overdispersion diagnostic."""
     run = standardize(table, method="fe")
+    usable = table.usable
     rows = [["measure_id", "group", "mean_size", "z_variance", "flag_proportion"]]
     for k, spec in enumerate(table.measures):
-        scored = (table.measure == k) & ~np.isnan(run.z_fe)
+        scored = (table.measure == k) & usable
         if not scored.any():
             continue
         with _naming(spec.measure_id):
@@ -647,7 +652,7 @@ def _write_flag_curves(result: SweepResult, out_dir: str | Path) -> list[Path]:
     and standard error per method."""
     cols = [fmt6(np.array(result.config.gamma_grid)), result.n_effective.tolist(),
             result.n_failed.tolist()]
-    for m in RUN_METHODS:
+    for m in METHOD_KEYS:
         cols += [fmt6(result.flag_rates[m][0]), fmt6(result.flag_se[m][0])]
     return _write_columns(out_dir, "flag_curves.csv", "gamma,n_effective,n_failed,"
                           "fe_rate,fe_se,mom_rate,mom_se,en_rate,en_se", cols)
@@ -672,7 +677,7 @@ def _write_composite_curves(result: SweepResult, out_dir: str | Path) -> list[Pa
     cols = [[g for g in gammas for _ in range(N_PROBES)],
             [f"Center{ci + 1}" for ci in range(N_PROBES)] * len(gammas),
             np.repeat(result.n_effective, N_PROBES).tolist()]
-    for m in RUN_METHODS:
+    for m in METHOD_KEYS:
         # rows run over the probes within each gamma
         cols += [fmt6(result.flag_rates[m].T.ravel()), fmt6(result.flag_se[m].T.ravel())]
     return _write_columns(out_dir, "composite_curves.csv", "gamma,center,n_effective,"

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import fit_method_of_moments
-from .empirical_null import EnConfig, fit_empirical_null, z_empirical_null
+from .empirical_null import FLAG_Z, EnConfig, fit_empirical_null, z_empirical_null
 from .errors import ConvergenceError, FittingError, InputError
-from .measures import FLAG_Z, z_fixed_effects
+from .measures import z_fixed_effects
 
 METHOD_KEYS = ("fe", "mom", "en")
 ENV_THREADS = "PROFILE_NULL_THREADS"
@@ -371,7 +371,7 @@ def run_flagging_experiment(config: SimConfig,
     center 0 (probe 0, which carries gamma) and the last center (probe 1).
 
     Each grid point reruns the full pipeline ``iterations`` times: generate,
-    standardize with all three methods, flag at |z| > 1.96. Failed fits are
+    standardize with all three methods, flag at |z| > FLAG_Z. Failed fits are
     excluded from the denominators and abort the run above the failure cap.
     Raises InputError when the outlier block after center 0 would reach the
     last center.

@@ -11,7 +11,6 @@ from profile_null import (
     InputError,
     fit_empirical_null,
     fit_method_of_moments,
-    mom_phi,
     winsorize,
     z_empirical_null,
 )
@@ -83,19 +82,38 @@ class TestWinsorize:
 
 
 class TestMomPhi:
+    """The moment estimate itself; at q = 0 Winsorizing is the identity."""
+
     def test_hand_value(self):
-        fit = mom_phi([1.0, -1.0, 2.0, -2.0], [10.0, 10.0, 10.0, 10.0])
+        fit = fit_method_of_moments([1.0, -1.0, 2.0, -2.0], [10.0, 10.0, 10.0, 10.0],
+                                    q_percent=0.0)
         assert fit.phi_mom == pytest.approx(0.15)
         assert fit.sigma2_alpha_hat == pytest.approx(0.15)
 
     def test_underdispersion_clamps(self):
-        fit = mom_phi([0.5, -0.5], [3.0, 7.0])
+        fit = fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0)
         assert fit.phi_mom == 0.0
 
     def test_records_q_and_a_psi(self):
-        fit = mom_phi([1.0, -1.0, 2.0], [5.0, 5.0, 5.0], q_percent=10.0, a_psi=2.0)
+        fit = fit_method_of_moments([1.0, -1.0, 2.0], [5.0, 5.0, 5.0], q_percent=10.0,
+                                    a_psi=2.0)
         assert fit.q_percent == 10.0
         assert fit.sigma2_alpha_hat == pytest.approx(2.0 * fit.phi_mom)
+
+    @pytest.mark.parametrize("q", [0.0, 10.0])
+    @pytest.mark.parametrize("z, sizes, message", [
+        ([math.nan, 1.0, 2.0, 3.0], [1.0] * 4, "z contains non-finite values"),
+        ([1.0, -math.inf, 2.0, 3.0], [1.0] * 4, "z contains non-finite values"),
+        ([0.5, 1.0, 2.0, 3.0], [1.0, math.inf, 1.0, 1.0], "sizes contains non-finite values"),
+        ([0.5, 1.0, 2.0, 3.0], [1.0, 1.0, math.nan, 1.0], "sizes contains non-finite values"),
+        ([0.5, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 0.0], "sizes must be positive"),
+    ])
+    def test_rejects_what_the_empirical_null_rejects(self, z, sizes, message, q):
+        with pytest.raises(InputError, match=message):
+            fit_method_of_moments(z, sizes, q_percent=q)
+        # the same message as the empirical-null fit, which needs 10 centers
+        with pytest.raises(InputError, match=message):
+            fit_empirical_null(z * 3, sizes * 3)
 
     def test_unbiased_under_pure_null(self):
         # no winsorization, no outliers: mean estimate ~ truth
@@ -139,12 +157,13 @@ class TestZMethodOfMoments:
     z / sqrt(1 + phi * size) as the empirical null."""
 
     def test_identity_cases(self):
-        clamped = mom_phi([0.5, -0.5], [3.0, 7.0]).phi_mom
+        clamped = fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0).phi_mom
         assert z_empirical_null(1.7, 100.0, clamped) == 1.7
         assert z_empirical_null(1.7, 0.0, 0.5) == 1.7
 
     def test_hand_value(self):
-        phi = mom_phi([1.0, -1.0, 2.0, -2.0], [10.0] * 4).phi_mom
+        phi = fit_method_of_moments([1.0, -1.0, 2.0, -2.0], [10.0] * 4,
+                                    q_percent=0.0).phi_mom
         assert z_empirical_null(3.0, 100.0, phi) == pytest.approx(0.75, abs=1e-10)
 
     def test_negative_phi_rejected(self):

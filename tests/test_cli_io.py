@@ -1,7 +1,9 @@
 """File parsing, report writing, CLI dispatch, exit codes, and determinism."""
 
+import argparse
 import csv
 import decimal
+import inspect
 import json
 import math
 import os
@@ -17,8 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from profile_null import CenterTable
-from profile_null.cli import main
+from profile_null import (
+    CenterTable,
+    CompositeConfig,
+    composite_score,
+    correlation_matrix,
+    inverse_corr_weights,
+)
+from profile_null.baselines import DEFAULT_WINSOR_Q
+from profile_null.cli import build_parser, main
+from profile_null.composite import WEIGHT_SCHEMES
+from profile_null.empirical_null import FLAG_Z, control_limits
 from profile_null.errors import InputError
 from profile_null.report import (
     align_scores,
@@ -29,8 +40,10 @@ from profile_null.report import (
     read_sim_config,
     standardize,
     write_composite_report,
+    write_diagnostics,
     write_scores_report,
 )
+from profile_null.simulation import METHOD_KEYS, run_flagging_experiment
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -293,7 +306,7 @@ class TestEmitFunnel:
     def test_csv_values_and_svg(self, measures, table, tmp_path):
         run = standardize(table, method="en")
         spec = measures[0]
-        paths = emit_funnel(table, spec, run.null_fits["TRR"], [1.96], tmp_path)
+        paths = emit_funnel(table, spec, run.null_fits["TRR"].phi_hat, [1.96], tmp_path)
         csv_path = [p for p in paths if p.suffix == ".csv"][0]
         svg_path = [p for p in paths if p.suffix == ".svg"][0]
         lines = csv_path.read_text().splitlines()
@@ -309,37 +322,22 @@ class TestEmitFunnel:
 
     def test_known_limit_row(self, measures, tmp_path):
         # a poisson center with expected = size = 100 under phi = 0.14
-        from profile_null.empirical_null import NullFit
         f = tmp_path / "c.csv"
         f.write_text("center_id,measure_id,observed,expected,effective_size\n"
                      "C001,TRR,100,100,\n")
         table = read_center_stats(f, measures)
-        fit = NullFit(measure_id="TRR", phi_hat=0.14, pi0_hat=1.0,
-                      phi_init=0.1, v=1.645, interval_bounds=np.zeros((1, 2)),
-                      null_set=np.ones(1, bool), loglik=0.0,
-                      sigma2_alpha_hat=0.14)
-        paths = emit_funnel(table, measures[0], fit, [1.96], tmp_path)
+        paths = emit_funnel(table, measures[0], 0.14, [1.96], tmp_path)
         row = paths[0].read_text().splitlines()[1].split(",")
         assert [float(x) for x in row[2:]] == pytest.approx(
             [0.804, 1.196, 0.241, 1.759], abs=1e-3)
 
     def test_alpha_z_sharing_a_file_suffix(self, measures, table, tmp_path):
-        from profile_null.empirical_null import NullFit
-        fit = NullFit(measure_id="TRR", phi_hat=0.0, pi0_hat=1.0, phi_init=0.0,
-                      v=1.645, interval_bounds=np.zeros((1, 2)),
-                      null_set=np.ones(1, bool), loglik=0.0,
-                      sigma2_alpha_hat=0.0)
         with pytest.raises(InputError, match="alpha_z 2.0 and 2.0000000001 both name"):
-            emit_funnel(table, measures[0], fit, [2.0, 2.0000000001], tmp_path)
+            emit_funnel(table, measures[0], 0.0, [2.0, 2.0000000001], tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_fe_curves_match_en_at_zero_phi(self, measures, table, tmp_path):
-        from profile_null.empirical_null import NullFit
-        fit = NullFit(measure_id="TRR", phi_hat=0.0, pi0_hat=1.0, phi_init=0.0,
-                      v=1.645, interval_bounds=np.zeros((1, 2)),
-                      null_set=np.ones(1, bool), loglik=0.0,
-                      sigma2_alpha_hat=0.0)
-        paths = emit_funnel(table, measures[0], fit, [1.96], tmp_path)
+        paths = emit_funnel(table, measures[0], 0.0, [1.96], tmp_path)
         for line in paths[0].read_text().splitlines()[1:]:
             cells = line.split(",")
             assert cells[2] == cells[4] and cells[3] == cells[5]
@@ -639,6 +637,53 @@ class TestAdditionalCliPaths:
         assert rows[0]["z_mom"] != "" and rows[0]["z_en"] == ""
         assert (tmp_path / "composite.csv").exists()
 
+    def test_composite_with_inverse_corr_sum_weights(self, table, tmp_path):
+        code = main(["composite", "--centers", str(FIXTURES / "centers.csv"),
+                     "--measures", str(FIXTURES / "measures.json"),
+                     "--weight-scheme", "inverse_corr_sum", "--out", str(tmp_path)])
+        assert code == 0
+        center_ids, aligned = align_scores(standardize(table, method="en"))
+        # every fixture center has all four measures
+        assert np.isfinite(aligned).all()
+        corr = correlation_matrix(aligned)
+        z_cs = composite_score(aligned, inverse_corr_weights(corr), corr)
+        rows = _read_rows(tmp_path / "composite.csv")[1:-2]
+        assert [row[:2] for row in rows] == [[c, fmt6(z)] for c, z in zip(center_ids, z_cs)]
+        assert [row[2] for row in rows] == [
+            "poor" if z < -FLAG_Z else "good" if z > FLAG_Z else "average" for z in z_cs]
+
+    def test_parser_defaults_and_choices_are_the_librarys(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        data = ["--centers", "c", "--measures", "m", "--out", "o"]
+
+        def parsed(name, args):
+            sub = subparsers[name]
+            return sub.parse_args(args), {a.dest: a for a in sub._actions}
+
+        for name in ("standardize", "composite"):
+            args, actions = parsed(name, data)
+            assert args.method == inspect.signature(standardize).parameters["method"].default
+            assert tuple(actions["method"].choices) == METHOD_KEYS
+            assert args.mom_q == DEFAULT_WINSOR_Q
+        args, actions = parsed("composite", data)
+        assert CompositeConfig(args.weight_scheme, args.flag_lower,
+                               args.flag_upper) == CompositeConfig()
+        assert tuple(actions["weight_scheme"].choices) == tuple(WEIGHT_SCHEMES)
+        assert CompositeConfig().flag_upper == -CompositeConfig().flag_lower == FLAG_Z
+        # no --alpha-z means the library's one threshold
+        args, actions = parsed("funnel", data)
+        assert args.alpha_z is None
+        assert actions["alpha_z"].help.endswith(f"(repeatable; default {FLAG_Z:g})")
+        assert inspect.signature(emit_funnel).parameters["alpha_z_list"].default == (FLAG_Z,)
+        assert inspect.signature(control_limits).parameters["alpha_z"].default == FLAG_Z
+        args, _ = parsed("diagnose", data)
+        assert args.groups == inspect.signature(write_diagnostics).parameters[
+            "n_groups"].default
+        args, _ = parsed("simulate", ["--config", "c", "--out", "o"])
+        assert args.workers == inspect.signature(run_flagging_experiment).parameters[
+            "workers"].default
+
     def test_funnel_multiple_alphas(self, tmp_path):
         code = main(["funnel", "--centers", str(FIXTURES / "centers.csv"),
                      "--measures", str(FIXTURES / "measures.json"),
@@ -896,6 +941,52 @@ class TestIllTypedJson:
         assert capsys.readouterr().err == (
             f"error: centers file {bad} is not a UTF-8 CSV file: line 1502, byte 0xff "
             f"at file offset {len(head) + 1}: invalid start byte\n")
+
+    def test_byte_order_mark_is_dropped(self, measures, table, tmp_path):
+        # as spreadsheet programs write a UTF-8 file
+        centers, spec_file, sim = tmp_path / "c.csv", tmp_path / "m.json", tmp_path / "s.json"
+        for path, name in ((centers, "centers.csv"), (spec_file, "measures.json"),
+                           (sim, "sim_smoke.json")):
+            path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        assert read_measure_config(spec_file) == measures
+        assert read_sim_config(sim) == read_sim_config(FIXTURES / "sim_smoke.json")
+        marked = read_center_stats(centers, measures)
+        assert marked.center_ids == table.center_ids
+        for name in ("center", "measure", "observed", "expected", "size"):
+            assert getattr(marked, name).tobytes() == getattr(table, name).tobytes()
+        for out, c, m in (("marked", centers, spec_file),
+                          ("plain", FIXTURES / "centers.csv", FIXTURES / "measures.json")):
+            assert main(["composite", "--centers", str(c), "--measures", str(m),
+                         "--out", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "marked").iterdir())
+        for name in names:
+            assert ((tmp_path / "marked" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
+
+    def test_only_one_byte_order_mark_is_dropped(self, measures, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_bytes(b"\xef\xbb\xbf" * 2 + (FIXTURES / "centers.csv").read_bytes())
+        with pytest.raises(InputError, match="must start with header"):
+            read_center_stats(f, measures)
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_at_its_file_offset(
+            self, tmp_path, capsys):
+        head = (b"\xef\xbb\xbfcenter_id,measure_id,observed,expected,effective_size\n"
+                b"C0001,TRR,50,40,\n")
+        bad = tmp_path / "c.csv"
+        bad.write_bytes(head + b"C\xff,TRR,50,40,\n")
+        assert main(["standardize", "--centers", str(bad), "--measures",
+                     str(FIXTURES / "measures.json"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: centers file {bad} is not a UTF-8 CSV file: line 3, byte 0xff "
+            f"at file offset {len(head) + 1}: invalid start byte\n")
+        # past the first 8 KiB, where a chunked decode would restart its count
+        head = b"\xef\xbb\xbf[" + b" " * 10_000 + b'"'
+        spec_file = tmp_path / "m.json"
+        spec_file.write_bytes(head + b'\xff"]')
+        with pytest.raises(InputError, match=f"byte 0xff in position {len(head)}: invalid"):
+            read_measure_config(spec_file)
 
     def test_oversized_csv_field_exits_2(self, tmp_path, capsys):
         f = tmp_path / "c.csv"

@@ -228,18 +228,15 @@ class TestFlag:
 
 
 class TestCompositeConfig:
-    def test_user_weights_consistency(self):
-        with pytest.raises(InputError):
-            CompositeConfig(weight_scheme="user_supplied")
-        with pytest.raises(InputError):
-            CompositeConfig(user_weights=(1.0, 2.0))
-        with pytest.raises(InputError):
-            CompositeConfig(weight_scheme="user_supplied", user_weights=(1.0, -1.0))
-        for bad in (0.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(InputError, match="positive and finite"):
-                CompositeConfig(weight_scheme="user_supplied", user_weights=(bad, 1.0))
-        cfg = CompositeConfig(weight_scheme="user_supplied", user_weights=(1.0, 2.0))
-        assert cfg.user_weights == (1.0, 2.0)
+    @pytest.mark.parametrize("scheme", ["user_supplied", "", "CAPPED_CORR_RECIPROCAL"])
+    def test_unknown_weight_scheme(self, scheme):
+        with pytest.raises(InputError, match="expected one of \\('capped_corr_reciprocal', "
+                                             "'inverse_corr_sum'\\)"):
+            CompositeConfig(weight_scheme=scheme)
+
+    def test_flag_thresholds_must_be_ordered(self):
+        with pytest.raises(InputError, match="flag_lower must be below flag_upper"):
+            CompositeConfig(flag_lower=1.0, flag_upper=1.0)
 
 
 class TestCompositeTable:
@@ -292,13 +289,20 @@ class TestCompositeTable:
             assert results[i].z_cs == composite_score(mat[i, idx], w[idx],
                                                       c[np.ix_(idx, idx)])
 
-    def test_user_weights_pass_through(self):
+    @pytest.mark.parametrize("scheme,weights", [
+        ("capped_corr_reciprocal", capped_corr_weights),
+        ("inverse_corr_sum", inverse_corr_weights),
+    ])
+    def test_each_scheme_weights_the_table(self, scheme, weights):
         rng = np.random.default_rng(23)
-        mat = rng.normal(size=(30, 2))
-        cfg = CompositeConfig(weight_scheme="user_supplied", user_weights=(2.0, 1.0))
+        mat = rng.normal(size=(30, 3))
+        mat[:, 2] += mat[:, 0]
         results, _ = composite_table([f"C{i}" for i in range(30)], mat,
-                                     ["A", "B"], cfg)
-        assert results[0].weights == (2.0, 1.0)
+                                     ["A", "B", "C"], CompositeConfig(weight_scheme=scheme))
+        corr = correlation_matrix(mat)
+        w = weights(corr)
+        assert results[0].weights == tuple(w.tolist())
+        assert results.z_cs.tolist() == composite_score(mat, w, corr).tolist()
 
     def test_ids_stay_distinct_through_the_report(self, tmp_path):
         # a numpy unicode id column would drop the NUL of "a\0" and merge

@@ -169,7 +169,7 @@ class TestGroupVarianceDiagnostic:
 
     def test_group_sizes_near_equal(self):
         out = group_variance_diagnostic(list(np.random.default_rng(0).normal(size=10)),
-                                        list(range(10)), 5)
+                                        list(range(1, 11)), 5)
         assert len(out) == 5
 
     def test_input_errors(self):
@@ -177,6 +177,18 @@ class TestGroupVarianceDiagnostic:
             group_variance_diagnostic([0.0] * 3, [1.0] * 3, 2)
         with pytest.raises(InputError):
             group_variance_diagnostic([0.0] * 30, [1.0] * 30, 1)
+
+    @pytest.mark.parametrize("z, sizes, message", [
+        ([math.nan, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], "z contains non-finite values"),
+        ([1.0, math.inf, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], "z contains non-finite values"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, math.inf, 4.0], "sizes contains non-finite values"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, math.nan], "sizes contains non-finite values"),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 3.0, 4.0], "sizes must be positive"),
+    ])
+    def test_rejects_non_finite_scores_and_sizes(self, z, sizes, message):
+        # a NaN score made a NaN group variance
+        with pytest.raises(InputError, match=message):
+            group_variance_diagnostic(z, sizes, 2)
 
 
 class TestNullVarianceLaw:

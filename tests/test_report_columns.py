@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profile_null.cli import main
-from profile_null.empirical_null import NullFit, control_limits
+from profile_null.empirical_null import control_limits
 from profile_null.errors import InputError
 from profile_null.measures import measure_ratio
 from profile_null.report import (
@@ -282,7 +282,7 @@ class TestWritersAtScale:
 
         for spec in measures:
             fit = run.null_fits[spec.measure_id]
-            emit_funnel(table, spec, fit, [1.96], tmp_path)
+            emit_funnel(table, spec, fit.phi_hat, [1.96], tmp_path)
             k = [m.measure_id for m in measures].index(spec.measure_id)
             rows = sorted(np.flatnonzero(table.measure == k).tolist(),
                           key=lambda i: (table.size[i], table.row_ids(i)[0]))
@@ -357,10 +357,7 @@ def test_equal_sizes_come_out_in_id_order(measures, tmp_path):
                        ["Z", "TRR", 5, 10, ""], ["B", "TRR", 10, 20, ""],
                        ["0", "TRR", 90, 30, ""]])
     table = read_center_stats(path, measures)
-    fit = NullFit(measure_id="TRR", phi_hat=0.01, pi0_hat=1.0, phi_init=0.0,
-                  v=1.645, interval_bounds=np.zeros((1, 2)),
-                  null_set=np.ones(1, bool), loglik=0.0, sigma2_alpha_hat=0.0)
-    csv_path = emit_funnel(table, measures[0], fit, [1.96], tmp_path)[0]
+    csv_path = emit_funnel(table, measures[0], 0.01, [1.96], tmp_path)[0]
     rows = _read_rows(csv_path)[1:]
     assert [(r[0], r[1]) for r in rows] == [
         ("10.000000", "0.500000"),   # Z
