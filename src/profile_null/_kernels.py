@@ -8,11 +8,11 @@ score, the curvature and the out-of-interval sum of the log-likelihood),
 so the empirical-null fit makes one score call per step of its root search
 for its whole pi0 grid.
 
-The score kernel is the only one that walks blocks of distinct phi and
-computes the out-of-interval terms. The likelihood kernel computes the
-in-interval terms and adds each column's out-of-interval sum from the
-score kernel: the fit keeps the sums of its score calls at the roots, and
-any other caller gets them from one score call at its own columns. A
+The score kernel is the only one that computes the out-of-interval terms.
+The likelihood kernel computes the in-interval terms and adds each column's
+out-of-interval sum from the score kernel: the fit keeps the sums of its
+score calls at the roots, and any other caller gets them from one score
+call at its own columns. Both walk a call's columns in the same blocks. A
 column's value has the same bits whatever else shares its call:
 ``math.log(pi0)`` and pi0 enter each term elementwise, every other term is
 an elementwise ufunc or ``_erfc``, whose operations are the same for every
@@ -23,20 +23,17 @@ be.
 A fit builds its ``FitArrays`` once and passes it to all its calls. The
 out-of-interval erfc is the costliest term, with one ``np.exp`` per element
 beside it for the normal density. Every term free of pi0, in and out of
-the interval, depends on phi alone, so a score call computes those rows
-once per distinct phi among its columns: the first step of a fit puts
-every column at one phi. Only the terms with pi0 in them (1 - pi0 Q, its
-log, h and the out-of-interval curvature) are per column. In a call where
-every column has a phi of its own they are computed in place in the phi
-rows, with no gather of rows per column: 83% of the score calls of the
-flagging simulation at 212 centers (every call but each fit's first) and
-75% of those of a release report at 8,000 centers, where columns that
-fall back from their Newton step can land on a shared phi. Without that
-path the flagging benchmark ran about 7% slower. ``_erfc`` takes a whole block in about 40 numpy
-calls, from a table of 55 segments: at most 4 ulp from erfc (1.9 measured,
-where ``math.erfc`` measured 2.5). It is about twice as fast as
-``math.erfc`` one element at a time on a block of a few thousand elements,
-and slower below about 500, where the calls' overhead dominates.
+the interval, depends on phi alone. A score call whose columns all share
+one phi, as the first step of a fit puts them, computes those rows once
+and broadcasts them over each block of its columns. Any other call, one
+where only some columns share a phi included, computes a row per column
+and takes the terms with pi0 in them (1 - pi0 Q, its log, h and the
+out-of-interval curvature) in place in it, with no copy of a row.
+``_erfc`` takes a whole block in about 40 numpy calls, from a table of 55
+segments: at most 4 ulp from erfc (1.9 measured, where ``math.erfc``
+measured 2.5). It is about twice as fast as ``math.erfc`` one element at a
+time on a block of a few thousand elements, and slower below about 500,
+where the calls' overhead dominates.
 
 The empirical null fit reads ``null_score_core`` and ``null_loglik_core``
 and the robust scale reads ``biweight_irls`` from this module at call time,
@@ -138,6 +135,13 @@ class FitArrays:
         self.bo = b_upper[out]
 
 
+def _column_blocks(size, fit):
+    """The slices of a kernel call's ``size`` columns that both kernels walk,
+    each of at most about ``_BLOCK_ELEMENTS`` (column, center) elements."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
+    return (slice(k, k + step) for k in range(0, size, step))
+
+
 def null_loglik_core(phi, pi0, fit, log_out=None):
     """Truncated-mixture log-likelihood of each column (phi[k], pi0[k]) over
     the center arrays of ``fit``, a ``FitArrays``; -inf for a column where an
@@ -153,9 +157,7 @@ def null_loglik_core(phi, pi0, fit, log_out=None):
         log_out = null_score_core(phi, pi0, fit)[2]
     log_pi0 = np.array([math.log(p) for p in pi0.tolist()])[:, None]
     ll = np.zeros(phi.size)
-    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-    for k in range(0, phi.size, per_block):
-        cols = slice(k, k + per_block)
+    for cols in _column_blocks(phi.size, fit):
         v = np.multiply(phi[cols, None], fit.si)
         v += 1.0
         u = np.log(v)
@@ -166,6 +168,46 @@ def null_loglik_core(phi, pi0, fit, log_out=None):
         u -= v
         ll[cols] = np.add.reduce(u, axis=1) + log_out[cols]
     return ll
+
+
+def _phi_rows(x, fit):
+    """The terms of ``null_score_core`` free of pi0, one row for each phi of
+    the column array ``x``: the in-interval score and curvature sums, and
+    out of the interval Q, pdf(b) b n / v and n (b^2 - 3) / (2 v)."""
+    # in the interval: v, the score terms n ((z^2 / 2) / v - 1/2) / v and
+    # the curvature terms (1/2 - z^2 / v) (n / v)^2
+    vi = np.multiply(x, fit.si)
+    vi += 1.0
+    a = np.divide(fit.half_z2, vi)
+    u = np.subtract(a, 0.5)
+    u *= fit.si
+    u /= vi
+    score_in = np.add.reduce(u, axis=1)
+    a *= -2.0
+    a += 0.5
+    np.divide(fit.si, vi, out=vi)
+    a *= vi
+    a *= vi
+    curvature_in = np.add.reduce(a, axis=1)
+    # out of it: v and b = B / sqrt(v), Q = 1 - erfc(b / sqrt 2), the null
+    # probability of (-B, B), pdf(b) b n / v, and n (b^2 - 3) / (2 v) in
+    # place of b
+    vo = np.multiply(x, fit.so)
+    vo += 1.0
+    b = fit.bo / np.sqrt(vo)
+    q = 1.0 - _erfc(b * _INV_SQRT2)
+    e = np.multiply(b, b)
+    e *= -0.5
+    np.exp(e, out=e)
+    e *= b
+    e *= fit.so
+    e /= vo
+    g = np.multiply(b, b, out=b)
+    g -= 3.0
+    g *= fit.so
+    g /= vo
+    g *= 0.5
+    return score_in, curvature_in, q, e, g
 
 
 def null_score_core(phi, pi0, fit):
@@ -182,91 +224,31 @@ def null_score_core(phi, pi0, fit):
     A column where some 1 - pi0*Q is 0, whose log-likelihood is -inf, has a
     score of +inf or NaN and a curvature that is not finite.
 
-    The distinct values of phi are taken in blocks of at most about
-    ``_BLOCK_ELEMENTS`` (value, center) elements, and the columns of a
-    block in chunks of at most as many columns.
+    The columns are taken in the blocks of ``_column_blocks``. When every
+    column has the same phi, the rows free of pi0 are computed once and
+    broadcast over each block; otherwise each column computes its own, and
+    its pi0 terms are taken in place in them.
     """
     score, curvature, log_out = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size)
-    phis = phi.tolist()
-    if len(set(phis)) == len(phis):
-        # every column has a phi of its own (most calls of a fit but its
-        # first; see the module docstring): column k is row k
-        values, members = phi, None
-    else:
-        # the columns of each distinct phi, in order of first appearance. A
-        # dict and not np.unique: the fit sorts nothing else, and numpy's
-        # first sort in a process adds about 0.3 MiB to its resident set
-        groups = {}
-        for k, x in enumerate(phis):
-            groups.setdefault(x, []).append(k)
-        values, members = np.array(list(groups)), list(groups.values())
-    per_block = max(1, _BLOCK_ELEMENTS // max(1, fit.n))
-    for start in range(0, values.size, per_block):
-        x = values[start:start + per_block, None]
-        # one row per distinct phi. In the interval: v, the score terms
-        # n ((z^2 / 2) / v - 1/2) / v and the curvature terms
-        # (1/2 - z^2 / v) (n / v)^2
-        vi = np.multiply(x, fit.si)
-        vi += 1.0
-        a = np.divide(fit.half_z2, vi)
-        u = np.subtract(a, 0.5)
-        u *= fit.si
-        u /= vi
-        score_in = np.add.reduce(u, axis=1)
-        a *= -2.0
-        a += 0.5
-        np.divide(fit.si, vi, out=vi)
-        a *= vi
-        a *= vi
-        curvature_in = np.add.reduce(a, axis=1)
-        # out of it: v and b = B / sqrt(v), Q = 1 - erfc(b / sqrt 2), the
-        # null probability of (-B, B), pdf(b) b n / v, and
-        # n (b^2 - 3) / (2 v) in place of b
-        vo = np.multiply(x, fit.so)
-        vo += 1.0
-        b = fit.bo / np.sqrt(vo)
-        q = 1.0 - _erfc(b * _INV_SQRT2)
-        e = np.multiply(b, b)
-        e *= -0.5
-        np.exp(e, out=e)
-        e *= b
-        e *= fit.so
-        e /= vo
-        g = np.multiply(b, b, out=b)
-        g -= 3.0
-        g *= fit.so
-        g /= vo
-        g *= 0.5
-        # the block's columns in chunks of at most per_block, and the row of
-        # each column
-        if members is None:
-            chunks = [(slice(start, start + per_block), None)]
-        else:
-            block = members[start:start + per_block]
-            columns = np.array([k for m in block for k in m])
-            rows = np.repeat(np.arange(len(block)), [len(m) for m in block])
-            chunks = [(columns[j:j + per_block], rows[j:j + per_block])
-                      for j in range(0, columns.size, per_block)]
-        for cols, r in chunks:
-            # t = 1 - pi0 Q, h = pi0 pdf(b) b n / v / t, and h (n (b^2 - 3) /
-            # (2 v) - h). 0 <= pi0 Q <= 1, so a t of 0 makes log t -inf. A
-            # block of one column per row is one chunk, and takes its rows
-            # in place
-            if r is None:
-                t, h, c, s_in, c_in = q, e, g, score_in, curvature_in
-            else:
-                t, h, c, s_in, c_in = q[r], e[r], g[r], score_in[r], curvature_in[r]
-            t *= pi0[cols, None]
-            np.subtract(1.0, t, out=t)
-            h *= pi0[cols, None] * _INV_SQRT_2PI
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                h /= t
-                c -= h
-                c *= h
-                np.log(t, out=t)
-            score[cols] = s_in + np.add.reduce(h, axis=1)
-            curvature[cols] = c_in + np.add.reduce(c, axis=1)
-            log_out[cols] = np.add.reduce(t, axis=1)
+    shared = bool((phi == phi[:1]).all())
+    rows = _phi_rows(phi[:1, None], fit) if shared else None
+    for cols in _column_blocks(phi.size, fit):
+        s_in, c_in, q, e, g = rows if shared else _phi_rows(phi[cols, None], fit)
+        p = pi0[cols, None]
+        # t = 1 - pi0 Q, h = pi0 pdf(b) b n / v / t, and h (n (b^2 - 3) /
+        # (2 v) - h). 0 <= pi0 Q <= 1, so a t of 0 makes log t -inf. Shared
+        # rows are left as they are for the next block
+        t = np.multiply(q, p, out=None if shared else q)
+        np.subtract(1.0, t, out=t)
+        h = np.multiply(e, p * _INV_SQRT_2PI, out=None if shared else e)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h /= t
+            c = np.subtract(g, h, out=None if shared else g)
+            c *= h
+            np.log(t, out=t)
+        score[cols] = s_in + np.add.reduce(h, axis=1)
+        curvature[cols] = c_in + np.add.reduce(c, axis=1)
+        log_out[cols] = np.add.reduce(t, axis=1)
     return score, curvature, log_out
 
 

@@ -133,7 +133,7 @@ def _cmd_funnel(args) -> int:
     for spec in table.measures:
         fit = run.null_fits.get(spec.measure_id)
         if fit is None:
-            print(f"note: no usable centers for {spec.measure_id}",
+            print(f"note: no usable centers for {spec.measure_id!r}",
                   file=sys.stderr)
             continue
         written += emit_funnel(table, spec, fit.phi_hat, alphas, args.out)

@@ -44,7 +44,9 @@ def correlation_matrix(
     """Pairwise-complete Pearson correlations of a centers x measures table.
 
     Missing entries are NaN; each measure pair needs at least 3 centers with
-    both scores present. The diagonal is exactly 1.
+    both scores present. The diagonal is exactly 1. Raises InputError where
+    a pair's correlation is undefined or its computation overflows the float
+    range.
     """
     mat = np.asarray(scores, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] < 1:
@@ -62,7 +64,13 @@ def correlation_matrix(
                     f"{MIN_PAIR_COMPLETE}")
             xk = mat[both, k]
             xl = mat[both, l]
-            c = np.corrcoef(xk, xl)[0, 1]
+            # a constant column makes c 0/0, caught below
+            try:
+                with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+                    c = np.corrcoef(xk, xl)[0, 1]
+            except FloatingPointError:
+                raise InputError(f"correlation between {names[k]!r} and "
+                                 f"{names[l]!r} overflows the float range") from None
             if not np.isfinite(c):
                 raise InputError(f"correlation between {names[k]!r} and "
                                  f"{names[l]!r} is undefined (constant scores)")

@@ -173,7 +173,8 @@ def group_variance_diagnostic(
     of centers with ``|z| > FLAG_Z``. When risk adjustment is complete all
     group variances sit near 1; variances that grow with size indicate
     overdispersion from unobserved confounding. Every z must be finite and
-    every size finite and positive.
+    every size finite and positive; raises InputError where a group's mean
+    size or variance overflows the float range.
     """
     zvals = np.asarray(z, dtype=np.float64)
     svals = np.asarray(sizes, dtype=np.float64)
@@ -187,11 +188,15 @@ def group_variance_diagnostic(
                          f"{zvals.size} centers for {n_groups} groups")
     order = np.argsort(svals, kind="stable")
     out = []
-    for idx in np.array_split(order, n_groups):
-        gz = zvals[idx]
-        out.append((
-            float(np.mean(svals[idx])),
-            float(np.var(gz, ddof=1)),
-            float(np.mean(np.abs(gz) > FLAG_Z)),
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in np.array_split(order, n_groups):
+            gz = zvals[idx]
+            out.append((
+                float(np.mean(svals[idx])),
+                float(np.var(gz, ddof=1)),
+                float(np.mean(np.abs(gz) > FLAG_Z)),
+            ))
+    if not np.isfinite(out).all():
+        raise InputError("the mean size or Z-score variance of a size group "
+                         "overflows the float range")
     return out

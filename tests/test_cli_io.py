@@ -543,6 +543,49 @@ class TestValidationEdges:
             assert capsys.readouterr().err == ("error: center 'CX', measure 'A': the "
                                                "fixed-effects score overflows the float range\n")
 
+    def test_constant_scores_name_the_pair(self, tmp_path, capsys):
+        # every B row has observed == expected, so its scores are all 0;
+        # numpy warnings are errors in this suite
+        rng = np.random.default_rng(11)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in ("A", "B")]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 40)):
+            rows += [[f"C{i}", "A", int(rng.poisson(e)), f"{e:.6f}", ""],
+                     [f"C{i}", "B", f"{e:.6f}", f"{e:.6f}", ""]]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["composite", "--method", "fe", "--centers", str(tmp_path / "c.csv"),
+                     "--measures", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err \
+            == "error: correlation between 'A' and 'B' is undefined (constant scores)\n"
+
+    @pytest.mark.parametrize("cmd,message", [
+        (["composite", "--method", "fe"],
+         "correlation between 'A' and 'B' overflows the float range"),
+        (["composite", "--method", "en"],
+         "correlation between 'A' and 'B' overflows the float range"),
+        (["diagnose"], "measure 'A': the mean size or Z-score variance of a size group "
+                       "overflows the float range")],
+        ids=["composite-fe", "composite-en", "diagnose"])
+    def test_overflowing_score_products_name_the_pair_or_measure(self, tmp_path, capsys,
+                                                                 cmd, message):
+        # three finite A scores near 1e298, whose products and squares
+        # overflow
+        rng = np.random.default_rng(11)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in ("A", "B")]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 40)):
+            rows += [[f"C{i}", m, "1e300" if m == "A" and i < 3 else int(rng.poisson(e)),
+                      f"{e:.6f}", ""] for m in ("A", "B")]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main([*cmd, "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("declared,missing,note", [
         (("A",), 1, "1 center had no score"),
         (("A",), 2, "2 centers had no score"),
@@ -713,6 +756,22 @@ class TestAdditionalCliPaths:
         assert code == 2
         assert f"alpha_z 1.96 and {float(second)!r} both name" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_funnel_note_quotes_the_measure_id(self, tmp_path, capsys):
+        # a zero expected count skips every row of the second measure, whose
+        # id holds a CR and an LF
+        rng = np.random.default_rng(12)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": m, "family": "poisson", "direction": "higher_is_better"}
+             for m in ("A", "B\r\nC")]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, e in enumerate(rng.uniform(50, 500, 30)):
+            rows += [[f"C{i}", "A", int(rng.poisson(e)), f"{e:.6f}", ""],
+                     [f"C{i}", "B\r\nC", int(rng.poisson(e)), "0", ""]]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["funnel", "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "note: no usable centers for 'B\\r\\nC'\n"
 
     def test_funnel_alpha_z_with_overflowing_limits(self, tmp_path, capsys):
         code = _main_warnings_as_errors(

@@ -171,27 +171,38 @@ def test_batched_columns_keep_the_one_column_bits(n_centers, monkeypatch):
     pi0[[0, 7, 12]] = 1.0
     distinct = mixed.copy()
     distinct[5:14] = np.exp(rng.normal(-3.0, 3.0, 9))
-    # the kernels compute each distinct phi's rows once: mixed phis, all
-    # columns at one phi, as in the first step of a fit, and a phi for each
-    # column, as in the later steps
-    for phi in (mixed, np.full(30, mixed[0]), distinct):
-        want = np.array([_one_column(float(x), float(p), z, n, in_null, b)
-                         for x, p in zip(phi, pi0)])
+    # a step of a fit at 8,000 centers: most of the pi0 grid at phi = 0 and
+    # the rest at phis of their own
+    registry = np.zeros(41)
+    registry[29:] = np.exp(rng.normal(-4.0, 1.0, 12))
+    grid = np.linspace(1.0, 0.8, 41)
+    # a call whose columns all share one phi, as in the first step of a fit,
+    # broadcasts that phi's rows over its columns; any other call computes a
+    # row per column: mixed phis, a phi for each column, as in the later
+    # steps, and the report's grid
+    for phi, p in ((mixed, pi0), (np.full(30, mixed[0]), pi0), (distinct, pi0),
+                   (registry, grid)):
+        want = np.array([_one_column(float(x), float(y), z, n, in_null, b)
+                         for x, y in zip(phi, p)])
         assert want[0, 0] == -math.inf and not math.isfinite(want[0, 1])
         # blocks of the default size, of one column and of all columns
         for block in (_kernels._BLOCK_ELEMENTS, 1, phi.size * n_centers):
             monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block)
             fit = _kernels.FitArrays(z, n, in_null, b)
-            assert _kernels.null_loglik_core(phi, pi0, fit).tolist() == want[:, 0].tolist()
-            score, curvature, log_out = _kernels.null_score_core(phi, pi0, fit)
+            arrays = [a.tobytes() for a in vars(fit).values() if isinstance(a, np.ndarray)]
+            assert _kernels.null_loglik_core(phi, p, fit).tolist() == want[:, 0].tolist()
+            score, curvature, log_out = _kernels.null_score_core(phi, p, fit)
             assert np.array_equal(np.column_stack([score, curvature]), want[:, 1:],
                                   equal_nan=True)
             # the score's out-of-interval sums close the likelihood
-            assert _kernels.null_loglik_core(phi, pi0, fit, log_out).tolist() \
+            assert _kernels.null_loglik_core(phi, p, fit, log_out).tolist() \
                 == want[:, 0].tolist()
             # a column alone in its call keeps the same bits
-            one = _kernels.null_score_core(phi[3:4], pi0[3:4], fit)
+            one = _kernels.null_score_core(phi[3:4], p[3:4], fit)
             assert [one[0][0], one[1][0]] == want[3, 1:].tolist()
+            # and no call writes to the fit's arrays
+            assert [a.tobytes() for a in vars(fit).values()
+                    if isinstance(a, np.ndarray)] == arrays
 
 
 def _ulps(got, x):
