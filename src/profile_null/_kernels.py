@@ -190,20 +190,20 @@ def _phi_rows(x, fit):
     a *= vi
     curvature_in = np.add.reduce(a, axis=1)
     # out of it: v and b = B / sqrt(v), Q = 1 - erfc(b / sqrt 2), the null
-    # probability of (-B, B), pdf(b) b n / v, and n (b^2 - 3) / (2 v) in
-    # place of b
+    # probability of (-B, B), taken in place, and from one b^2, pdf(b) b n / v
+    # and n (b^2 - 3) / (2 v)
     vo = np.multiply(x, fit.so)
     vo += 1.0
     b = fit.bo / np.sqrt(vo)
-    q = 1.0 - _erfc(b * _INV_SQRT2)
+    q = _erfc(b * _INV_SQRT2)
+    np.subtract(1.0, q, out=q)
     e = np.multiply(b, b)
+    g = np.subtract(e, 3.0)
     e *= -0.5
     np.exp(e, out=e)
     e *= b
     e *= fit.so
     e /= vo
-    g = np.multiply(b, b, out=b)
-    g -= 3.0
     g *= fit.so
     g /= vo
     g *= 0.5
@@ -282,11 +282,11 @@ def biweight_irls(z):
 
     Returns (location, MAD scale about the location, converged). The
     weights are (1 - min(u, 1)^2)^2 at u = |z - m| / (c * scale), 0 from
-    u = 1 on, where the division may overflow u to inf with no warning.
-    ``z - m`` itself, the median, the scales, ``c * scale`` and the weighted
-    sum are numpy operations that follow the caller's ``np.errstate`` where
-    they overflow, as on values of opposite sign near the float limit:
-    ``numerics.robust_intercept_scale`` makes them raise.
+    u = 1 on, with u taken as min(|z - m|, c * scale) / (c * scale), which
+    cannot overflow. ``z - m`` itself, the median, the scales, ``c * scale``
+    and the weighted sum are numpy operations that follow the caller's
+    ``np.errstate`` where they overflow, as on values of opposite sign near
+    the float limit: ``numerics.robust_intercept_scale`` makes them raise.
     """
     m = float(_median(z))
     converged = False
@@ -298,11 +298,12 @@ def biweight_irls(z):
         if scale <= 0.0:
             converged = True
             break
-        # outside the errstate below: an overflow here follows the caller's
+        # an overflow here follows the caller's errstate. w <= width after
+        # the fmin, so the division cannot overflow, and it gives 1 exactly
+        # where w / width would reach 1 (a NaN gives 1 too)
         width = TUKEY_C * scale
-        with np.errstate(over="ignore"):
-            w /= width
-        np.fmin(w, 1.0, out=w)
+        np.fmin(w, width, out=w)
+        w /= width
         np.multiply(w, w, out=w)
         np.subtract(1.0, w, out=w)
         np.multiply(w, w, out=w)

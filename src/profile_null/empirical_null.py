@@ -117,13 +117,29 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
     """Initial overdispersion estimate from the robust residual scale s:
     max(0, (s^2 - 1) / mean(sizes)), matching E[Z^2] = 1 + phi*n at the
     average size.
+
+    z and sizes must be equal-length 1-d sequences, every z finite and every
+    size finite and positive, as for the fit; InputError otherwise.
     """
-    zarr = np.asarray(z, dtype=np.float64)
-    sarr = np.asarray(sizes, dtype=np.float64)
-    if zarr.shape != sarr.shape:
-        raise InputError("z and sizes must have equal length")
+    zarr, sarr = _z_and_sizes(z, sizes)
+    _check_z_and_sizes(zarr, sarr)
+    return _initial_phi(zarr, sarr)
+
+
+def _initial_phi(zarr: np.ndarray, sarr: np.ndarray) -> float:
+    """``initial_phi`` of arrays that passed its checks."""
     s = robust_intercept_scale(zarr).scale
     return max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
+
+
+def _z_and_sizes(z: Sequence[float], sizes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """z and sizes as C-contiguous float64 arrays; InputError unless they
+    are 1-d of equal length."""
+    zarr = np.ascontiguousarray(z, dtype=np.float64)
+    sarr = np.ascontiguousarray(sizes, dtype=np.float64)
+    if zarr.ndim != 1 or zarr.shape != sarr.shape:
+        raise InputError("z and sizes must be equal-length 1-d sequences")
+    return zarr, sarr
 
 
 def _check_z_and_sizes(zarr: np.ndarray, sarr: np.ndarray) -> None:
@@ -198,37 +214,51 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     bracket is narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts
     as positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
     its score 0/0 or +inf.
+
+    The search keeps the state of its open columns only, compacted to them
+    after every call: bracket, kept values at its ends and next point. All
+    open columns have made the same number of calls, so that count is one
+    integer. A column's root, kept value, calls and convergence are written
+    once, at the step where it stops or reaches ``_MAX_SCORE_CALLS``.
     """
-    # lo < 0: no positive score yet; hi = inf: no score that is not positive
+    root, at_root = np.zeros(m), np.zeros(m)
+    calls, converged = np.zeros(m, np.int64), np.zeros(m, np.bool_)
+    # the open columns: lo < 0 where there is no positive score yet and
+    # hi = inf where there is no score that is not positive
+    open_ = np.arange(m)
     lo, hi = np.full(m, -1.0), np.full(m, np.inf)
-    # the kept values at lo, at hi and at each root
-    at_lo, at_hi, at_root = np.zeros(m), np.zeros(m), np.zeros(m)
-    calls, converged, root = np.zeros(m, np.int64), np.zeros(m, np.bool_), np.zeros(m)
-    x, open_ = np.full(m, phi_init), np.arange(m)
-    while open_.size:
-        at = x[open_]
-        f, df, kept = score(at, open_)
-        calls[open_] += 1
-        pos = ~(f <= 0.0)
-        lo[open_[pos]], hi[open_[~pos]] = at[pos], at[~pos]
-        at_lo[open_[pos]], at_hi[open_[~pos]] = kept[pos], kept[~pos]
-        a, b = lo[open_], hi[open_]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = f / df
+    at_lo, at_hi = np.zeros(m), np.zeros(m)
+    x, made = np.full(m, phi_init), 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while open_.size:
+            f, df, kept = score(x, open_)
+            made += 1
+            pos = ~(f <= 0.0)
+            lo, hi = np.where(pos, x, lo), np.where(pos, hi, x)
+            at_lo, at_hi = np.where(pos, kept, at_lo), np.where(pos, at_hi, kept)
+            tangent = df < 0.0
+            stop = tangent & (np.abs(f / df) <= _PHI_RTOL * x)
+            bracketed = hi < np.inf
+            # a zero score makes the point hi, so the root is hi
+            done = stop | (f == 0.0) | (hi == 0.0) | ((lo >= 0.0) & bracketed
+                                                      & (hi - lo <= _PHI_RTOL * hi))
+            leave = done if made < _MAX_SCORE_CALLS else np.ones_like(done)
+            if leave.any():
+                out = open_[leave]
+                root[out] = np.where(stop, x, np.where(bracketed, hi, lo))[leave]
+                at_root[out] = np.where(stop, kept, np.where(bracketed, at_hi, at_lo))[leave]
+                calls[out], converged[out] = made, done[leave]
+                if leave.all():
+                    break
             # Newton on (1 + x/step)^2 score, at most twice the plain step
-            target = at - f / np.minimum(df + 2.0 * f / (at + step), 0.5 * df)
-        tangent = df < 0.0
-        stop = tangent & (np.abs(d) <= _PHI_RTOL * at)
-        # a zero score makes the point hi, so the root is hi
-        done = stop | (f == 0.0) | (b == 0.0) | ((a >= 0.0) & (b < np.inf)
-                                                 & (b - a <= _PHI_RTOL * b))
-        converged[open_[done]] = True
-        root[open_] = np.where(stop, at, np.where(b < np.inf, b, a))
-        at_root[open_] = np.where(stop, kept, np.where(b < np.inf, at_hi[open_], at_lo[open_]))
-        take = tangent & (np.maximum(a, 0.0) < target) & (target < b)
-        x[open_] = np.where(take, target, np.where(b == np.inf, 2.0 * a + step,
-                                                   np.where(a < 0.0, 0.0, 0.5 * (a + b))))
-        open_ = open_[~done & (calls[open_] < _MAX_SCORE_CALLS)]
+            target = x - f / np.minimum(df + 2.0 * f / (x + step), 0.5 * df)
+            take = tangent & (np.maximum(lo, 0.0) < target) & (target < hi)
+            x = np.where(take, target, np.where(bracketed,
+                                                np.where(lo < 0.0, 0.0, 0.5 * (lo + hi)),
+                                                2.0 * lo + step))
+            keep = ~leave
+            open_, lo, hi, at_lo, at_hi, x = (
+                a[keep] for a in (open_, lo, hi, at_lo, at_hi, x))
     return root, at_root, calls, converged
 
 
@@ -238,6 +268,8 @@ def fit_empirical_null(
     config: EnConfig | None = None,
     a_psi: float = 1.0,
     measure_id: str = "",
+    *,
+    phi_init: float | None = None,
 ) -> NullFit:
     """Profile-likelihood fit of (phi, pi0) for one measure.
 
@@ -252,18 +284,22 @@ def fit_empirical_null(
     profile at the roots needs only their in-interval terms; every grid
     point gets the same result as a fit on a grid of that point alone.
     Raises ConvergenceError when no grid point converges.
+
+    ``phi_init``, when given, is the robust start in place of
+    ``initial_phi(z, sizes)``, and must be that value for the same z and
+    sizes: a caller that fits one dataset at several configs computes it
+    once. It must be finite and >= 0, else InputError.
     """
     cfg = config if config is not None else EnConfig()
-    zarr = np.ascontiguousarray(z, dtype=np.float64)
-    sarr = np.ascontiguousarray(sizes, dtype=np.float64)
-    if zarr.ndim != 1 or zarr.shape != sarr.shape:
-        raise InputError("z and sizes must be equal-length 1-d sequences")
+    zarr, sarr = _z_and_sizes(z, sizes)
     if zarr.size < MIN_CENTERS:
         raise FittingError(f"empirical-null fit needs at least {MIN_CENTERS} "
                            f"centers, got {zarr.size}")
     _check_z_and_sizes(zarr, sarr)
-
-    phi_init = initial_phi(zarr, sarr)
+    if phi_init is None:
+        phi_init = _initial_phi(zarr, sarr)
+    elif not 0.0 <= phi_init < math.inf:
+        raise InputError(f"phi_init must be finite and nonnegative, got {phi_init}")
     v = std_normal_quantile(1.0 - cfg.q_percent / 100.0)
     b_upper = v * np.sqrt(1.0 + phi_init * sarr)
     null_set = np.abs(zarr) <= b_upper
@@ -289,7 +325,7 @@ def fit_empirical_null(
         measure_id=measure_id,
         phi_hat=phi_hat,
         pi0_hat=float(grid[best]),
-        phi_init=phi_init,
+        phi_init=float(phi_init),
         v=v,
         interval_bounds=np.column_stack([-b_upper, b_upper]),
         null_set=null_set,
@@ -314,8 +350,9 @@ def z_empirical_null(
     if not 0 <= phi_hat < math.inf:
         raise InputError(f"phi_hat must be nonnegative and finite, got {phi_hat}")
     n = np.asarray(size, dtype=np.float64)
-    if np.any(n < 0):
-        raise InputError(f"size must be nonnegative, got {np.min(n)}")
+    ok = (n >= 0.0) & (n < math.inf)
+    if not ok.all():
+        raise InputError(f"size must be finite and nonnegative, got {n[~ok][0]}")
     return z_fe / np.sqrt(1.0 + phi_hat * n)
 
 

@@ -397,6 +397,9 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
     mom_s2 = np.full(n_q, np.nan)
     en_flag = np.full(n_q, np.nan)
     mom_flag = np.full(n_q, np.nan)
+    # the robust start depends on z and sizes alone: the first fit computes
+    # it, and the fits at the other q take it from there
+    phi_init = None
     for qi, q in enumerate(config.q_grid):
         mom = fit_method_of_moments(z, sizes, q_percent=float(q))
         mom_s2[qi] = mom.sigma2_alpha_hat
@@ -406,9 +409,11 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
             # applies to the method-of-moments arm only
             try:
                 fit = fit_empirical_null(
-                    z, sizes, replace(config.en_config, q_percent=float(q)))
+                    z, sizes, replace(config.en_config, q_percent=float(q)),
+                    phi_init=phi_init)
             except (FittingError, ConvergenceError):
                 return None
+            phi_init = fit.phi_init
             en_s2[qi] = fit.sigma2_alpha_hat
             en_flag[qi] = abs(z_empirical_null(z1, n1, fit.phi_hat)) > FLAG_Z
     return en_s2, mom_s2, en_flag, mom_flag
@@ -422,7 +427,8 @@ def run_tuning_sensitivity(config: SimConfig,
     empirical null (interval constant v from q) and the method-of-moments
     (Winsorization at q), plus the focal-center flag rates. The focal effect
     is the first gamma_grid entry; datasets are shared across q within an
-    iteration.
+    iteration, and so is the empirical null's robust start (``initial_phi``),
+    computed once per dataset, though every q > 0 is its own fit.
     """
     if not config.q_grid:
         raise InputError("q_grid must not be empty")

@@ -19,6 +19,7 @@ from profile_null import (
     EnConfig,
     FittingError,
     InputError,
+    NullFit,
     control_limits,
     fit_empirical_null,
     initial_phi,
@@ -57,6 +58,34 @@ class TestInitialPhi:
     def test_underdispersion_clamps_to_zero(self):
         z = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
         assert initial_phi(z, np.full(5, 100.0)) == 0.0
+
+    @pytest.mark.parametrize("bad, match", [
+        (math.nan, "sizes contains non-finite"), (math.inf, "sizes contains non-finite"),
+        (-math.inf, "sizes contains non-finite"), (-10.0, "sizes must be positive"),
+        (0.0, "sizes must be positive")])
+    def test_sizes_are_checked_as_the_fit_checks_them(self, bad, match):
+        # each of these once returned 0.0
+        z = np.random.default_rng(1).normal(0.0, 3.0, 50)
+        n = np.full(50, 10.0)
+        n[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=match):
+                initial_phi(z, n)
+            with pytest.raises(InputError, match=match):
+                fit_empirical_null(z, n)
+
+    @pytest.mark.parametrize("z, n", [
+        (np.zeros((10, 5)), np.ones((10, 5))), (np.zeros(50), np.ones(49)),
+        (np.zeros(5), np.ones((5, 1)))])
+    def test_shape_is_checked_as_the_fit_checks_it(self, z, n):
+        for fn in (initial_phi, fit_empirical_null):
+            with pytest.raises(InputError, match="equal-length 1-d"):
+                fn(z, n)
+
+    def test_non_finite_z(self):
+        with pytest.raises(InputError, match="z contains non-finite"):
+            initial_phi([0.0, 1.0, math.nan, 2.0], [1.0] * 4)
 
 
 class TestTruncationBounds:
@@ -219,6 +248,38 @@ class TestFitEmpiricalNull:
     def test_too_few_centers(self):
         with pytest.raises(FittingError):
             fit_empirical_null([0.0] * 9, [1.0] * 9)
+
+    def test_error_precedence(self):
+        # shape, then the center count, then the values
+        with pytest.raises(InputError, match="equal-length 1-d"):
+            fit_empirical_null([math.nan] * 9, [1.0] * 8)
+        with pytest.raises(FittingError, match="at least 10 centers"):
+            fit_empirical_null([math.nan] * 9, [-1.0] * 9)
+        with pytest.raises(InputError, match="z contains non-finite"):
+            fit_empirical_null([math.nan] * 10, [-1.0] * 10, phi_init=-1.0)
+        with pytest.raises(InputError, match="phi_init"):
+            fit_empirical_null([0.0] * 10, [1.0] * 10, phi_init=-1.0)
+
+    @pytest.mark.parametrize("n_centers", [12, 50, 212, 1000, 8000])
+    @pytest.mark.parametrize("q", [2.5, 5.0, 10.0, 15.0])
+    def test_given_phi_init_gives_the_same_fit(self, n_centers, q):
+        z, n = _contaminated(n_centers, 0.01, seed=n_centers + int(10 * q))
+        cfg = EnConfig(q_percent=q)
+        fit = fit_empirical_null(z, n, cfg, 2.0, "M")
+        given = fit_empirical_null(z, n, cfg, 2.0, "M", phi_init=initial_phi(z, n))
+        for field in dataclasses.fields(NullFit):
+            a, b = getattr(fit, field.name), getattr(given, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b or (a != a and b != b), field.name
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_phi_init_must_be_finite_and_nonnegative(self, bad):
+        z, n = _contaminated(212, 0.01, seed=3)
+        with pytest.raises(InputError, match="phi_init must be finite and nonnegative"):
+            fit_empirical_null(z, n, phi_init=bad)
 
     def test_fit_metadata_consistency(self):
         rng = np.random.default_rng(8)
@@ -689,6 +750,17 @@ class TestZEmpiricalNull:
     def test_phi_must_be_nonnegative(self, phi):
         with pytest.raises(InputError, match="phi_hat must be nonnegative"):
             z_empirical_null(1.0, 10.0, phi)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.1])
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+    def test_size_must_be_finite_and_nonnegative(self, size, phi):
+        # a NaN size once gave NaN, and an inf size 0.0 or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="size must be finite and nonnegative"):
+                z_empirical_null(1.0, size, phi)
+            with pytest.raises(InputError, match=f"got {size}"):
+                z_empirical_null([1.0, 2.0], [10.0, size], phi)
 
     @given(st.floats(-30, 30, allow_nan=False),
            st.floats(0, 1e4, allow_nan=False),

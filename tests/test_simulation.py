@@ -253,6 +253,29 @@ class TestRunTuningSensitivity:
         with pytest.raises(InputError):
             run_tuning_sensitivity(SimConfig(seed=1, q_grid=()))
 
+    def test_one_robust_start_per_dataset(self, monkeypatch):
+        # every q > 0 is its own fit, and they share the biweight start
+        from profile_null import _kernels, empirical_null
+        irls, fits = [], []
+        biweight, fit = _kernels.biweight_irls, empirical_null.fit_empirical_null
+
+        def counted_irls(z):
+            irls.append(z.size)
+            return biweight(z)
+
+        def counted_fit(*args, **kwargs):
+            fits.append(kwargs.get("phi_init"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "biweight_irls", counted_irls)
+        monkeypatch.setattr(simulation, "fit_empirical_null", counted_fit)
+        config = SimConfig(seed=43, gamma_grid=(2.0,), iterations=6,
+                           outlier_fraction=0.10, q_grid=(0.0, 2.5, 5.0, 10.0, 15.0))
+        run_tuning_sensitivity(config, workers=1)
+        assert irls == [212] * 6
+        assert len(fits) == 6 * 4
+        assert [f is None for f in fits] == [True, False, False, False] * 6
+
 
 class TestRunCompositeExperiment:
     def test_probe_behavior_small_run(self):
