@@ -13,7 +13,7 @@ each pi0 grid point's phi at the root of that score, found by Newton steps
 on (1 + phi * mean size)^2 times the score, capped at twice the plain
 Newton step and kept inside a bracket, with bisection where a step would
 leave it, moving the whole grid in lockstep; and the profile
-log-likelihood at the roots.
+log-likelihood where each column stopped, one tiny Newton step from its root.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ MIN_CENTERS = 10
 MIN_NULL_SET = 3
 # each pi0 grid point is one column of the lockstep root search in every fit
 MAX_PI0_STEPS = 1000
-# a root search stops at a bracket narrower than _PHI_RTOL times its upper
-# end, and a column still open after _MAX_SCORE_CALLS is not converged
+# a root search stops on a Newton step or a bracket width of at most
+# _PHI_RTOL relative; a column open after _MAX_SCORE_CALLS is not converged
 _PHI_RTOL = 1e-12
 _MAX_SCORE_CALLS = 100
 
@@ -90,9 +90,9 @@ class NullFit:
     phi_hat * a_psi.
 
     ``profile_loglik``, ``iterations`` and ``converged`` hold, per pi0 grid
-    point, the maximized log-likelihood, and the score evaluations and
-    convergence flag of its phi root search. They explain a fit and are not
-    written to any output.
+    point, the log-likelihood where its phi root search stopped, within
+    ``_PHI_RTOL`` of the root, and that search's score evaluations and
+    convergence flag. They explain a fit and are not written to any output.
     """
 
     measure_id: str
@@ -119,7 +119,8 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
     average size.
 
     z and sizes must be equal-length 1-d sequences, every z finite and every
-    size finite and positive, as for the fit; InputError otherwise.
+    size finite and positive, as for the fit; InputError otherwise, or
+    where the estimate overflows the float range.
     """
     zarr, sarr = _z_and_sizes(z, sizes)
     _check_z_and_sizes(zarr, sarr)
@@ -129,7 +130,10 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
 def _initial_phi(zarr: np.ndarray, sarr: np.ndarray) -> float:
     """``initial_phi`` of arrays that passed its checks."""
     s = robust_intercept_scale(zarr).scale
-    return max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
+    phi = max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
+    if not math.isfinite(phi):
+        raise InputError(f"initial phi overflows the float range: robust scale {s!r}")
+    return phi
 
 
 def _z_and_sizes(z: Sequence[float], sizes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +197,8 @@ def null_loglik(
 def _score_roots(score, phi_init: float, step: float, m: int):
     """The root phi >= 0 of each of m columns' score, ``score(phi,
     columns)`` returning the score, its phi-derivative and a value to keep
-    for all open columns in one call per step; also the kept value at each
-    root, the score evaluations of each column and whether it converged.
+    for all open columns in one call per step; also each column's stopping
+    point, the kept value there, its score evaluations and convergence.
 
     Each column keeps a bracket [lo, hi], score(lo) > 0 >= score(hi), whose
     ends may still be missing, and its next point is a Newton step (Press
@@ -209,19 +213,19 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     bracket grows upward, to 2 lo + ``step``; with no lo yet the column
     tries phi = 0, and a score there that is not positive makes 0 the root;
     with both ends, it bisects. A column starts at ``phi_init``. It stops at
-    the point it evaluated when the score there is 0 or its plain Newton
-    step is at most ``_PHI_RTOL`` times that point, or at hi when the
-    bracket is narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts
-    as positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
-    its score 0/0 or +inf.
+    the point x it evaluated when the score f there is 0 or its plain Newton
+    step f/df is at most ``_PHI_RTOL`` x, with the root max(0, x - f/df),
+    or at hi when the bracket is narrower than ``_PHI_RTOL * hi``. A NaN or
+    +inf score counts as positive: where 1 - pi0*Q underflows, the
+    log-likelihood is -inf and its score 0/0 or +inf.
 
     The search keeps the state of its open columns only, compacted to them
     after every call: bracket, kept values at its ends and next point. All
     open columns have made the same number of calls, so that count is one
-    integer. A column's root, kept value, calls and convergence are written
-    once, at the step where it stops or reaches ``_MAX_SCORE_CALLS``.
+    integer. A column's root, point, kept value, calls and convergence are
+    written once, at the step where it stops or reaches ``_MAX_SCORE_CALLS``.
     """
-    root, at_root = np.zeros(m), np.zeros(m)
+    root, point, at_point = np.zeros(m), np.zeros(m), np.zeros(m)
     calls, converged = np.zeros(m, np.int64), np.zeros(m, np.bool_)
     # the open columns: lo < 0 where there is no positive score yet and
     # hi = inf where there is no score that is not positive
@@ -236,8 +240,8 @@ def _score_roots(score, phi_init: float, step: float, m: int):
             pos = ~(f <= 0.0)
             lo, hi = np.where(pos, x, lo), np.where(pos, hi, x)
             at_lo, at_hi = np.where(pos, kept, at_lo), np.where(pos, at_hi, kept)
-            tangent = df < 0.0
-            stop = tangent & (np.abs(f / df) <= _PHI_RTOL * x)
+            tangent, newton = df < 0.0, f / df
+            stop = tangent & (np.abs(newton) <= _PHI_RTOL * x)
             bracketed = hi < np.inf
             # a zero score makes the point hi, so the root is hi
             done = stop | (f == 0.0) | (hi == 0.0) | ((lo >= 0.0) & bracketed
@@ -245,8 +249,10 @@ def _score_roots(score, phi_init: float, step: float, m: int):
             leave = done if made < _MAX_SCORE_CALLS else np.ones_like(done)
             if leave.any():
                 out = open_[leave]
-                root[out] = np.where(stop, x, np.where(bracketed, hi, lo))[leave]
-                at_root[out] = np.where(stop, kept, np.where(bracketed, at_hi, at_lo))[leave]
+                at = np.where(stop, x, np.where(bracketed, hi, lo))
+                root[out] = np.where(stop, np.maximum(x - newton, 0.0), at)[leave]
+                point[out] = at[leave]
+                at_point[out] = np.where(stop, kept, np.where(bracketed, at_hi, at_lo))[leave]
                 calls[out], converged[out] = made, done[leave]
                 if leave.all():
                     break
@@ -259,7 +265,7 @@ def _score_roots(score, phi_init: float, step: float, m: int):
             keep = ~leave
             open_, lo, hi, at_lo, at_hi, x = (
                 a[keep] for a in (open_, lo, hi, at_lo, at_hi, x))
-    return root, at_root, calls, converged
+    return root, point, at_point, calls, converged
 
 
 def fit_empirical_null(
@@ -281,8 +287,8 @@ def fit_empirical_null(
 
     The grid points are solved together (``_score_roots``). The score
     kernel also returns each point's out-of-interval log-likelihood, so the
-    profile at the roots needs only their in-interval terms; every grid
-    point gets the same result as a fit on a grid of that point alone.
+    profile where each column stopped needs only the in-interval terms;
+    every grid point gets the same result as a fit on a grid of it alone.
     Raises ConvergenceError when no grid point converges.
 
     ``phi_init``, when given, is the robust start in place of
@@ -311,13 +317,13 @@ def fit_empirical_null(
     grid = cfg.pi0_grid()
     # every call shares the fit's arrays
     arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
-    phi, log_out, iterations, converged = _score_roots(
+    phi, point, log_out, iterations, converged = _score_roots(
         lambda x, columns: _kernels.null_score_core(x, grid[columns], arrays),
         phi_init, 1.0 / float(np.mean(sarr)), grid.size)
     if not converged.any():
         raise ConvergenceError("phi root search failed to converge at every "
                                "pi0 grid point")
-    profile = _kernels.null_loglik_core(phi, grid, arrays, log_out)
+    profile = _kernels.null_loglik_core(point, grid, arrays, log_out)
     # the last maximum: ties go to the larger pi0
     best = grid.size - 1 - int(np.argmax(profile[::-1]))
     phi_hat = float(phi[best])
