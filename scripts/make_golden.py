@@ -36,6 +36,9 @@ def main_():
          "--out", str(GOLDEN / "pipeline")])
     run(["diagnose", "--centers", centers, "--measures", measures,
          "--out", str(GOLDEN / "pipeline")])
+    for method in ("fe", "mom"):
+        run(["standardize", "--centers", centers, "--measures", measures,
+             "--method", method, "--out", str(GOLDEN / f"standardize_{method}")])
     run(["simulate", "--config", str(FIXTURES / "sim_smoke.json"),
          "--out", str(GOLDEN / "sim_smoke"), "--workers", "1"])
     run(["simulate", "--config", str(FIXTURES / "sim_smoke_tuning.json"),

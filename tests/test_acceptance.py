@@ -267,6 +267,9 @@ def test_criterion_9_pipeline_golden(tmp_path):
                  "--out", str(tmp_path / "pipeline")]) == 0
     assert main(["diagnose", "--centers", centers, "--measures", measures,
                  "--out", str(tmp_path / "pipeline")]) == 0
+    for method in ("fe", "mom"):
+        assert main(["standardize", "--centers", centers, "--measures", measures,
+                     "--method", method, "--out", str(tmp_path / f"standardize_{method}")]) == 0
     for smoke in ("sim_smoke.json", "sim_smoke_tuning.json",
                   "sim_smoke_composite.json"):
         assert main(["simulate", "--config", str(FIXTURES / smoke),
