@@ -7,11 +7,7 @@ harness for method comparison.
 """
 
 from ._kernels import backend
-from .baselines import (
-    MomFit,
-    fit_method_of_moments,
-    winsorize,
-)
+from .baselines import fit_method_of_moments, winsorize
 from .composite import (
     CompositeConfig,
     capped_corr_weights,
@@ -64,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "backend",
-    "MomFit", "fit_method_of_moments", "winsorize",
+    "fit_method_of_moments", "winsorize",
     "CompositeConfig", "capped_corr_weights",
     "composite_score", "composite_table", "correlation_matrix",
     "flag", "inverse_corr_weights", "published_weights",

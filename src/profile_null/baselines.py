@@ -1,5 +1,6 @@
-"""Winsorized method-of-moments overdispersion correction, the comparison
-baseline for the empirical null.
+"""Winsorized method-of-moments estimate of the overdispersion phi, the
+comparison baseline for the empirical null; ``z_empirical_null`` rescales
+the scores by either phi.
 
 Unlike the truncated-likelihood fit, this estimator uses every center,
 including extreme ones, so contamination inflates it; Winsorizing trims the
@@ -8,22 +9,14 @@ inflation at the cost of bias when there is no contamination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .empirical_null import _check_z_and_sizes
+from .empirical_null import _check_z_and_sizes, _z_and_sizes
 from .errors import InputError
 
 DEFAULT_WINSOR_Q = 10.0
-
-
-@dataclass(frozen=True)
-class MomFit:
-    phi_mom: float
-    q_percent: float
-    sigma2_alpha_hat: float
 
 
 def winsorize(z: Sequence[float], q_percent: float) -> np.ndarray:
@@ -44,20 +37,21 @@ def fit_method_of_moments(
     z: Sequence[float],
     sizes: Sequence[float],
     q_percent: float = DEFAULT_WINSOR_Q,
-    a_psi: float = 1.0,
-) -> MomFit:
-    """Winsorize the scores at ``q_percent``, then estimate the
-    overdispersion as max(0, (sum z^2 - F) / sum n) over the F centers: the
-    estimator implied by the null moment identity E[Z^2] = 1 + phi*n.
-    Every z must be finite and every size finite and positive.
+) -> float:
+    """The overdispersion phi of the scores Winsorized at ``q_percent``:
+    max(0, (sum z^2 - F) / sum n) over the F centers, the estimator implied
+    by the null moment identity E[Z^2] = 1 + phi*n. Every z must be finite
+    and every size finite and positive; InputError otherwise, or where the
+    sum of the sizes or of the squared scores overflows the float range.
     """
-    zarr = np.asarray(z, dtype=np.float64)
-    sarr = np.asarray(sizes, dtype=np.float64)
-    if zarr.ndim != 1 or zarr.shape != sarr.shape:
-        raise InputError("z and sizes must be equal-length 1-d sequences")
+    zarr, sarr = _z_and_sizes(z, sizes)
     if zarr.size < 2:
         raise InputError("method-of-moments needs at least 2 centers")
     _check_z_and_sizes(zarr, sarr)
     zw = winsorize(zarr, q_percent)
-    phi = max(0.0, float((np.sum(zw * zw) - zw.size) / np.sum(sarr)))
-    return MomFit(phi_mom=phi, q_percent=q_percent, sigma2_alpha_hat=phi * a_psi)
+    with np.errstate(over="ignore"):
+        sum_z2, sum_n = np.sum(zw * zw), np.sum(sarr)
+    if not (np.isfinite(sum_z2) and np.isfinite(sum_n)):
+        raise InputError("the sum of the sizes or of the squared Winsorized scores "
+                         "overflows the float range")
+    return max(0.0, float((sum_z2 - zw.size) / sum_n))

@@ -86,8 +86,8 @@ class NullFit:
     ``interval_bounds`` holds the per-center (A_i, B_i) truncation interval
     and ``null_set`` the per-center membership flags; both are computed from
     the initial overdispersion estimate and held fixed during optimization.
-    ``sigma2_alpha_hat`` is the implied confounder-effect variance
-    phi_hat * a_psi.
+    The measure id and a_psi stay with the caller, which writes the
+    confounder-effect variance phi_hat * a_psi.
 
     ``profile_loglik``, ``iterations`` and ``converged`` hold, per pi0 grid
     point, the log-likelihood where its phi root search stopped, within
@@ -95,7 +95,6 @@ class NullFit:
     convergence flag. They explain a fit and are not written to any output.
     """
 
-    measure_id: str
     phi_hat: float
     pi0_hat: float
     phi_init: float
@@ -103,7 +102,6 @@ class NullFit:
     interval_bounds: np.ndarray
     null_set: np.ndarray
     loglik: float
-    sigma2_alpha_hat: float
     profile_loglik: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -120,27 +118,36 @@ def initial_phi(z: Sequence[float], sizes: Sequence[float]) -> float:
 
     z and sizes must be equal-length 1-d sequences, every z finite and every
     size finite and positive, as for the fit; InputError otherwise, or
-    where the estimate overflows the float range.
+    where the mean size or the estimate overflows the float range.
     """
     zarr, sarr = _z_and_sizes(z, sizes)
     _check_z_and_sizes(zarr, sarr)
-    return _initial_phi(zarr, sarr)
+    return _initial_phi(zarr, _mean_size(sarr))
 
 
-def _initial_phi(zarr: np.ndarray, sarr: np.ndarray) -> float:
-    """``initial_phi`` of arrays that passed its checks."""
+def _initial_phi(zarr: np.ndarray, mean_size: float) -> float:
+    """``initial_phi`` of scores that passed its checks, at their mean size."""
     s = robust_intercept_scale(zarr).scale
-    phi = max(0.0, (s * s - 1.0) / float(np.mean(sarr)))
+    phi = max(0.0, (s * s - 1.0) / mean_size)
     if not math.isfinite(phi):
         raise InputError(f"initial phi overflows the float range: robust scale {s!r}")
     return phi
 
 
+def _mean_size(sarr: np.ndarray) -> float:
+    """mean(sizes) of checked sizes; InputError where it overflows the float range."""
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(sarr))
+    if not math.isfinite(mean):
+        raise InputError("the mean of the sizes overflows the float range")
+    return mean
+
+
 def _z_and_sizes(z: Sequence[float], sizes: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """z and sizes as C-contiguous float64 arrays; InputError unless they
     are 1-d of equal length."""
-    zarr = np.ascontiguousarray(z, dtype=np.float64)
-    sarr = np.ascontiguousarray(sizes, dtype=np.float64)
+    zarr = np.asarray(z, dtype=np.float64, order="C")
+    sarr = np.asarray(sizes, dtype=np.float64, order="C")
     if zarr.ndim != 1 or zarr.shape != sarr.shape:
         raise InputError("z and sizes must be equal-length 1-d sequences")
     return zarr, sarr
@@ -272,8 +279,6 @@ def fit_empirical_null(
     z: Sequence[float],
     sizes: Sequence[float],
     config: EnConfig | None = None,
-    a_psi: float = 1.0,
-    measure_id: str = "",
     *,
     phi_init: float | None = None,
 ) -> NullFit:
@@ -302,8 +307,9 @@ def fit_empirical_null(
         raise FittingError(f"empirical-null fit needs at least {MIN_CENTERS} "
                            f"centers, got {zarr.size}")
     _check_z_and_sizes(zarr, sarr)
+    mean_size = _mean_size(sarr)
     if phi_init is None:
-        phi_init = _initial_phi(zarr, sarr)
+        phi_init = _initial_phi(zarr, mean_size)
     elif not 0.0 <= phi_init < math.inf:
         raise InputError(f"phi_init must be finite and nonnegative, got {phi_init}")
     v = std_normal_quantile(1.0 - cfg.q_percent / 100.0)
@@ -319,24 +325,21 @@ def fit_empirical_null(
     arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
     phi, point, log_out, iterations, converged = _score_roots(
         lambda x, columns: _kernels.null_score_core(x, grid[columns], arrays),
-        phi_init, 1.0 / float(np.mean(sarr)), grid.size)
+        phi_init, 1.0 / mean_size, grid.size)
     if not converged.any():
         raise ConvergenceError("phi root search failed to converge at every "
                                "pi0 grid point")
     profile = _kernels.null_loglik_core(point, grid, arrays, log_out)
     # the last maximum: ties go to the larger pi0
     best = grid.size - 1 - int(np.argmax(profile[::-1]))
-    phi_hat = float(phi[best])
     return NullFit(
-        measure_id=measure_id,
-        phi_hat=phi_hat,
+        phi_hat=float(phi[best]),
         pi0_hat=float(grid[best]),
         phi_init=float(phi_init),
         v=v,
         interval_bounds=np.column_stack([-b_upper, b_upper]),
         null_set=null_set,
         loglik=float(profile[best]),
-        sigma2_alpha_hat=phi_hat * a_psi,
         profile_loglik=profile,
         iterations=iterations,
         converged=converged,
@@ -351,7 +354,7 @@ def z_empirical_null(
     """Corrected scores z / sqrt(1 + phi_hat * size), elementwise.
 
     This is the one rescaling for every overdispersion estimate: the
-    empirical-null phi_hat, or the method-of-moments phi_mom.
+    empirical-null phi_hat, or the method-of-moments phi.
     """
     if not 0 <= phi_hat < math.inf:
         raise InputError(f"phi_hat must be nonnegative and finite, got {phi_hat}")

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .empirical_null import FLAG_Z, EnConfig, _check_z_and_sizes
+from .empirical_null import FLAG_Z, EnConfig, _check_z_and_sizes, _z_and_sizes
 from .errors import InputError
 
 FAMILIES = ("normal", "binomial", "poisson")
@@ -176,10 +176,7 @@ def group_variance_diagnostic(
     every size finite and positive; raises InputError where a group's mean
     size or variance overflows the float range.
     """
-    zvals = np.asarray(z, dtype=np.float64)
-    svals = np.asarray(sizes, dtype=np.float64)
-    if zvals.shape != svals.shape or zvals.ndim != 1:
-        raise InputError("z and sizes must be equal-length 1-d sequences")
+    zvals, svals = _z_and_sizes(z, sizes)
     _check_z_and_sizes(zvals, svals)
     if n_groups < 2:
         raise InputError("n_groups must be at least 2")

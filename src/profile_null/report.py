@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import DEFAULT_WINSOR_Q, MomFit, fit_method_of_moments
+from .baselines import DEFAULT_WINSOR_Q, fit_method_of_moments
 from .empirical_null import (FLAG_Z, EnConfig, NullFit, control_limits, fit_empirical_null,
                              z_empirical_null)
 from .errors import InputError, ProfileNullError
@@ -355,17 +355,17 @@ def read_center_stats(
 class StandardizationRun:
     """Scores and fits from one standardization pass over a center table.
 
-    ``z_fe``, ``z_en`` and ``z_mom`` hold one score per table row, NaN where
-    the row was skipped or the method does not produce that score.
+    ``z_fe`` and ``z`` hold one score per table row, NaN where the row was
+    skipped: the fixed-effects score, and the score of ``method``, which is
+    ``z_fe`` itself for "fe". ``null_fits`` holds the empirical-null fit of
+    each measure with usable rows, by measure id, for an "en" run only.
     """
 
     method: str
     table: CenterTable
     z_fe: np.ndarray
-    z_en: np.ndarray
-    z_mom: np.ndarray
+    z: np.ndarray
     null_fits: dict[str, NullFit] = field(default_factory=dict)
-    mom_fits: dict[str, MomFit] = field(default_factory=dict)
     skipped: list[tuple[str, str, str]] = field(default_factory=list)
 
 
@@ -386,7 +386,8 @@ def standardize(
         raise InputError(f"method must be one of {METHOD_KEYS}, got {method!r}")
     t = table
     usable = t.usable
-    run = StandardizationRun(method, t, *(np.full(len(t), np.nan) for _ in range(3)))
+    z_fe = np.full(len(t), np.nan)
+    run = StandardizationRun(method, t, z_fe, z_fe if method == "fe" else z_fe.copy())
     a_psi = np.array([m.a_psi for m in t.measures])[t.measure]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         run.z_fe[usable] = z_fixed_effects(t.observed[usable], t.expected[usable],
@@ -402,21 +403,16 @@ def standardize(
             reason = "effective_size <= 0" if t.size[i] <= 0 else "expected <= 0"
             run.skipped.append((*t.row_ids(i), reason))
         rows &= usable
-        if not rows.any():
+        if method == "fe" or not rows.any():
             continue
         z, sizes = run.z_fe[rows], t.size[rows]
-        if method == "en":
-            with _naming(spec.measure_id):
-                fit = fit_empirical_null(z, sizes, spec.en_config, spec.a_psi,
-                                         spec.measure_id)
-            run.null_fits[spec.measure_id] = fit
-            run.z_en[rows] = z_empirical_null(z, sizes, fit.phi_hat)
-        elif method == "mom":
-            with _naming(spec.measure_id):
-                mom = fit_method_of_moments(z, sizes, q_percent=mom_q,
-                                            a_psi=spec.a_psi)
-            run.mom_fits[spec.measure_id] = mom
-            run.z_mom[rows] = z_empirical_null(z, sizes, mom.phi_mom)
+        with _naming(spec.measure_id):
+            if method == "mom":
+                phi = fit_method_of_moments(z, sizes, q_percent=mom_q)
+            else:
+                fit = fit_empirical_null(z, sizes, spec.en_config)
+                run.null_fits[spec.measure_id], phi = fit, fit.phi_hat
+        run.z[rows] = z_empirical_null(z, sizes, phi)
     return run
 
 
@@ -435,11 +431,10 @@ def align_scores(run: StandardizationRun) -> tuple[list[str], np.ndarray]:
     method (lower always means worse care), NaN where a center lacks a
     measure."""
     t = run.table
-    scores = {"fe": run.z_fe, "en": run.z_en, "mom": run.z_mom}[run.method]
     sign = np.array([1.0 if m.direction == "higher_is_better" else -1.0
                      for m in t.measures])
     aligned = np.full((len(t.center_ids), len(t.measures)), np.nan)
-    aligned[t.center, t.measure] = sign[t.measure] * scores
+    aligned[t.center, t.measure] = sign[t.measure] * run.z
     return list(t.center_ids), aligned
 
 
@@ -480,27 +475,26 @@ def write_scores_report(run: StandardizationRun, out_dir: str | Path) -> list[Pa
     center_ids = np.array(_quoted(t.center_ids), dtype=object)[t.center].tolist()
     measure_ids = np.array(_quoted(m.measure_id for m in t.measures),
                            dtype=object)[t.measure].tolist()
-    scores = map(_fmt6_or_blank, (run.z_fe, run.z_en, run.z_mom))
+    # the method's score goes under its own column, z_en or z_mom
+    blank = np.full(len(t), np.nan)
+    scores = map(_fmt6_or_blank, [run.z_fe, *(run.z if run.method == m else blank
+                                              for m in ("en", "mom"))])
     scores_path = out / "scores.csv"
     _write_csv(scores_path, [SCORES_HEADER, *zip(center_ids, measure_ids, *scores)])
     written.append(scores_path)
 
     if run.null_fits:
-        payload = []
-        for spec in t.measures:
-            fit = run.null_fits.get(spec.measure_id)
-            if fit is None:
-                continue
-            payload.append({
-                "measure_id": fit.measure_id,
-                "phi_hat": _sig12(fit.phi_hat),
-                "pi0_hat": _sig12(fit.pi0_hat),
-                "sigma2_alpha_hat": _sig12(fit.sigma2_alpha_hat),
-                "phi_init": _sig12(fit.phi_init),
-                "v": _sig12(fit.v),
-                "n_null_set": fit.n_null_set,
-                "loglik": _sig12(fit.loglik),
-            })
+        payload = [{
+            "measure_id": spec.measure_id,
+            "phi_hat": _sig12(fit.phi_hat),
+            "pi0_hat": _sig12(fit.pi0_hat),
+            "sigma2_alpha_hat": _sig12(fit.phi_hat * spec.a_psi),
+            "phi_init": _sig12(fit.phi_init),
+            "v": _sig12(fit.v),
+            "n_null_set": fit.n_null_set,
+            "loglik": _sig12(fit.loglik),
+        } for spec in t.measures
+            if (fit := run.null_fits.get(spec.measure_id)) is not None]
         fit_path = out / "null_fit.json"
         _write_text(fit_path, json.dumps(payload, indent=2) + "\n")
         written.append(fit_path)

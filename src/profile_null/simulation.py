@@ -216,22 +216,20 @@ def gen_single_measure(
     config: SimConfig,
     rng: np.random.Generator,
     gamma_focal: float = 0.0,
-    sigma2_alpha: float | None = None,
 ) -> SimDataset:
     """Draw one measure for all centers.
 
     Per center: covariate x ~ N(mean, variance), person-years r from an
-    exponential with the configured mean, confounder alpha ~ N(0, sigma2).
-    Center 1 carries ``gamma_focal``; a designated block after it carries the
-    outlier effects. Outcomes are Poisson with mean
-    exp(mu + gamma + alpha + x*beta) * r; the expected count and effective
-    size are both exp(mu + x*beta) * r.
+    exponential with the configured mean, confounder alpha ~ N(0, s2) with
+    s2 = sigma2_alpha[0]. Center 1 carries ``gamma_focal``; a designated
+    block after it carries the outlier effects. Outcomes are Poisson with
+    mean exp(mu + gamma + alpha + x*beta) * r; the expected count and
+    effective size are both exp(mu + x*beta) * r.
     """
-    s2 = config.sigma2_alpha[0] if sigma2_alpha is None else sigma2_alpha
     f = config.n_centers
     x = _covariate(config, rng)
     r = rng.exponential(config.exposure_mean, f)
-    alpha = rng.normal(0.0, math.sqrt(s2), f)
+    alpha = rng.normal(0.0, math.sqrt(config.sigma2_alpha[0]), f)
     per_sign = int(config.outlier_fraction / 2.0 * f)
     gamma = _outliers(config, 1, per_sign, per_sign)
     gamma[0] = gamma_focal
@@ -287,7 +285,7 @@ def _method_scores(z: np.ndarray, sizes: np.ndarray, config: SimConfig,
     ``probes`` centers, one row per ``METHOD_KEYS`` entry. Fits the
     empirical null to the whole dataset first, then the method of moments."""
     phi_en = fit_empirical_null(z, sizes, config.en_config).phi_hat
-    phi_mom = fit_method_of_moments(z, sizes, q_percent=config.mom_q).phi_mom
+    phi_mom = fit_method_of_moments(z, sizes, q_percent=config.mom_q)
     return np.array([z_empirical_null(z[probes], sizes[probes], phi)
                      for phi in (0.0, phi_mom, phi_en)])
 
@@ -392,18 +390,14 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
     z = z_fixed_effects(data.observed, data.expected, data.effective_size)
     sizes = data.effective_size
     z1, n1 = float(z[0]), float(sizes[0])
-    n_q = len(config.q_grid)
-    en_s2 = np.full(n_q, np.nan)
-    mom_s2 = np.full(n_q, np.nan)
-    en_flag = np.full(n_q, np.nan)
-    mom_flag = np.full(n_q, np.nan)
+    en_s2, mom_s2, en_flag, mom_flag = np.full((4, len(config.q_grid)), np.nan)
+    # the measure is Poisson, so each confounder variance phi * a_psi is phi;
     # the robust start depends on z and sizes alone: the first fit computes
     # it, and the fits at the other q take it from there
     phi_init = None
     for qi, q in enumerate(config.q_grid):
-        mom = fit_method_of_moments(z, sizes, q_percent=float(q))
-        mom_s2[qi] = mom.sigma2_alpha_hat
-        mom_flag[qi] = abs(z_empirical_null(z1, n1, mom.phi_mom)) > FLAG_Z
+        mom_s2[qi] = phi_mom = fit_method_of_moments(z, sizes, q_percent=float(q))
+        mom_flag[qi] = abs(z_empirical_null(z1, n1, phi_mom)) > FLAG_Z
         if q > 0:
             # the empirical-null interval needs a finite quantile, so q = 0
             # applies to the method-of-moments arm only
@@ -414,7 +408,7 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
             except (FittingError, ConvergenceError):
                 return None
             phi_init = fit.phi_init
-            en_s2[qi] = fit.sigma2_alpha_hat
+            en_s2[qi] = fit.phi_hat
             en_flag[qi] = abs(z_empirical_null(z1, n1, fit.phi_hat)) > FLAG_Z
     return en_s2, mom_s2, en_flag, mom_flag
 

@@ -85,20 +85,23 @@ class TestMomPhi:
     """The moment estimate itself; at q = 0 Winsorizing is the identity."""
 
     def test_hand_value(self):
-        fit = fit_method_of_moments([1.0, -1.0, 2.0, -2.0], [10.0, 10.0, 10.0, 10.0],
+        phi = fit_method_of_moments([1.0, -1.0, 2.0, -2.0], [10.0, 10.0, 10.0, 10.0],
                                     q_percent=0.0)
-        assert fit.phi_mom == pytest.approx(0.15)
-        assert fit.sigma2_alpha_hat == pytest.approx(0.15)
+        assert type(phi) is float
+        assert phi == pytest.approx(0.15)
 
     def test_underdispersion_clamps(self):
-        fit = fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0)
-        assert fit.phi_mom == 0.0
+        assert fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0) == 0.0
 
-    def test_records_q_and_a_psi(self):
-        fit = fit_method_of_moments([1.0, -1.0, 2.0], [5.0, 5.0, 5.0], q_percent=10.0,
-                                    a_psi=2.0)
-        assert fit.q_percent == 10.0
-        assert fit.sigma2_alpha_hat == pytest.approx(2.0 * fit.phi_mom)
+    def test_winsorizes_at_q_before_the_moment_sum(self):
+        # at q = 10 the 3 scores clamp to their 10th/90th percentiles,
+        # -0.6 and 1.8, before the sum of squares
+        z, n = [1.0, -1.0, 2.0], [5.0, 5.0, 5.0]
+        phi = fit_method_of_moments(z, n, q_percent=10.0)
+        zw = winsorize(z, 10.0)
+        assert list(zw) == pytest.approx([1.0, -0.6, 1.8])
+        assert phi == pytest.approx((float(np.sum(zw * zw)) - 3.0) / 15.0)
+        assert phi < fit_method_of_moments(z, n, q_percent=0.0)
 
     @pytest.mark.parametrize("q", [0.0, 10.0])
     @pytest.mark.parametrize("z, sizes, message", [
@@ -115,6 +118,15 @@ class TestMomPhi:
         with pytest.raises(InputError, match=message):
             fit_empirical_null(z * 3, sizes * 3)
 
+    @pytest.mark.parametrize("z, sizes, q", [
+        (np.random.default_rng(0).normal(size=50), np.full(50, 1e308), 10.0),
+        (np.random.default_rng(0).normal(size=50) * 1e160, np.full(50, 10.0), 0.0),
+    ])
+    def test_overflowing_sums_are_an_input_error(self, z, sizes, q):
+        # where they were a RuntimeWarning (an error here) in the sum
+        with pytest.raises(InputError, match="overflows the float range"):
+            fit_method_of_moments(z, sizes, q_percent=q)
+
     def test_unbiased_under_pure_null(self):
         # no winsorization, no outliers: mean estimate ~ truth
         truth = 0.14
@@ -124,7 +136,7 @@ class TestMomPhi:
             n = np.exp(-6.0 + rng.normal(-0.4, math.sqrt(0.5), 212)) \
                 * rng.exponential(3e5, 212)
             z = rng.normal(0.0, np.sqrt(1.0 + truth * n))
-            est.append(fit_method_of_moments(z, n, q_percent=0.0).phi_mom)
+            est.append(fit_method_of_moments(z, n, q_percent=0.0))
         assert float(np.mean(est)) == pytest.approx(truth, abs=0.02)
 
     def test_winsorization_reduces_outlier_inflation(self):
@@ -132,9 +144,9 @@ class TestMomPhi:
         n = np.full(212, 300.0)
         z = rng.normal(0.0, np.sqrt(1.0 + 0.1 * n))
         z[:20] = 40.0
-        plain = fit_method_of_moments(z, n, q_percent=0.0).phi_mom
-        trimmed = fit_method_of_moments(z, n, q_percent=10.0).phi_mom
-        more_trimmed = fit_method_of_moments(z, n, q_percent=15.0).phi_mom
+        plain = fit_method_of_moments(z, n, q_percent=0.0)
+        trimmed = fit_method_of_moments(z, n, q_percent=10.0)
+        more_trimmed = fit_method_of_moments(z, n, q_percent=15.0)
         assert plain > trimmed > more_trimmed
 
     def test_contamination_overestimates_relative_to_empirical_null(self):
@@ -147,7 +159,7 @@ class TestMomPhi:
             k = 10
             z[1:1 + k] += (math.e - 1.0) * np.sqrt(n[1:1 + k])
             z[1 + k:1 + 2 * k] += (math.exp(-1) - 1.0) * np.sqrt(n[1 + k:1 + 2 * k])
-            mom_means.append(fit_method_of_moments(z, n, q_percent=0.0).phi_mom)
+            mom_means.append(fit_method_of_moments(z, n, q_percent=0.0))
             en_means.append(fit_empirical_null(z, n).phi_hat)
         assert float(np.mean(mom_means)) > float(np.mean(en_means))
 
@@ -157,13 +169,13 @@ class TestZMethodOfMoments:
     z / sqrt(1 + phi * size) as the empirical null."""
 
     def test_identity_cases(self):
-        clamped = fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0).phi_mom
+        clamped = fit_method_of_moments([0.5, -0.5], [3.0, 7.0], q_percent=0.0)
         assert z_empirical_null(1.7, 100.0, clamped) == 1.7
         assert z_empirical_null(1.7, 0.0, 0.5) == 1.7
 
     def test_hand_value(self):
         phi = fit_method_of_moments([1.0, -1.0, 2.0, -2.0], [10.0] * 4,
-                                    q_percent=0.0).phi_mom
+                                    q_percent=0.0)
         assert z_empirical_null(3.0, 100.0, phi) == pytest.approx(0.75, abs=1e-10)
 
     def test_negative_phi_rejected(self):

@@ -24,6 +24,7 @@ from profile_null import (
     CompositeConfig,
     composite_score,
     correlation_matrix,
+    fit_method_of_moments,
     inverse_corr_weights,
 )
 from profile_null.baselines import DEFAULT_WINSOR_Q
@@ -227,7 +228,7 @@ class TestScoresReport:
         for i, row in enumerate(rows[:50]):
             assert (row["center_id"], row["measure_id"]) == table.row_ids(i)
             assert row["z_fe"] == fmt6(run.z_fe[i])
-            assert row["z_en"] == fmt6(run.z_en[i])
+            assert row["z_en"] == fmt6(run.z[i])
             assert row["z_mom"] == ""
         fit_payload = json.loads((tmp_path / "null_fit.json").read_text())
         assert [f["measure_id"] for f in fit_payload] == ["TRR", "SAR", "PSMR",
@@ -249,7 +250,7 @@ class TestScoresReport:
         f.write_text("\n".join(lines) + "\n")
         run = standardize(read_center_stats(f, measures), method="en")
         assert run.null_fits["TRR"].phi_hat < 0.002
-        assert run.z_en[:20] == pytest.approx(run.z_fe[:20], rel=0.25)
+        assert run.z[:20] == pytest.approx(run.z_fe[:20], rel=0.25)
 
     def test_skipped_centers_reported(self, measures, tmp_path):
         f = tmp_path / "c.csv"
@@ -267,7 +268,33 @@ class TestScoresReport:
         rows = _read_scores(tmp_path / "scores.csv")
         assert rows[0]["z_mom"] != ""
         assert rows[0]["z_en"] == ""
-        assert run.mom_fits["TRR"].q_percent == 10.0
+        # each measure's scores are z_fe / sqrt(1 + phi*n) at its moment fit
+        # at q = 10
+        for k in range(len(table.measures)):
+            rows = table.measure == k
+            z, n = run.z_fe[rows], table.size[rows]
+            phi = fit_method_of_moments(z, n, 10.0)
+            assert np.array_equal(run.z[rows], z / np.sqrt(1.0 + phi * n))
+
+    def test_null_fit_scales_phi_hat_by_a_psi(self, tmp_path):
+        # the writer multiplies phi_hat by the measure's a_psi
+        rng = np.random.default_rng(13)
+        measures = tmp_path / "m.json"
+        measures.write_text(json.dumps([{"measure_id": "N", "family": "normal",
+                                         "direction": "higher_is_better", "a_psi": 2.5}]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        for i, n in enumerate(rng.uniform(50, 500, 212)):
+            o = n + rng.normal(0.0, math.sqrt(2.5 * n * (1.0 + 0.01 * n)))
+            rows.append([f"C{i}", "N", f"{o:.6f}", f"{n:.6f}", f"{n:.6f}"])
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["standardize", "--method", "en", "--centers", str(tmp_path / "c.csv"),
+                     "--measures", str(measures), "--out", str(tmp_path / "out")]) == 0
+        [payload] = json.loads((tmp_path / "out" / "null_fit.json").read_text())
+        table = read_center_stats(tmp_path / "c.csv", read_measure_config(measures))
+        phi_hat = standardize(table, method="en").null_fits["N"].phi_hat
+        assert phi_hat > 0.0
+        assert payload["phi_hat"] == float(f"{phi_hat:.12g}")
+        assert payload["sigma2_alpha_hat"] == float(f"{phi_hat * 2.5:.12g}")
 
     def test_empty_input_rejected(self, measures, tmp_path):
         f = tmp_path / "c.csv"
@@ -526,6 +553,26 @@ class TestValidationEdges:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err \
             == "error: measure 'B': method-of-moments needs at least 2 centers\n"
+
+    @pytest.mark.parametrize("cmd,message", [
+        (["standardize", "--method", "en"], "the mean of the sizes overflows the float range"),
+        (["standardize", "--method", "mom"], "the sum of the sizes or of the squared "
+                                             "Winsorized scores overflows the float range"),
+        (["funnel"], "the mean of the sizes overflows the float range")],
+        ids=["standardize-en", "standardize-mom", "funnel"])
+    def test_overflowing_sizes_name_the_measure(self, tmp_path, capsys, cmd, message):
+        # finite expected counts of 1e307 to 7e307, whose sum overflows;
+        # numpy warnings are errors in this suite
+        rng = np.random.default_rng(12)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": "A", "family": "poisson", "direction": "higher_is_better"}]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        rows += [[f"C{i}", "A", f"{e * rng.uniform(0.9, 1.1):.17g}", f"{e:.17g}", ""]
+                 for i, e in enumerate(rng.uniform(1e307, 7e307, 40))]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main([*cmd, "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: measure 'A': {message}\n"
 
     def test_overflowing_fixed_effects_score_names_the_center(self, tmp_path, capsys):
         # finite inputs whose score (observed - expected) / sqrt(size)

@@ -22,6 +22,8 @@ from profile_null import (
     NullFit,
     control_limits,
     fit_empirical_null,
+    fit_method_of_moments,
+    group_variance_diagnostic,
     initial_phi,
     null_loglik,
     robust_intercept_scale,
@@ -77,9 +79,11 @@ class TestInitialPhi:
 
     @pytest.mark.parametrize("z, n", [
         (np.zeros((10, 5)), np.ones((10, 5))), (np.zeros(50), np.ones(49)),
-        (np.zeros(5), np.ones((5, 1)))])
+        (np.zeros(5), np.ones((5, 1))), (0.0, 1.0)])
     def test_shape_is_checked_as_the_fit_checks_it(self, z, n):
-        for fn in (initial_phi, fit_empirical_null):
+        # the moment fit and the size-group diagnostic share the check
+        for fn in (initial_phi, fit_empirical_null, fit_method_of_moments,
+                   lambda z, n: group_variance_diagnostic(z, n, 2)):
             with pytest.raises(InputError, match="equal-length 1-d"):
                 fn(z, n)
 
@@ -263,6 +267,15 @@ class TestFitEmpiricalNull:
         with pytest.raises(InputError, match="initial phi overflows the float range"):
             fit_empirical_null(z, np.full(50, 10.0))
 
+    def test_overflowing_mean_size_is_an_input_error(self):
+        # where it was a RuntimeWarning (an error here) in np.mean
+        z = np.random.default_rng(0).normal(size=50)
+        sizes = np.full(50, 1e308)
+        for fit in (lambda: initial_phi(z, sizes), lambda: fit_empirical_null(z, sizes),
+                    lambda: fit_empirical_null(z, sizes, phi_init=0.0)):
+            with pytest.raises(InputError, match="mean of the sizes overflows the float range"):
+                fit()
+
     def test_too_few_centers(self):
         with pytest.raises(FittingError):
             fit_empirical_null([0.0] * 9, [1.0] * 9)
@@ -283,8 +296,8 @@ class TestFitEmpiricalNull:
     def test_given_phi_init_gives_the_same_fit(self, n_centers, q):
         z, n = _contaminated(n_centers, 0.01, seed=n_centers + int(10 * q))
         cfg = EnConfig(q_percent=q)
-        fit = fit_empirical_null(z, n, cfg, 2.0, "M")
-        given = fit_empirical_null(z, n, cfg, 2.0, "M", phi_init=initial_phi(z, n))
+        fit = fit_empirical_null(z, n, cfg)
+        given = fit_empirical_null(z, n, cfg, phi_init=initial_phi(z, n))
         for field in dataclasses.fields(NullFit):
             a, b = getattr(fit, field.name), getattr(given, field.name)
             assert type(a) is type(b), field.name
@@ -303,10 +316,7 @@ class TestFitEmpiricalNull:
         rng = np.random.default_rng(8)
         n = _sizes(rng)
         z = rng.normal(0.0, np.sqrt(1.0 + 0.1 * n))
-        fit = fit_empirical_null(z, n, EnConfig(q_percent=5.0), a_psi=2.0,
-                                 measure_id="M")
-        assert fit.measure_id == "M"
-        assert fit.sigma2_alpha_hat == pytest.approx(2.0 * fit.phi_hat)
+        fit = fit_empirical_null(z, n, EnConfig(q_percent=5.0))
         assert fit.v == pytest.approx(1.6448536, abs=1e-6)
         # interval bounds follow the initial phi, not the fitted one
         expect_b = fit.v * np.sqrt(1.0 + fit.phi_init * n)

@@ -278,7 +278,7 @@ class TestWritersAtScale:
         assert scores[0] == ["center_id", "measure_id", "z_fe", "z_en", "z_mom"]
         assert len(scores) == 6001
         for i, row in enumerate(scores[1:]):
-            assert row == [*table.row_ids(i), fmt6(run.z_fe[i]), fmt6(run.z_en[i]), ""]
+            assert row == [*table.row_ids(i), fmt6(run.z_fe[i]), fmt6(run.z[i]), ""]
 
         for spec in measures:
             fit = run.null_fits[spec.measure_id]

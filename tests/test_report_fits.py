@@ -78,7 +78,7 @@ def test_report_fits_every_measure_without_a_pool(no_pool, tmp_path, capsys):
     assert len(run.table) == 5940
     assert list(run.null_fits) == [m["measure_id"] for m in MEASURES]
     for k in range(len(MEASURES)):
-        assert np.isfinite(run.z_en[run.table.measure == k]).all()
+        assert np.isfinite(run.z[run.table.measure == k]).all()
     out = tmp_path / "out"
     for cmd in ("composite", "funnel"):
         assert main([cmd, "--centers", str(centers), "--measures", str(measures),
