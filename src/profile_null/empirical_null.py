@@ -89,10 +89,12 @@ class NullFit:
     The measure id and a_psi stay with the caller, which writes the
     confounder-effect variance phi_hat * a_psi.
 
-    ``profile_loglik``, ``iterations`` and ``converged`` hold, per pi0 grid
-    point, the log-likelihood where its phi root search stopped, within
-    ``_PHI_RTOL`` of the root, and that search's score evaluations and
-    convergence flag. They explain a fit and are not written to any output.
+    ``profile_loglik``, ``profile_phi``, ``iterations`` and ``converged``
+    hold, per pi0 grid point, the log-likelihood where its phi root search
+    stopped, within ``_PHI_RTOL`` of the root, the root itself, and that
+    search's score evaluations and convergence flag; ``phi_hat`` is
+    ``profile_phi`` at the best point. They explain a fit, start a fit of
+    the same data at another config, and are not written to any output.
     """
 
     phi_hat: float
@@ -103,6 +105,7 @@ class NullFit:
     null_set: np.ndarray
     loglik: float
     profile_loglik: np.ndarray
+    profile_phi: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
 
@@ -201,8 +204,8 @@ def null_loglik(
                                                _kernels.FitArrays(zarr, sarr, mask, barr))[0])
 
 
-def _score_roots(score, phi_init: float, step: float, m: int):
-    """The root phi >= 0 of each of m columns' score, ``score(phi,
+def _score_roots(score, start: np.ndarray, step: float):
+    """The root phi >= 0 of each column's score, ``score(phi,
     columns)`` returning the score, its phi-derivative and a value to keep
     for all open columns in one call per step; also each column's stopping
     point, the kept value there, its score evaluations and convergence.
@@ -219,12 +222,14 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     bracket, taken from 0 while lo is missing. Otherwise: with no hi yet the
     bracket grows upward, to 2 lo + ``step``; with no lo yet the column
     tries phi = 0, and a score there that is not positive makes 0 the root;
-    with both ends, it bisects. A column starts at ``phi_init``. It stops at
-    the point x it evaluated when the score f there is 0 or its plain Newton
-    step f/df is at most ``_PHI_RTOL`` x, with the root max(0, x - f/df),
-    or at hi when the bracket is narrower than ``_PHI_RTOL * hi``. A NaN or
-    +inf score counts as positive: where 1 - pi0*Q underflows, the
-    log-likelihood is -inf and its score 0/0 or +inf.
+    with both ends, it bisects. Column k starts at ``start[k]`` >= 0; a
+    fit without a start puts every column at phi_init, so its first call
+    shares one phi. A column stops at the point x it evaluated when the
+    score f there is 0 or its plain Newton step f/df is at most
+    ``_PHI_RTOL`` x, with the root max(0, x - f/df), or at hi when the
+    bracket is narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts
+    as positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
+    its score 0/0 or +inf.
 
     The search keeps the state of its open columns only, compacted to them
     after every call: bracket, kept values at its ends and next point. All
@@ -232,6 +237,7 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     integer. A column's root, point, kept value, calls and convergence are
     written once, at the step where it stops or reaches ``_MAX_SCORE_CALLS``.
     """
+    m = start.size
     root, point, at_point = np.zeros(m), np.zeros(m), np.zeros(m)
     calls, converged = np.zeros(m, np.int64), np.zeros(m, np.bool_)
     # the open columns: lo < 0 where there is no positive score yet and
@@ -239,7 +245,7 @@ def _score_roots(score, phi_init: float, step: float, m: int):
     open_ = np.arange(m)
     lo, hi = np.full(m, -1.0), np.full(m, np.inf)
     at_lo, at_hi = np.zeros(m), np.zeros(m)
-    x, made = np.full(m, phi_init), 0
+    x, made = start, 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while open_.size:
             f, df, kept = score(x, open_)
@@ -280,7 +286,7 @@ def fit_empirical_null(
     sizes: Sequence[float],
     config: EnConfig | None = None,
     *,
-    phi_init: float | None = None,
+    start: NullFit | None = None,
 ) -> NullFit:
     """Profile-likelihood fit of (phi, pi0) for one measure.
 
@@ -296,10 +302,18 @@ def fit_empirical_null(
     every grid point gets the same result as a fit on a grid of it alone.
     Raises ConvergenceError when no grid point converges.
 
-    ``phi_init``, when given, is the robust start in place of
-    ``initial_phi(z, sizes)``, and must be that value for the same z and
-    sizes: a caller that fits one dataset at several configs computes it
-    once. It must be finite and >= 0, else InputError.
+    ``start``, when given, is a fit of the same z and sizes at another
+    config: a caller that fits one dataset at several configs passes each
+    fit as the start of the next. Its ``phi_init`` is the robust start in
+    place of ``initial_phi(z, sizes)``, so the interval and null set are
+    those of a fit without a start, and each grid point's root search
+    starts at the start's root there, or at ``phi_init`` where the start
+    did not converge or its root is 0. Where the score has one root, the
+    roots then agree with a fit without a start to the score's rounding,
+    not bit for bit. A start of another number of centers or grid points,
+    or with a phi_init or root that is not finite and >= 0, raises
+    InputError, after the checks of z and sizes. So does an interval bound
+    v sqrt(1 + phi_init n) beyond the float range.
     """
     cfg = config if config is not None else EnConfig()
     zarr, sarr = _z_and_sizes(z, sizes)
@@ -308,24 +322,30 @@ def fit_empirical_null(
                            f"centers, got {zarr.size}")
     _check_z_and_sizes(zarr, sarr)
     mean_size = _mean_size(sarr)
-    if phi_init is None:
+    grid = cfg.pi0_grid()
+    if start is None:
         phi_init = _initial_phi(zarr, mean_size)
-    elif not 0.0 <= phi_init < math.inf:
-        raise InputError(f"phi_init must be finite and nonnegative, got {phi_init}")
+        x0 = np.full(grid.size, phi_init)
+    else:
+        phi_init = start.phi_init
+        x0 = _start_points(start, zarr.size, grid.size)
     v = std_normal_quantile(1.0 - cfg.q_percent / 100.0)
-    b_upper = v * np.sqrt(1.0 + phi_init * sarr)
+    with np.errstate(over="ignore"):
+        b_upper = v * np.sqrt(1.0 + phi_init * sarr)
+    if not np.all(np.isfinite(b_upper)):
+        raise InputError(f"the truncation interval overflows the float range: "
+                         f"initial phi {phi_init!r} at size {float(np.max(sarr))!r}")
     null_set = np.abs(zarr) <= b_upper
     n_null = int(np.sum(null_set))
     if n_null < MIN_NULL_SET:
         raise FittingError(f"degenerate null set: only {n_null} of {zarr.size} "
                            f"centers fall inside the truncation interval")
 
-    grid = cfg.pi0_grid()
     # every call shares the fit's arrays
     arrays = _kernels.FitArrays(zarr, sarr, null_set, b_upper)
     phi, point, log_out, iterations, converged = _score_roots(
         lambda x, columns: _kernels.null_score_core(x, grid[columns], arrays),
-        phi_init, 1.0 / mean_size, grid.size)
+        x0, 1.0 / mean_size)
     if not converged.any():
         raise ConvergenceError("phi root search failed to converge at every "
                                "pi0 grid point")
@@ -341,9 +361,27 @@ def fit_empirical_null(
         null_set=null_set,
         loglik=float(profile[best]),
         profile_loglik=profile,
+        profile_phi=phi,
         iterations=iterations,
         converged=converged,
     )
+
+
+def _start_points(start: NullFit, n: int, m: int) -> np.ndarray:
+    """The first point of each of m root searches of a fit of n centers:
+    ``start``'s root where it converged above 0, else its phi_init;
+    InputError unless ``start`` is a fit of n centers on m grid points whose
+    phi_init and roots are finite and >= 0."""
+    if start.null_set.size != n:
+        raise InputError(f"start is a fit of {start.null_set.size} centers, not {n}")
+    if start.profile_phi.size != m:
+        raise InputError(f"start has {start.profile_phi.size} pi0 grid points, not {m}")
+    roots = start.profile_phi
+    if not (0.0 <= start.phi_init < math.inf and np.all((roots >= 0.0) & (roots < math.inf))):
+        raise InputError("the phi_init and roots of a start must be finite and nonnegative")
+    # a root of 0 is the edge of phi >= 0, where the score need not be 0,
+    # and can sit below a higher root that a search from phi_init finds
+    return np.where(start.converged & (roots > 0.0), roots, start.phi_init)
 
 
 def z_empirical_null(

@@ -392,9 +392,8 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
     z1, n1 = float(z[0]), float(sizes[0])
     en_s2, mom_s2, en_flag, mom_flag = np.full((4, len(config.q_grid)), np.nan)
     # the measure is Poisson, so each confounder variance phi * a_psi is phi;
-    # the robust start depends on z and sizes alone: the first fit computes
-    # it, and the fits at the other q take it from there
-    phi_init = None
+    # each fit after the first starts from the previous q's fit of this data
+    start = None
     for qi, q in enumerate(config.q_grid):
         mom_s2[qi] = phi_mom = fit_method_of_moments(z, sizes, q_percent=float(q))
         mom_flag[qi] = abs(z_empirical_null(z1, n1, phi_mom)) > FLAG_Z
@@ -404,10 +403,10 @@ def _tuning_iteration(config: SimConfig, item: tuple[float, int]):
             try:
                 fit = fit_empirical_null(
                     z, sizes, replace(config.en_config, q_percent=float(q)),
-                    phi_init=phi_init)
+                    start=start)
             except (FittingError, ConvergenceError):
                 return None
-            phi_init = fit.phi_init
+            start = fit
             en_s2[qi] = fit.phi_hat
             en_flag[qi] = abs(z_empirical_null(z1, n1, fit.phi_hat)) > FLAG_Z
     return en_s2, mom_s2, en_flag, mom_flag
@@ -421,8 +420,10 @@ def run_tuning_sensitivity(config: SimConfig,
     empirical null (interval constant v from q) and the method-of-moments
     (Winsorization at q), plus the focal-center flag rates. The focal effect
     is the first gamma_grid entry; datasets are shared across q within an
-    iteration, and so is the empirical null's robust start (``initial_phi``),
-    computed once per dataset, though every q > 0 is its own fit.
+    iteration. Every q > 0 is its own empirical-null fit, and each after the
+    first starts from the previous q's fit of the same dataset: it takes
+    that fit's robust start (``initial_phi``), computed once per dataset,
+    and starts each pi0 grid point's root search at that fit's root there.
     """
     if not config.q_grid:
         raise InputError("q_grid must not be empty")

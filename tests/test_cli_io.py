@@ -574,6 +574,26 @@ class TestValidationEdges:
                      str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: measure 'A': {message}\n"
 
+    @pytest.mark.parametrize("cmd", [["standardize", "--method", "en"], ["funnel"]],
+                             ids=["standardize-en", "funnel"])
+    def test_overflowing_interval_names_the_measure(self, tmp_path, capsys, cmd):
+        # scores of N(0, 1) times 1e153 at size 0.5, and one of size 500:
+        # the initial phi, about 9e305, times 500 overflows the interval
+        # bound; numpy warnings are errors in this suite
+        rng = np.random.default_rng(0)
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": "A", "family": "normal", "direction": "higher_is_better"}]))
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        rows += [[f"C{i}", "A", f"{5.0 + z * math.sqrt(n):.17g}", "5", f"{n:g}"]
+                 for i, (z, n) in enumerate(zip(rng.normal(size=1000) * 1e153,
+                                                [500.0] + [0.5] * 999))]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main([*cmd, "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: measure 'A': the truncation interval overflows "
+                              "the float range: initial phi "), err
+
     def test_overflowing_fixed_effects_score_names_the_center(self, tmp_path, capsys):
         # finite inputs whose score (observed - expected) / sqrt(size)
         # overflows; numpy warnings are errors in this suite

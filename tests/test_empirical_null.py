@@ -19,7 +19,6 @@ from profile_null import (
     EnConfig,
     FittingError,
     InputError,
-    NullFit,
     control_limits,
     fit_empirical_null,
     fit_method_of_moments,
@@ -268,49 +267,81 @@ class TestFitEmpiricalNull:
             fit_empirical_null(z, np.full(50, 10.0))
 
     def test_overflowing_mean_size_is_an_input_error(self):
-        # where it was a RuntimeWarning (an error here) in np.mean
+        # where it was a RuntimeWarning (an error here) in np.mean; a start
+        # is checked after the sizes
         z = np.random.default_rng(0).normal(size=50)
         sizes = np.full(50, 1e308)
+        start = fit_empirical_null(*_contaminated(50, 0.01, seed=3))
         for fit in (lambda: initial_phi(z, sizes), lambda: fit_empirical_null(z, sizes),
-                    lambda: fit_empirical_null(z, sizes, phi_init=0.0)):
+                    lambda: fit_empirical_null(z, sizes, start=start)):
             with pytest.raises(InputError, match="mean of the sizes overflows the float range"):
                 fit()
+
+    def test_overflowing_interval_is_an_input_error(self):
+        # a finite initial phi of 9.3e305 times the size 500 overflows the
+        # interval bound, where it was a RuntimeWarning (an error here)
+        z = np.random.default_rng(0).normal(size=1000) * 1e153
+        sizes = np.full(1000, 0.5)
+        sizes[0] = 500.0
+        assert 9e305 < initial_phi(z, sizes) < math.inf
+        with pytest.raises(InputError, match="truncation interval overflows the float range"):
+            fit_empirical_null(z, sizes)
 
     def test_too_few_centers(self):
         with pytest.raises(FittingError):
             fit_empirical_null([0.0] * 9, [1.0] * 9)
 
     def test_error_precedence(self):
-        # shape, then the center count, then the values
+        # shape, then the center count, then the values, then the start
+        start = fit_empirical_null(*_contaminated(12, 0.01, seed=3))
         with pytest.raises(InputError, match="equal-length 1-d"):
-            fit_empirical_null([math.nan] * 9, [1.0] * 8)
+            fit_empirical_null([math.nan] * 9, [1.0] * 8, start=start)
         with pytest.raises(FittingError, match="at least 10 centers"):
-            fit_empirical_null([math.nan] * 9, [-1.0] * 9)
+            fit_empirical_null([math.nan] * 9, [-1.0] * 9, start=start)
         with pytest.raises(InputError, match="z contains non-finite"):
-            fit_empirical_null([math.nan] * 10, [-1.0] * 10, phi_init=-1.0)
-        with pytest.raises(InputError, match="phi_init"):
-            fit_empirical_null([0.0] * 10, [1.0] * 10, phi_init=-1.0)
+            fit_empirical_null([math.nan] * 10, [-1.0] * 10, start=start)
+        with pytest.raises(InputError, match="start is a fit of 12 centers, not 10"):
+            fit_empirical_null([0.0] * 10, [1.0] * 10, start=start)
 
     @pytest.mark.parametrize("n_centers", [12, 50, 212, 1000, 8000])
     @pytest.mark.parametrize("q", [2.5, 5.0, 10.0, 15.0])
     def test_given_phi_init_gives_the_same_fit(self, n_centers, q):
-        z, n = _contaminated(n_centers, 0.01, seed=n_centers + int(10 * q))
-        cfg = EnConfig(q_percent=q)
-        fit = fit_empirical_null(z, n, cfg)
-        given = fit_empirical_null(z, n, cfg, phi_init=initial_phi(z, n))
-        for field in dataclasses.fields(NullFit):
-            a, b = getattr(fit, field.name), getattr(given, field.name)
-            assert type(a) is type(b), field.name
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
-            else:
-                assert a == b or (a != a and b != b), field.name
+        # a start gives the fit its phi_init: started from the fit of the same
+        # data at the neighbouring q, the fit has the interval, null set and
+        # pi0_hat of the fit without a start, bit for bit, and roots within
+        # the phi_hat bound of TestMetamorphic (at most 2.1e-13 apart here)
+        neighbour = {2.5: 5.0, 5.0: 2.5, 10.0: 5.0, 15.0: 10.0}[q]
+        for outliers in (0.0, 0.1):
+            for phi in (0.0, 0.01, 0.05):
+                seed = n_centers + int(100 * outliers) + int(1000 * phi)
+                z, n = _contaminated(n_centers, phi, seed, outliers)
+                start = fit_empirical_null(z, n, EnConfig(q_percent=neighbour))
+                cold = fit_empirical_null(z, n, EnConfig(q_percent=q))
+                warm = fit_empirical_null(z, n, EnConfig(q_percent=q), start=start)
+                where = f"outliers {outliers}, phi {phi}"
+                assert (warm.phi_init, warm.v, warm.pi0_hat) \
+                    == (cold.phi_init, cold.v, cold.pi0_hat), where
+                assert warm.interval_bounds.tobytes() == cold.interval_bounds.tobytes(), where
+                assert warm.null_set.tobytes() == cold.null_set.tobytes(), where
+                assert np.allclose(warm.profile_phi, cold.profile_phi, rtol=1e-12,
+                                   atol=0.0), where
 
     @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
     def test_phi_init_must_be_finite_and_nonnegative(self, bad):
+        # the start's phi_init, and its roots
         z, n = _contaminated(212, 0.01, seed=3)
-        with pytest.raises(InputError, match="phi_init must be finite and nonnegative"):
-            fit_empirical_null(z, n, phi_init=bad)
+        start = fit_empirical_null(z, n)
+        roots = np.where(start.profile_phi == start.phi_hat, bad, start.profile_phi)
+        for changed in (dict(phi_init=bad), dict(profile_phi=roots)):
+            with pytest.raises(InputError, match="must be finite and nonnegative"):
+                fit_empirical_null(z, n, start=dataclasses.replace(start, **changed))
+
+    def test_start_must_be_on_the_same_grid(self):
+        # its number of centers is in test_error_precedence
+        z, n = _contaminated(212, 0.01, seed=3)
+        start = fit_empirical_null(z, n)
+        with pytest.raises(InputError, match="start has 41 pi0 grid points, not 21"):
+            fit_empirical_null(z, n, EnConfig(pi0_grid_step=0.01), start=start)
 
     def test_fit_metadata_consistency(self):
         rng = np.random.default_rng(8)
@@ -430,7 +461,7 @@ class TestLockstepFit:
         stepped = (df < 0.0) & (np.abs(newton) <= empirical_null._PHI_RTOL * points)
         roots = np.where(stepped, np.maximum(points - newton, 0.0), points)
         ones = [_one_point_fit(z, n, cfg, float(p)) for p in grid]
-        assert roots.tolist() == [f.phi_hat for f in ones]
+        assert roots.tolist() == [f.phi_hat for f in ones] == fit.profile_phi.tolist()
         assert fit.profile_loglik.tolist() == [f.loglik for f in ones]
         assert fit.iterations.tolist() == [int(f.iterations[0]) for f in ones]
         assert fit.converged.tolist() == [bool(f.converged[0]) for f in ones]
@@ -485,12 +516,52 @@ class TestLockstepFit:
         cfg = EnConfig()
         fit = fit_empirical_null(z, n, cfg)
         profile = fit.profile_loglik
-        assert profile.shape == fit.iterations.shape == fit.converged.shape \
-            == cfg.pi0_grid().shape
+        assert profile.shape == fit.profile_phi.shape == fit.iterations.shape \
+            == fit.converged.shape == cfg.pi0_grid().shape
         # ties go to the larger pi0
-        assert fit.pi0_hat == cfg.pi0_grid()[np.flatnonzero(profile == profile.max())[-1]]
+        best = np.flatnonzero(profile == profile.max())[-1]
+        assert fit.pi0_hat == cfg.pi0_grid()[best]
         assert fit.loglik == profile.max()
+        assert fit.phi_hat == fit.profile_phi[best]
         assert np.all(fit.iterations >= 1) and fit.converged.any()
+
+
+class TestWarmStart:
+    """Fits that start from another fit of the same data: where each root
+    search starts, and what that saves. That they give the fit without a
+    start is TestFitEmpiricalNull::test_given_phi_init_gives_the_same_fit."""
+
+    def test_each_column_starts_at_the_start_root(self, monkeypatch):
+        # where the start converged to a root above 0; elsewhere at phi_init
+        z, n = _contaminated(212, 0.01, seed=4)
+        fit = fit_empirical_null(z, n)
+        converged, profile_phi = fit.converged.copy(), fit.profile_phi.copy()
+        converged[3], profile_phi[5] = False, 0.0
+        start = dataclasses.replace(fit, converged=converged, profile_phi=profile_phi)
+        calls = _recording(monkeypatch, "null_score_core")
+        fit_empirical_null(z, n, EnConfig(q_percent=10.0), start=start)
+        first = np.where(converged & (profile_phi > 0.0), profile_phi, fit.phi_init)
+        assert first[3] == first[5] == fit.phi_init < first[4]
+        assert calls[0][0].tolist() == first.tolist()
+
+    def test_warm_starts_take_fewer_evaluations(self):
+        # the fits after the first of a tuning sweep's q grid on ten of its
+        # datasets; cold, they took 6,465 column evaluations, and warm 4,880
+        cfg = SimConfig(seed=1, outlier_fraction=0.10, gamma_grid=(2.0,))
+        cold = warm = 0
+        for seed in range(10):
+            data = gen_single_measure(cfg, np.random.default_rng(seed), gamma_focal=2.0)
+            z = z_fixed_effects(data.observed, data.expected, data.effective_size)
+            start = None
+            for q in (2.5, 5.0, 10.0, 15.0):
+                fit = fit_empirical_null(z, data.effective_size, EnConfig(q_percent=q),
+                                         start=start)
+                if start is not None:
+                    warm += int(fit.iterations.sum())
+                    cold += int(fit_empirical_null(z, data.effective_size,
+                                                   EnConfig(q_percent=q)).iterations.sum())
+                start = fit
+        assert warm <= 0.8 * cold
 
 
 def _mp_score(phi, pi0, z, sizes, in_null, b_upper):
@@ -582,7 +653,7 @@ class TestScoreRoots:
             near, r = x < 1e-3, np.sqrt(np.maximum(x, 1e-3))
             return np.where(near, special, 0.5 - r), np.where(near, special, -0.5 / r), -x
 
-        root, point, kept, calls, converged = empirical_null._score_roots(score, 2.0, 100.0, 1)
+        root, point, kept, calls, converged = empirical_null._score_roots(score, np.array([2.0]), 100.0)
         assert seen[:2] == [2.0, 0.0]
         assert converged[0] and calls[0] == len(seen)
         assert root[0] == pytest.approx(0.25, rel=1e-11)
@@ -597,7 +668,7 @@ class TestScoreRoots:
             seen.extend(x.tolist())
             return 3.0 - (x - 1.0) ** 2, -2.0 * (x - 1.0), -x
 
-        root, point, kept, calls, converged = empirical_null._score_roots(score, 0.0, 1.0, 1)
+        root, point, kept, calls, converged = empirical_null._score_roots(score, np.array([0.0]), 1.0)
         assert seen[:3] == [0.0, 1.0, 3.0]
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(1.0 + math.sqrt(3.0), rel=1e-11)
@@ -613,7 +684,7 @@ class TestScoreRoots:
             seen.extend(x.tolist())
             return np.arctan(3.0 * (3.0 - x)), -3.0 / (1.0 + (3.0 * (3.0 - x)) ** 2), -x
 
-        root, point, kept, calls, converged = empirical_null._score_roots(score, 5.0, 1.0, 1)
+        root, point, kept, calls, converged = empirical_null._score_roots(score, np.array([5.0]), 1.0)
         assert seen[1] < 3.0 and seen[2] == 0.5 * (seen[1] + seen[0])
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(3.0, rel=1e-11)
@@ -634,7 +705,7 @@ class TestScoreRoots:
         at = 0.01
         f, df, _ = (float(v[0]) for v in score(np.array([at]), None))
         seen.clear()
-        root, point, kept, calls, converged = empirical_null._score_roots(score, at, 1.0, 1)
+        root, point, kept, calls, converged = empirical_null._score_roots(score, np.array([at]), 1.0)
         assert at - f / df < seen[1] <= at - 2.0 * f / df
         assert converged[0] and calls[0] == len(seen) < empirical_null._MAX_SCORE_CALLS
         assert root[0] == pytest.approx(2.0, rel=1e-11)
