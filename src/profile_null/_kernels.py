@@ -73,10 +73,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _BLOCK_ELEMENTS = 32768
 
 
-_ERFC_CENTERS = np.array(_erfc_table.CENTERS)
-# -c of each segment
-_ERFC_MINUS_OFFSETS = -np.array(_erfc_table.OFFSETS)
-_ERFC_COEFFICIENTS = np.array(_erfc_table.COEFFICIENTS)
+# one column per segment: the coefficients of R from t**0 up, the midpoint m
+# and -c, so that one take gathers all of an element's segment
+_ERFC_TABLE = np.array(_erfc_table.COEFFICIENTS + (_erfc_table.CENTERS,)
+                       + (tuple(-c for c in _erfc_table.OFFSETS),))
 # clears the low 32 bits of a double's significand
 _LOW_BITS = np.int64(~0xFFFFFFFF)
 
@@ -98,14 +98,16 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     k -= _erfc_table.FIRST - 1
     # not np.clip, which costs about 4 us a call, a sixth of a row of 65
     np.maximum(k, 0, out=k)
-    np.minimum(k, _ERFC_CENTERS.size - 1, out=k)
-    t = xc - _ERFC_CENTERS[k]
-    r = _ERFC_COEFFICIENTS[-1][k]
-    for row in _ERFC_COEFFICIENTS[-2:0:-1]:
+    np.minimum(k, _ERFC_TABLE.shape[1] - 1, out=k)
+    seg = _ERFC_TABLE.take(k, axis=1)
+    coefficients, t, minus_offset = seg[:-2], seg[-2], seg[-1]
+    np.subtract(xc, t, out=t)
+    r = coefficients[-1]
+    for row in coefficients[-2:0:-1]:
         r *= t
-        r += row[k]
+        r += row
     r *= t
-    r += _ERFC_COEFFICIENTS[0][k]
+    r += coefficients[0]
     z = (xc.view(np.int64) & _LOW_BITS).view(np.float64)
     np.subtract(z, xc, out=t)
     xc += z
@@ -113,7 +115,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     r += t
     np.exp(r, out=r)
     e = np.multiply(z, z, out=z)
-    np.subtract(_ERFC_MINUS_OFFSETS[k], e, out=e)
+    np.subtract(minus_offset, e, out=e)
     np.exp(e, out=e)
     e *= r
     np.copyto(e, 0.0, where=x >= _erfc_table.ZERO)

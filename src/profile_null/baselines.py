@@ -9,6 +9,7 @@ inflation at the cost of bias when there is no contamination.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +30,32 @@ def winsorize(z: Sequence[float], q_percent: float) -> np.ndarray:
     arr = np.asarray(z, dtype=np.float64).copy()
     if q_percent == 0.0 or arr.size == 0:
         return arr
-    lo, hi = np.percentile(arr, [q_percent, 100.0 - q_percent])
-    return np.clip(arr, lo, hi)
+    if not np.isfinite(arr).all():
+        lo, hi = np.percentile(arr, [q_percent, 100.0 - q_percent])
+        return np.clip(arr, lo, hi)
+    return np.clip(arr, *_percentiles(arr, q_percent), out=arr)
+
+
+def _percentiles(arr: np.ndarray, q_percent: float) -> np.ndarray:
+    """``np.percentile(arr, [q_percent, 100 - q_percent])`` of a finite 1-d
+    array, bit for bit and with its warnings, from one partition: numpy's
+    linear interpolation between the order statistics about each virtual
+    index (n - 1) q / 100, taken the way its ``_lerp`` takes it."""
+    last = arr.size - 1
+    lower, upper, gamma = [], [], []
+    for q in (q_percent / 100.0, (100.0 - q_percent) / 100.0):
+        index = last * q
+        # an index at or beyond the last element takes it from both sides
+        below = math.floor(index) if index < last else -1
+        lower.append(below)
+        upper.append(below + 1 if index < last else -1)
+        gamma.append(index - below)
+    p = np.partition(arr, sorted({0, -1, *lower, *upper}))
+    a, b, t = p[lower], p[upper], np.array(gamma)
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1.0 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def fit_method_of_moments(

@@ -250,9 +250,13 @@ def _score_roots(score, start: np.ndarray, step: float):
         while open_.size:
             f, df, kept = score(x, open_)
             made += 1
-            pos = ~(f <= 0.0)
-            lo, hi = np.where(pos, x, lo), np.where(pos, hi, x)
-            at_lo, at_hi = np.where(pos, kept, at_lo), np.where(pos, at_hi, kept)
+            # the new bracket end, in place; a NaN score counts as positive
+            nonpositive = f <= 0.0
+            np.copyto(hi, x, where=nonpositive)
+            np.copyto(at_hi, kept, where=nonpositive)
+            positive = ~nonpositive
+            np.copyto(lo, x, where=positive)
+            np.copyto(at_lo, kept, where=positive)
             tangent, newton = df < 0.0, f / df
             stop = tangent & (np.abs(newton) <= _PHI_RTOL * x)
             bracketed = hi < np.inf
@@ -260,7 +264,8 @@ def _score_roots(score, start: np.ndarray, step: float):
             done = stop | (f == 0.0) | (hi == 0.0) | ((lo >= 0.0) & bracketed
                                                       & (hi - lo <= _PHI_RTOL * hi))
             leave = done if made < _MAX_SCORE_CALLS else np.ones_like(done)
-            if leave.any():
+            left = leave.any()
+            if left:
                 out = open_[leave]
                 at = np.where(stop, x, np.where(bracketed, hi, lo))
                 root[out] = np.where(stop, np.maximum(x - newton, 0.0), at)[leave]
@@ -275,9 +280,10 @@ def _score_roots(score, start: np.ndarray, step: float):
             x = np.where(take, target, np.where(bracketed,
                                                 np.where(lo < 0.0, 0.0, 0.5 * (lo + hi)),
                                                 2.0 * lo + step))
-            keep = ~leave
-            open_, lo, hi, at_lo, at_hi, x = (
-                a[keep] for a in (open_, lo, hi, at_lo, at_hi, x))
+            if left:
+                keep = ~leave
+                open_, lo, hi, at_lo, at_hi, x = (
+                    a[keep] for a in (open_, lo, hi, at_lo, at_hi, x))
     return root, point, at_point, calls, converged
 
 

@@ -1,10 +1,11 @@
 """Winsorization and the method-of-moments overdispersion baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from profile_null import (
@@ -25,7 +26,54 @@ def _type7_percentile(values, pct):
     return s[lo] + (h - lo) * (s[hi] - s[lo])
 
 
+def _bytes_and_warnings(winsorized, z, q):
+    """The bytes of ``winsorized(z, q)`` and every warning it gives, as
+    (category, message): the warning first raised under -W error too."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = winsorized(z, q)
+    return out.tobytes(), [(w.category, str(w.message)) for w in seen]
+
+
+def _clip_to_percentiles(z, q):
+    """Winsorizing as np.percentile and np.clip take it; q = 0 leaves z as
+    it is, where a percentile of values whose difference overflows is NaN."""
+    a = np.asarray(z, dtype=np.float64)
+    return a.copy() if q == 0.0 else np.clip(a, *np.percentile(a, [q, 100.0 - q]))
+
+
+# ties, signed zeros, subnormals and neighbours of the float limits, mixed
+# with any finite double
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                1e308, -1e308, 1.5e308, -1.5e308, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+_Q = st.one_of(st.floats(0.0, 50.0, exclude_max=True),
+               st.sampled_from([0.0, 2.5, 10.0, 12.5, 25.0, 49.0]))
+
+
 class TestWinsorize:
+    @given(st.lists(_FINITE, min_size=1, max_size=500), _Q)
+    # neighbouring order statistics whose difference overflows, so both
+    # warn, and a lower bound that is a signed zero
+    @example(z=[-1.5e308, 1.5e308], q=10.0)
+    @example(z=[1.7976931348623157e308, -0.0, -1.7976931348623157e308, 0.0, -0.0], q=40.0)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_input_matches_numpy_percentiles(self, z, q):
+        # the one-partition percentiles give np.percentile's bounds bit for
+        # bit, signed zeros included, and its overflow warnings
+        assert _bytes_and_warnings(winsorize, z, q) \
+            == _bytes_and_warnings(_clip_to_percentiles, z, q)
+
+    @given(st.lists(st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf])),
+                    min_size=1, max_size=500).filter(lambda z: not np.isfinite(z).all()),
+           _Q)
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_input_keeps_numpy_percentiles(self, z, q):
+        assert _bytes_and_warnings(winsorize, z, q) \
+            == _bytes_and_warnings(_clip_to_percentiles, z, q)
+
     def test_q_zero_identity(self):
         z = [3.0, -1.0, 2.5]
         assert list(winsorize(z, 0.0)) == z
