@@ -30,10 +30,11 @@ where only some columns share a phi included, computes a row per column
 and takes the terms with pi0 in them (1 - pi0 Q, its log, h and the
 out-of-interval curvature) in place in it, with no copy of a row.
 ``_erfc`` takes a whole block in about 40 numpy calls, from a table of 55
-segments: at most 4 ulp from erfc (1.9 measured, where ``math.erfc``
-measured 2.5). It is about twice as fast as ``math.erfc`` one element at a
-time on a block of a few thousand elements, and slower below about 500,
-where the calls' overhead dominates.
+segments whose 13 values each one ``take`` gathers: at most 4 ulp from
+erfc (1.9 measured, where ``math.erfc`` measured 2.5). It is about twice
+as fast as ``math.erfc`` one element at a time on a block of a few
+thousand elements, and slower below about 500, where the calls' overhead
+dominates.
 
 The empirical null fit reads ``null_score_core`` and ``null_loglik_core``
 and the robust scale reads ``biweight_irls`` from this module at call time,

@@ -30,10 +30,11 @@ def winsorize(z: Sequence[float], q_percent: float) -> np.ndarray:
     arr = np.asarray(z, dtype=np.float64).copy()
     if q_percent == 0.0 or arr.size == 0:
         return arr
-    if not np.isfinite(arr).all():
+    if np.isfinite(arr).all():
+        lo, hi = _percentiles(arr, q_percent)
+    else:
         lo, hi = np.percentile(arr, [q_percent, 100.0 - q_percent])
-        return np.clip(arr, lo, hi)
-    return np.clip(arr, *_percentiles(arr, q_percent), out=arr)
+    return np.clip(arr, lo, hi, out=arr)
 
 
 def _percentiles(arr: np.ndarray, q_percent: float) -> np.ndarray:
@@ -45,11 +46,17 @@ def _percentiles(arr: np.ndarray, q_percent: float) -> np.ndarray:
     lower, upper, gamma = [], [], []
     for q in (q_percent / 100.0, (100.0 - q_percent) / 100.0):
         index = last * q
-        # an index at or beyond the last element takes it from both sides
-        below = math.floor(index) if index < last else -1
+        if index < last:
+            below = math.floor(index)
+            above = below + 1
+        else:
+            # an index at or beyond the last element takes it from both sides
+            below = above = -1
         lower.append(below)
-        upper.append(below + 1 if index < last else -1)
+        upper.append(above)
         gamma.append(index - below)
+    # numpy's own kth list: with another, a tie of -0.0 and 0.0 can land
+    # the other way round
     p = np.partition(arr, sorted({0, -1, *lower, *upper}))
     a, b, t = p[lower], p[upper], np.array(gamma)
     d = b - a

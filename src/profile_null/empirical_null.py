@@ -13,7 +13,7 @@ each pi0 grid point's phi at the root of that score, found by Newton steps
 on (1 + phi * mean size)^2 times the score, capped at twice the plain
 Newton step and kept inside a bracket, with bisection where a step would
 leave it, moving the whole grid in lockstep; and the profile
-log-likelihood where each column stopped, one tiny Newton step from its root.
+log-likelihood where each column stopped, one small Newton step from its root.
 """
 
 from __future__ import annotations
@@ -35,8 +35,15 @@ MIN_CENTERS = 10
 MIN_NULL_SET = 3
 # each pi0 grid point is one column of the lockstep root search in every fit
 MAX_PI0_STEPS = 1000
-# a root search stops on a Newton step or a bracket width of at most
-# _PHI_RTOL relative; a column open after _MAX_SCORE_CALLS is not converged
+# a root search stops on a Newton step of at most _NEWTON_STOP relative,
+# and takes that step as the root: after a step d, Newton's error is about
+# (f''/2f') d^2. Where phi times the mean size is below 1, the bound
+# shrinks with it: 1 + phi*n keeps phi*n only to float64 rounding, so the
+# score's rounding there can move a step from 1e-8 away by about 1e-12 of
+# the root, and the search steps on as a 1e-12 stop did. It also stops on
+# a bracket width of at most _PHI_RTOL relative, and a column open after
+# _MAX_SCORE_CALLS is not converged
+_NEWTON_STOP = 1e-8
 _PHI_RTOL = 1e-12
 _MAX_SCORE_CALLS = 100
 
@@ -91,10 +98,11 @@ class NullFit:
 
     ``profile_loglik``, ``profile_phi``, ``iterations`` and ``converged``
     hold, per pi0 grid point, the log-likelihood where its phi root search
-    stopped, within ``_PHI_RTOL`` of the root, the root itself, and that
-    search's score evaluations and convergence flag; ``phi_hat`` is
-    ``profile_phi`` at the best point. They explain a fit, start a fit of
-    the same data at another config, and are not written to any output.
+    stopped, one Newton step of at most ``_NEWTON_STOP`` relative from the
+    root, the root itself, and that search's score evaluations and
+    convergence flag; ``phi_hat`` is ``profile_phi`` at the best point.
+    They explain a fit, start a fit of the same data at another config, and
+    are not written to any output.
     """
 
     phi_hat: float
@@ -226,16 +234,19 @@ def _score_roots(score, start: np.ndarray, step: float):
     fit without a start puts every column at phi_init, so its first call
     shares one phi. A column stops at the point x it evaluated when the
     score f there is 0 or its plain Newton step f/df is at most
-    ``_PHI_RTOL`` x, with the root max(0, x - f/df), or at hi when the
-    bracket is narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts
-    as positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
+    ``_NEWTON_STOP`` x min(1, x/``step``), with the root max(0, x - f/df),
+    which is one Newton step closer than x; or at hi when the bracket is
+    narrower than ``_PHI_RTOL * hi``. A NaN or +inf score counts as
+    positive: where 1 - pi0*Q underflows, the log-likelihood is -inf and
     its score 0/0 or +inf.
 
-    The search keeps the state of its open columns only, compacted to them
-    after every call: bracket, kept values at its ends and next point. All
-    open columns have made the same number of calls, so that count is one
-    integer. A column's root, point, kept value, calls and convergence are
-    written once, at the step where it stops or reaches ``_MAX_SCORE_CALLS``.
+    The search keeps the state of its open columns only: bracket, kept
+    values at its ends and next point. It moves the bracket ends in place,
+    and compacts the state to the open columns on the steps where some
+    column stops. All open columns have made the same number of calls, so
+    that count is one integer. A column's root, point, kept value, calls
+    and convergence are written once, at the step where it stops or reaches
+    ``_MAX_SCORE_CALLS``.
     """
     m = start.size
     root, point, at_point = np.zeros(m), np.zeros(m), np.zeros(m)
@@ -258,7 +269,7 @@ def _score_roots(score, start: np.ndarray, step: float):
             np.copyto(lo, x, where=positive)
             np.copyto(at_lo, kept, where=positive)
             tangent, newton = df < 0.0, f / df
-            stop = tangent & (np.abs(newton) <= _PHI_RTOL * x)
+            stop = tangent & (np.abs(newton) <= _NEWTON_STOP * x * np.minimum(1.0, x / step))
             bracketed = hi < np.inf
             # a zero score makes the point hi, so the root is hi
             done = stop | (f == 0.0) | (hi == 0.0) | ((lo >= 0.0) & bracketed

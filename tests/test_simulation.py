@@ -352,7 +352,7 @@ class TestPinnedBits:
             "mean": {"en": ["nan", "0x1.1e91bcf8a46a6p-3", "0x1.10d031bab768fp-3"],
                      "mom": ["0x1.460ed1c3813f0p-1", "0x1.49333135edb1bp-3",
                              "0x1.7b13ff0bc05c9p-4"]},
-            "sd": {"en": ["nan", "0x1.2d4305173fd7ap-5", "0x1.5776ade2053ecp-5"],
+            "sd": {"en": ["nan", "0x1.2d4305173fd7ap-5", "0x1.5776ade2053edp-5"],
                    "mom": ["0x1.078fc8fa3f194p-1", "0x1.2c869916d416fp-5",
                            "0x1.32ccb8d58aa9fp-6"]},
         }
