@@ -6,6 +6,7 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from typing import Sequence
 
@@ -127,6 +128,13 @@ class CenterTable:
         """Whether each row has a positive expected count and effective
         size: the rows that are scored, fitted and plotted."""
         return (self.expected > 0) & (self.size > 0)
+
+    @cached_property
+    def id_rank(self) -> np.ndarray:
+        """Each center's rank in the sorted order of ``center_ids``, indexed
+        like ``center_ids``; computed once per table."""
+        return np.argsort(sorted(range(len(self.center_ids)),
+                                 key=self.center_ids.__getitem__))
 
     def row_ids(self, i: int) -> tuple[str, str]:
         """(center_id, measure_id) of row ``i``."""

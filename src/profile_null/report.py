@@ -79,33 +79,91 @@ _FMT6_CONTEXT = Context(prec=400)
 _MICRO = Decimal("0.000001")
 
 
+def _digit_rows(k: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digits of each integer of ``k``, zero-padded to ``width``,
+    as the rows of a uint8 matrix."""
+    return (k[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + 48).astype(np.uint8)
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Each row of 4 ASCII bytes as one uint32, in native byte order."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint32).ravel()
+
+
+# The 4-byte words of fmt6's array path, where a space is padding. A cell of
+# n micro-units, i = n // 10**6 and f = n % 10**6, is four words:
+# - _SIGN_HI[i // 10**4 + 100 * negative]: "\n", the sign and the two high
+#   digits of i without leading zeros;
+# - _LOW4[i % 10**4 + 10**4 * (i >= 10**4)]: the low 4 digits of i, without
+#   leading zeros in the table's first half (0 is "0") and zero-padded in its
+#   second;
+# - _DOT2[f // 10**4]: "." and the first two decimals;
+# - _LOW4[f % 10**4 + 10**4]: the last four decimals.
+_K = np.arange(10_000)
+_PAD = ord(" ")
+_D2, _D4 = _digit_rows(_K[:100], 2), _digit_rows(_K, 4)
+_SIGN_HI = _words(np.hstack([np.full((200, 1), ord("\n")),
+                             np.repeat([[_PAD], [ord("-")]], 100, axis=0),
+                             np.tile(np.where(_K[:100, None] < [10, 1], _PAD, _D2), (2, 1))]))
+_LOW4 = _words(np.vstack([np.where(_K[:, None] < [1000, 100, 10, 0], _PAD, _D4), _D4]))
+_DOT2 = _words(np.hstack([np.full((100, 2), [ord("."), _PAD]), _D2]))
+del _K, _D2, _D4
+
+
+def _fmt6_finite(x: float) -> str:
+    """``fmt6`` of one finite float: its scalar path."""
+    # format() rounds the exact binary value correctly, ties to even. A
+    # float ends in an exact 5 at the 7th decimal only when x * 128 is an
+    # odd integer, so every other x takes the fast path; a tie is at least
+    # 1/128 away from zero.
+    if (x * 64.0) % 1.0 != 0.5:
+        s = format(x, ".6f")
+        return "0.000000" if s == "-0.000000" else s
+    return str(Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP,
+                                   context=_FMT6_CONTEXT))
+
+
 def fmt6(x: float | np.ndarray) -> str | list[str]:
     """Fixed 6-decimal formatting with ties rounded away from zero, of one
-    float, or of each value of a 1-d float array as a list of strings."""
+    float, or of each value of a 1-d float array as a list of strings.
+
+    An array is formatted from digit tables. ``p = |x| * 1e6`` is the exact
+    product rounded to a float. Below 2**52 every half-integer is a float,
+    and rounding is monotone, so ``p`` lies on the same side of each
+    half-integer as the exact product, or on it. So where ``p`` is below
+    999999999999.5 and not a half-integer, its nearest integer ``n`` is the
+    correctly rounded count of micro-units, and the cell is built from
+    ``n``'s digit groups; a cell whose ``n`` is 0 takes no sign. Every other
+    cell (exact 7th-decimal ties, values whose product rounds onto a tie,
+    and ``|x|`` from about 1e6 up) takes the scalar path."""
     if np.ndim(x) == 0:
         x = float(x)
         if not math.isfinite(x):
             raise InputError(f"cannot format non-finite value {x!r}")
-        # format() rounds the exact binary value correctly, ties to even. A
-        # float ends in an exact 5 at the 7th decimal only when x * 128 is an
-        # odd integer, so every other x takes the fast path; a tie is at
-        # least 1/128 away from zero.
-        if (x * 64.0) % 1.0 != 0.5:
-            s = format(x, ".6f")
-            return "0.000000" if s == "-0.000000" else s
-        return str(Decimal(x).quantize(_MICRO, rounding=ROUND_HALF_UP,
-                                       context=_FMT6_CONTEXT))
+        return _fmt6_finite(x)
     a = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(a)
     if not finite.all():
         raise InputError(f"cannot format non-finite value {a[~finite][0].item()!r}")
-    cells = list(map(format, a.tolist(), repeat(".6f")))
-    # the cells format() may get wrong: exact ties, and values that could
-    # print "-0.000000"; the products beyond the float range are no ties
-    with np.errstate(over="ignore", invalid="ignore"):
-        redo = ((a * 64.0) % 1.0 == 0.5) | (np.signbit(a) & (a > -1e-6))
-    for i in np.flatnonzero(redo).tolist():
-        cells[i] = fmt6(a[i])
+    # |x| is clamped before the product, which then never overflows; a
+    # clamped value is no fast cell
+    p = np.minimum(np.abs(a), 1e6) * 1e6
+    n = np.rint(p)
+    fast = (p < 999999999999.5) & (np.abs(p - n) != 0.5)
+    k = (n * fast).astype(np.int64)  # 0 in the cells the scalar path overwrites
+    i, f = np.divmod(k, 1_000_000)
+    hi, lo = np.divmod(i, 10_000)
+    words = np.empty((a.size, 4), dtype=np.uint32)
+    words[:, 0] = _SIGN_HI[hi + 100 * (np.signbit(a) & (k > 0))]
+    words[:, 1] = _LOW4[lo + 10_000 * (hi > 0)]
+    f_hi, f_lo = np.divmod(f, 10_000)
+    words[:, 2] = _DOT2[f_hi]
+    words[:, 3] = _LOW4[f_lo + 10_000]
+    cells = words.tobytes().translate(None, b" ").decode("ascii").split("\n")
+    del cells[0]
+    slow = np.flatnonzero(~fast)
+    for j, v in zip(slow.tolist(), a[slow].tolist()):
+        cells[j] = _fmt6_finite(v)
     return cells
 
 
@@ -559,10 +617,8 @@ def emit_funnel(
     if not rows.size:
         raise InputError(f"no plottable centers for measure "
                          f"{spec.measure_id!r}")
-    # ascending size, ties in center id order: the inverse of the id sort
-    # is each center's rank
-    id_rank = np.argsort(sorted(range(len(t.center_ids)), key=t.center_ids.__getitem__))
-    rows = rows[np.lexsort((id_rank[t.center[rows]], t.size[rows]))]
+    # ascending size, ties in center id order
+    rows = rows[np.lexsort((t.id_rank[t.center[rows]], t.size[rows]))]
     size, expected = t.size[rows], t.expected[rows]
     ratio = measure_ratio(t.observed[rows], expected)
     size_cells, ratio_cells = fmt6(size), fmt6(ratio)

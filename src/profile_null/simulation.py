@@ -93,6 +93,10 @@ class SimConfig:
         for q in self.q_grid:
             if not (0.0 <= q < 50.0):
                 raise InputError(f"q_grid entries must lie in [0, 50), got {q}")
+        # a variance of -0.0 passes the checks above, but numpy's normal()
+        # rejects its square root -0.0 as a scale; abs() stores it as 0.0
+        object.__setattr__(self, "covariate_second_param", abs(self.covariate_second_param))
+        object.__setattr__(self, "sigma2_alpha", tuple(map(abs, self.sigma2_alpha)))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     while t <= hi + 1e-9 * step:
         if t >= lo - 1e-9 * step:
             ticks.append(round(t, 10))
+        # on a range a few ulp wide, the step can be below half an ulp of t
+        if t + step == t:
+            break
         t += step
     return ticks or [lo, hi]
 

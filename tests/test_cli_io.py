@@ -849,6 +849,21 @@ class TestAdditionalCliPaths:
         assert "control limits at alpha_z=1e+308 are not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("funnel_*"))
 
+    def test_funnel_on_a_ratio_range_a_few_ulp_wide(self, tmp_path):
+        # every ratio is 1 but one, 1 ulp above it, and the limits at
+        # expected 1.3e33 round to 1: the y axis spans a few ulp
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"measure_id": "A", "family": "poisson", "direction": "higher_is_better"}]))
+        e = 1.3e33
+        rows = [["center_id", "measure_id", "observed", "expected", "effective_size"]]
+        rows += [[f"C{i}", "A", repr(math.nextafter(e, math.inf) if i == 0 else e),
+                  repr(e), ""] for i in range(20)]
+        _write_rows(tmp_path / "c.csv", rows)
+        assert main(["funnel", "--centers", str(tmp_path / "c.csv"), "--measures",
+                     str(tmp_path / "m.json"), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "funnel_A.csv").exists()
+        assert (tmp_path / "funnel_A.svg").exists()
+
     def test_sim_config_q_percent_passthrough(self, tmp_path):
         f = tmp_path / "sim.json"
         f.write_text(json.dumps({"experiment": "flagging", "iterations": 1,

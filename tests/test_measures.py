@@ -69,6 +69,9 @@ class TestCenterTable:
         assert all(type(c) is str for c in t.center_ids)
         assert t.center.tolist() == [0, 1, 2, 3, 0, 4, 1, 2, 3, 4]
         assert [t.row_ids(i)[0] for i in range(len(t))] == ids
+        # the rank of each id in Python's sort order, computed once
+        assert t.id_rank.tolist() == [3, 2, 0, 1, 4]
+        assert t.id_rank is t.id_rank
         # the first row that repeats an earlier (center, measure) is named
         with pytest.raises(InputError, match=r"row 8 \(center 'a\\x00', measure 'TRR'\): "
                                              "duplicate"):

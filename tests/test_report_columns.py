@@ -10,9 +10,11 @@ and ``csv.reader``, ``format(x, ".2f")`` and the per-point SVG formula."""
 import csv
 import io
 import json
+import math
 import re
 import shutil
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from profile_null.report import (
     standardize,
     write_scores_report,
 )
-from profile_null.svg import _H, _MB, _ML, _MR, _MT, _W, _cells, funnel_svg
+from profile_null.svg import _H, _MB, _ML, _MR, _MT, _W, _cells, _ticks, funnel_svg
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HEADER = ["center_id", "measure_id", "observed", "expected", "effective_size"]
@@ -70,14 +72,62 @@ _VALUES = (st.floats(allow_nan=False, allow_infinity=False)
            | st.floats(-1e-6, 0.0))
 
 
+def _ulps(x: float, u: int) -> float:
+    """The float ``u`` steps of one ulp from ``x``."""
+    for _ in range(abs(u)):
+        x = math.nextafter(x, math.copysign(math.inf, u))
+    return x
+
+
+def _around(x: float, u: int) -> list[float]:
+    """``x`` and the floats up to ``u`` ulp on either side of it."""
+    return [_ulps(x, k) for k in range(-u, u + 1)]
+
+
+# within a few ulp of a 7th-decimal tie, up to 1e6 in magnitude
+_NEAR_TIES = st.builds(lambda k, u, sign: sign * _ulps((k + 0.5) / 1e6, u),
+                       st.integers(0, 10**12), st.integers(-6, 6).filter(bool),
+                       st.sampled_from([1.0, -1.0]))
+# where rounding carries into a new integer digit: 0.9999995, 9.9999995, ...,
+# 999999.9999995
+_CARRY_EDGES = [v for e in range(7) for v in _around(10**e - 5e-7, 20)]
+
+
+def _assert_matches_scalar(values) -> None:
+    cells = fmt6(np.array(values, dtype=np.float64))
+    assert isinstance(cells, list)
+    assert cells == [fmt6(x) for x in values]
+
+
 class TestFmt6Array:
     @given(st.lists(_VALUES, max_size=40))
     @example(_SPECIAL)
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar(self, values):
-        cells = fmt6(np.array(values, dtype=np.float64))
-        assert isinstance(cells, list)
-        assert cells == [fmt6(x) for x in values]
+        _assert_matches_scalar(values)
+
+    @given(st.lists(_NEAR_TIES, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_near_ties_match_scalar(self, values):
+        _assert_matches_scalar(values)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_carry_edges_match_scalar(self, sign):
+        # every float of [999999.9999995, 1e6), which rounds to 1000000.000000
+        bits = np.arange(*np.array([999999.9999995, 1e6]).view(np.int64))
+        values = _CARRY_EDGES + bits.view(np.float64).tolist()
+        _assert_matches_scalar([sign * v for v in values])
+
+    def test_a_long_array_matches_scalar(self):
+        rng = np.random.default_rng(30)
+        values = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 8, 100_000)
+        _assert_matches_scalar(values.tolist())
+
+    def test_products_beyond_the_float_range(self):
+        # |x| * 1e6 would overflow; numpy warnings are errors here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_matches_scalar([1e303, -1e303, MAX, -MAX, 1.0, -0.5])
 
     def test_scalar_stays_a_string(self):
         assert fmt6(np.float64(1.25)) == "1.250000"
@@ -388,6 +438,12 @@ _PIXELS = (st.floats(0.0, 800.0)
            | st.floats(-1.0, 0.0)
            | st.floats(720.0, 1e300)
            | st.sampled_from(_ALL_FALLBACK))
+
+
+def test_ticks_on_a_range_a_few_ulp_wide():
+    # the tick step is below half an ulp of 1, so adding it never moves t
+    ticks = _ticks(1.0, 1.0 + 2**-52)
+    assert ticks and all(1.0 <= t <= 1.0 + 2**-52 for t in ticks)
 
 
 class TestPixelCells:

@@ -46,6 +46,13 @@ class TestGenSingleMeasure:
         assert np.all(data.gamma_true == 0.0)
         assert np.all(data.alpha == 0.0)
 
+    def test_negative_zero_variances(self):
+        # numpy's normal() rejects a scale of -0.0; the config stores 0.0
+        config = SimConfig(seed=1, covariate_second_param=-0.0, sigma2_alpha=(-0.0, -0.0))
+        assert not np.signbit([config.covariate_second_param, *config.sigma2_alpha]).any()
+        data = gen_single_measure(config, np.random.default_rng(1))
+        assert np.all(data.alpha == 0.0)
+
     def test_outlier_layout(self):
         config = SimConfig(seed=2, outlier_fraction=0.10, outlier_effect=1.0)
         data = gen_single_measure(config, np.random.default_rng(2),
