@@ -198,7 +198,12 @@ def composite_table(
     corr = correlation_matrix(mat, names)
     w = WEIGHT_SCHEMES[cfg.weight_scheme](corr)
 
-    patterns, pattern_of = np.unique(np.isfinite(mat), axis=0, return_inverse=True)
+    finite = np.isfinite(mat)
+    # a row's pattern as one integer, bit j for measure j; from 63 measures
+    # on, no int64 holds it, and the rows themselves are compared
+    key = finite @ (1 << np.arange(len(names))) if len(names) < 63 else finite
+    first, pattern_of = np.unique(key, axis=0, return_index=True, return_inverse=True)[1:]
+    patterns = finite[first]
     pattern_of = pattern_of.reshape(-1)
     n_used = patterns.sum(axis=1)
     skip = n_used < min(2, len(names))

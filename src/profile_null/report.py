@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Context, Decimal
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import Sequence
@@ -298,52 +298,107 @@ def _csv_rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text, newline="")))
 
 
-def _tokens(text: str) -> tuple[list[str], list, list[list[str]] | None]:
-    """The header fields of a centers text, its later records (empty where
-    blank) and, when every non-blank one of these has 5 fields, the five
-    columns of those; else None in their place.
-
-    A text with no quote, CR or NUL, no line as long as
-    ``csv.field_size_limit()`` and 4 commas on every line but blank ones is
-    split at its line feeds and commas alone: ``csv.reader`` treats no other
-    character of it as special, so it would split it there too, with no
-    error. Any other text goes through ``csv.reader``.
-    """
-    if not ('"' in text or "\r" in text or "\0" in text):
-        # a final line feed leaves an empty line, which, like csv's blank
-        # records, adds no record
-        lines = text.split("\n")
-        if (max(map(len, lines)) < csv.field_size_limit()
-                and set(map(str.count, filter(None, lines), repeat(","))) == {4}):
-            fields = ",".join(filter(None, lines[1:])).split(",")
-            return (lines[0].split(","), lines[1:],
-                    [fields[k::len(CENTER_HEADER)] for k in range(len(CENTER_HEADER))])
-    rows = _csv_rows(text)
-    records = list(filter(None, rows[1:]))
-    columns = None
-    if set(map(len, records)) == {len(CENTER_HEADER)}:
-        # one pass per column: zip(*records) makes an iterator per record
-        columns = [list(map(itemgetter(k), records)) for k in range(len(CENTER_HEADER))]
-    return rows[0] if rows else [], rows[1:], columns
-
-
-def _parse_columns(columns: list[Sequence[str]], family: dict[str, str]) -> tuple:
-    """The five columns of the non-blank centers records, given as five
-    sequences of raw fields: ids as lists of stripped strings, numbers as
-    float arrays, blank poisson sizes filled with the expected count.
-    Raises ValueError on any record that ``_check_record`` rejects."""
-    center_ids, measure_ids, obs, exp, size = (list(map(str.strip, col)) for col in columns)
+def _parse_columns(center_ids: list[str], measure_ids: list[str], obs: np.ndarray,
+                   exp: np.ndarray, size: list[str], family: dict[str, str]) -> tuple:
+    """The columns ``CenterTable`` takes, from those of the non-blank centers
+    records: ids and sizes as lists of stripped strings, observed and
+    expected counts as float arrays. A blank poisson size is filled with the
+    expected count, and every other size goes through ``float``. Raises
+    ValueError on any record that ``_check_record`` rejects."""
     if not (all(center_ids) and all(measure_ids)):
         raise ValueError("missing id")
-    given = list(map(bool, size))
-    blank = set(compress(measure_ids, map(not_, given)))
+    given = np.fromiter(map(bool, size), bool, len(size))
+    blank = set(compress(measure_ids, map(not_, size)))
     if any(family.get(mid, "poisson") != "poisson" for mid in blank):
         raise ValueError("missing size")
-    n = len(center_ids)
-    obs, exp = (np.fromiter(map(float, col), np.float64, n) for col in (obs, exp))
     filled = exp.copy()
-    filled[np.array(given)] = np.fromiter(map(float, compress(size, given)), np.float64)
+    filled[given] = np.fromiter(map(float, filter(None, size)), np.float64)
     return center_ids, measure_ids, obs, exp, filled
+
+
+# a record of a plain text as numpy's C reader parses it: ids and sizes as
+# stripped strings, counts as floats
+_PLAIN_RECORD = np.dtype([("center_id", "O"), ("measure_id", "O"), ("observed", "f8"),
+                          ("expected", "f8"), ("effective_size", "O")])
+_STRIP = dict.fromkeys((0, 1, 4), str.strip)
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of a plain centers text, split at its line feeds; None for
+    any other text.
+
+    A plain text has no quote, CR or NUL (which ``csv.reader`` rejects
+    before Python 3.11) and no line as long as ``csv.field_size_limit()``.
+    ``csv.reader`` treats no other character of it as special and raises no
+    error on it, so it splits each line at its commas alone, and a blank
+    line is a blank record.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    return lines if max(map(len, lines)) < csv.field_size_limit() else None
+
+
+def _read_plain(body: list[str], family: dict[str, str]) -> tuple[tuple, list[int]] | None:
+    """``_parse_columns`` of the records in the lines after a plain text's
+    header, as ``np.loadtxt`` splits and parses them, and their row numbers;
+    None where there is no record or the reader or ``_parse_columns``
+    rejects one.
+
+    The reader gets the lines that are not blank, and it splits each at its
+    commas, as ``csv.reader`` does. It strips each number of the
+    whitespace that ``str.strip`` removes and parses what is left with
+    CPython's ``PyOS_string_to_double``, as ``float`` does, but it rejects
+    the underscores and non-ASCII digits that ``float`` takes.
+    """
+    numbers = list(compress(count(2), body))
+    if not numbers:
+        return None
+    try:
+        rec = np.loadtxt(filter(None, body), dtype=_PLAIN_RECORD, delimiter=",", comments=None,
+                         converters=_STRIP, ndmin=1)
+        # a line the reader skipped would shift the row numbers
+        if len(rec) != len(numbers):
+            raise ValueError("record count")
+        return _parse_columns(rec["center_id"].tolist(), rec["measure_id"].tolist(),
+                              np.ascontiguousarray(rec["observed"]),
+                              np.ascontiguousarray(rec["expected"]),
+                              rec["effective_size"].tolist(), family), numbers
+    except ValueError:
+        return None
+
+
+def _read_csv(text: str, p: Path, family: dict[str, str]) -> tuple[tuple, list[int]]:
+    """``_parse_columns`` of the records of a centers text as ``csv.reader``
+    splits it, and their row numbers; raises InputError naming the first
+    row that fails, or the file where the text is no CSV, its header is
+    wrong or it holds no data rows."""
+    try:
+        rows = _csv_rows(text)
+    except csv.Error as exc:
+        raise InputError(f"centers file {p} is not a UTF-8 CSV file: {exc}") from None
+    if (rows[0] if rows else []) != CENTER_HEADER:
+        raise InputError(f"centers file {p} must start with header "
+                         f"{','.join(CENTER_HEADER)!r}")
+    numbers = list(compress(count(2), rows[1:]))
+    if not numbers:
+        raise InputError(f"centers file {p} holds no data rows")
+    records = list(filter(None, rows[1:]))
+    try:
+        if set(map(len, records)) != {len(CENTER_HEADER)}:
+            raise ValueError("field count")
+        # one pass per column: zip(*records) makes an iterator per record
+        center_ids, measure_ids, obs, exp, size = (
+            list(map(str.strip, map(itemgetter(k), records)))
+            for k in range(len(CENTER_HEADER)))
+        obs, exp = (np.fromiter(map(float, col), np.float64, len(records))
+                    for col in (obs, exp))
+        return _parse_columns(center_ids, measure_ids, obs, exp, size, family), numbers
+    except ValueError:
+        for line, row in enumerate(rows[1:], start=2):
+            if row:
+                _check_record(row, line, family)
+        raise  # both parses reject the same records, so this is not reached
 
 
 def read_center_stats(
@@ -360,12 +415,15 @@ def read_center_stats(
     One leading byte order mark is dropped. A byte that is not UTF-8 is
     named by its line and its offset in the file.
 
-    The file is read and decoded whole. Text that ``csv.reader`` would split
-    at line feeds and commas alone (no quote, CR or NUL, no overlong line,
-    5 fields a record) is split there directly; any other goes through
-    ``csv.reader``. Either way the records are parsed column by column;
-    only when that fails are they checked one by one, as ``csv.reader``
-    splits them, to name the first bad row.
+    The file is read and decoded whole. A plain text (no quote, CR or NUL,
+    no line as long as ``csv.field_size_limit()``) with the right header and
+    a data row goes to numpy's C reader, ``np.loadtxt``, which splits it
+    where ``csv.reader`` would and parses each number it takes to the bits
+    ``float`` gives. Every other text, and every plain one the C reader or
+    the column checks reject, goes through ``csv.reader``: its records are
+    parsed column by column, and only when that fails are they checked one
+    by one, to name the first bad row. So both readers build the same table
+    and raise the same errors.
     """
     p = Path(path)
     family = {m.measure_id: m.family for m in measures}
@@ -383,26 +441,12 @@ def read_center_stats(
         raise InputError(f"centers file {p} is not a UTF-8 CSV file: line {line}, "
                          f"byte 0x{data[exc.start]:02x} at file offset {exc.start}: "
                          f"{exc.reason}") from None
-    try:
-        header, body, columns = _tokens(text)
-    except csv.Error as exc:
-        raise InputError(f"centers file {p} is not a UTF-8 CSV file: {exc}") from None
-    if header != CENTER_HEADER:
-        raise InputError(f"centers file {p} must start with header "
-                         f"{','.join(CENTER_HEADER)!r}")
-    lines = list(compress(count(2), body))
-    if not lines:
-        raise InputError(f"centers file {p} holds no data rows")
-    try:
-        if columns is None:
-            raise ValueError("field count")
-        parsed = _parse_columns(columns, family)
-    except ValueError:
-        for line, row in enumerate(_csv_rows(text)[1:], start=2):
-            if row:
-                _check_record(row, line, family)
-        raise  # both parses reject the same records, so this is not reached
-    return CenterTable(measures, *parsed, lines)
+    lines = _plain_lines(text)
+    read = None
+    if lines is not None and lines[0].split(",") == CENTER_HEADER:
+        read = _read_plain(lines[1:], family)
+    parsed, numbers = read or _read_csv(text, p, family)
+    return CenterTable(measures, *parsed, numbers)
 
 
 # ---------------------------------------------------------------------------

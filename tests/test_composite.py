@@ -318,6 +318,31 @@ class TestCompositeTable:
         assert [line.rsplit(",", 3)[0] for line in lines[1:5]] \
             == ["a", "a\x00", '"x,y"', '"""q"""']
 
+    @pytest.mark.parametrize("k", [3, 62, 63, 70])
+    def test_missingness_patterns_match_each_row(self, k):
+        # below 63 measures a row's pattern is one integer code; from 63 on
+        # the rows themselves are compared
+        rng = np.random.default_rng(28)
+        mat = rng.normal(size=(200, k))
+        mat[rng.random(mat.shape) < 0.1] = np.nan
+        mat[:3, 1:] = np.nan
+        mat[3] = mat[4] = np.where(np.arange(k) % 2, np.nan, mat[3])
+        # rows 5 and 6 differ in the last measure alone: the highest bit
+        mat[5:7] = rng.normal(size=(2, k))
+        mat[5, -1] = np.nan
+        ids, names = [f"C{i}" for i in range(200)], [f"M{j}" for j in range(k)]
+        scored, skipped = composite_table(ids, mat, names)
+        c = correlation_matrix(mat)
+        w = capped_corr_weights(c)
+        kept = np.isfinite(mat).sum(axis=1) >= 2
+        assert skipped == [i for i, keep in zip(ids, kept) if not keep]
+        assert scored.center_id.tolist() == [i for i, keep in zip(ids, kept) if keep]
+        for r, row in zip(scored, mat[kept]):
+            idx = np.flatnonzero(np.isfinite(row))
+            assert r.z_cs == composite_score(row[idx], w[idx], c[np.ix_(idx, idx)])
+            assert r.measures_used == tuple(names[j] for j in idx)
+            assert r.partial == (len(idx) < k)
+
     def test_columns_match_records(self):
         rng = np.random.default_rng(26)
         mat = 3.0 * rng.normal(size=(40, 3))

@@ -1,10 +1,11 @@
 """The report path works by column: the CSV reader parses whole columns,
-``fmt6`` formats whole arrays, and each output file's text is built from
-columns of cells and joined once. Ids are quoted once per distinct id, and
-the funnel SVG turns each pixel column into 2-decimal cells by integer
-rounding, sending only near-ties, values with the sign bit set and values
-beyond its table through ``format``. Each is checked here against a
-per-value reference: the per-row parse, the scalar ``fmt6``, ``csv.writer``
+with numpy's C reader on plain files, ``fmt6`` formats whole arrays, and
+each output file's text is built from columns of cells and joined once.
+Ids are quoted once per distinct id, and the funnel SVG turns each pixel
+column into 2-decimal cells by integer rounding, sending only near-ties,
+values with the sign bit set and values beyond its table through
+``format``. Each is checked here against a per-value reference: the
+per-row parse, the csv.reader path, the scalar ``fmt6``, ``csv.writer``
 and ``csv.reader``, ``format(x, ".2f")`` and the per-point SVG formula."""
 
 import csv
@@ -17,12 +18,14 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from profile_null import report
 from profile_null.cli import main
 from profile_null.empirical_null import control_limits
 from profile_null.errors import InputError
@@ -294,6 +297,131 @@ class TestBulkReader:
                         read_center_stats(path, measures)
         finally:
             csv.field_size_limit(limit)
+
+
+# ---------------------------------------------------------------------------
+# numpy's C reader on plain texts against the csv.reader path
+
+
+def _outcome(path, measures):
+    """The table ``read_center_stats`` builds, as its id columns, index
+    codes and float bits, or the message of the InputError it raises."""
+    try:
+        t = read_center_stats(path, measures)
+    except InputError as exc:
+        return str(exc)
+    return (t.center_ids, t.center.tolist(), t.measure.tolist(),
+            *(col.view(np.int64).tolist() for col in (t.observed, t.expected, t.size)))
+
+
+def _csv_path_outcome(path, measures):
+    """``_outcome`` with every text sent down the csv.reader path."""
+    with mock.patch.object(report, "_plain_lines", return_value=None):
+        return _outcome(path, measures)
+
+
+_PLAIN_ID = (st.text(min_size=1, max_size=6).map(lambda s: re.sub('[",\r\n\x00]', "", s))
+             .filter(str.strip)
+             | st.sampled_from(["C#1", "#", " é ", "中心", "\tC6", "a\x85b", "x y",
+                                "\x1cZ\x1f"]))
+_PLAIN_NUMBER = (
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([repr(x), f"{x:e}", f"{x:+.4E}", f"{x:.3f}", f" {x!r}\t"]))
+    | st.sampled_from(["-0", "+0", "-0.0", "0e0", "1e-400", ".5", "5.", "1E+3", "007"]))
+_NON_FINITE = st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "-1e400"])
+
+
+@st.composite
+def _plain_file(draw):
+    """The lines of a plain centers file (no quote, CR or NUL) and whether
+    its last line ends in a line feed: 1 to 12 records with blank lines
+    between them, ids holding '#', non-ASCII and padding, numbers with
+    signs, exponents, -0, inf and nan, and blank, padded or explicit
+    poisson sizes. Every record is one numpy's reader takes."""
+    # one file in four may hold non-finite numbers and undeclared measures,
+    # which CenterTable rejects
+    odd = draw(st.integers(0, 3)) == 0
+    measures = ["TRR", "SAR", " PSMR", "GSMR\t"] + ["XYZ"] * odd
+    numbers = _PLAIN_NUMBER | _NON_FINITE if odd else _PLAIN_NUMBER
+    pairs = draw(st.lists(st.tuples(_PLAIN_ID, st.sampled_from(measures)),
+                          min_size=1, max_size=12,
+                          unique_by=lambda p: (p[0].strip(), p[1].strip())))
+    lines = [",".join(HEADER)]
+    for center, measure in pairs:
+        lines += [""] * draw(st.integers(0, 2))
+        observed, expected = draw(numbers), draw(numbers)
+        sizes = ([expected, "0", draw(numbers)] if measure == "SAR"
+                 else [expected, f" {expected} ", "", "  "])
+        lines.append(",".join([center, measure, observed, expected,
+                               draw(st.sampled_from(sizes))]))
+    return lines, draw(st.booleans())
+
+
+class TestPlainReader:
+    @given(text=_plain_file())
+    @example(text=([",".join(HEADER), "C#1,TRR,-0,1e-400,"], False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_csv_reader_path(self, measures, tmp_path_factory, text):
+        lines, last_eol = text
+        path = tmp_path_factory.mktemp("plain") / "centers.csv"
+        _write_text(path, lines, "\n", last_eol)
+        with mock.patch.object(csv, "reader", side_effect=AssertionError(
+                "csv.reader called on a plain file")):
+            got = _outcome(path, measures)
+        assert got == _csv_path_outcome(path, measures)
+
+    @given(field=st.text("0123456789+-.eE_ infatyINFATYx\t\x0b\x1c\xa0١２", max_size=8))
+    @example(field="1_000")
+    @example(field="\x1c5\x1c")
+    @settings(max_examples=300, deadline=None)
+    def test_a_number_reads_as_on_the_csv_reader_path(self, measures, tmp_path_factory,
+                                                       field):
+        # what the C reader rejects goes down the csv.reader path, which
+        # float() may accept
+        path = tmp_path_factory.mktemp("number") / "centers.csv"
+        _write_text(path, [",".join(HEADER), "A,TRR,5,4,", f"B,SAR,{field},4,2"], "\n", True)
+        assert _outcome(path, measures) == _csv_path_outcome(path, measures)
+
+    @pytest.mark.parametrize("lines,want", [
+        (["A,TRR,1_000,4,", "B,SAR,5,4,2_0e-1"],
+         (["A", "B"], ["TRR", "SAR"], [1000.0, 5.0], [4.0, 4.0], [4.0, 2.0])),
+        (["A,TRR,5,١٢,", "B,SAR,٥,4,２"],
+         (["A", "B"], ["TRR", "SAR"], [5.0, 5.0], [12.0, 4.0], [12.0, 2.0])),
+        (["  A  ,\tTRR , 5 , 4 ,", " B,SAR , -5e0 ,4 , 2 "],
+         (["A", "B"], ["TRR", "SAR"], [5.0, -5.0], [4.0, 4.0], [4.0, 2.0])),
+        (["", "A,TRR,5,4,", "", "", "B,TRR,5,4,", ""],
+         (["A", "B"], ["TRR", "TRR"], [5.0, 5.0], [4.0, 4.0], [4.0, 4.0])),
+        (["A,TRR,5,4,", "", "", "B,TRR,5,x,"], "row 5: column 'expected' is not numeric: 'x'"),
+        (["A,TRR,5,4,", "", "A,TRR,6,4,"],
+         "row 4 (center 'A', measure 'TRR'): duplicate center/measure pair"),
+        (["A\x1cB,TRR,\x1c5\x1f,4,", "\x1eC,SAR,5,4,\x1d2"],
+         (["A\x1cB", "C"], ["TRR", "SAR"], [5.0, 5.0], [4.0, 4.0], [4.0, 2.0])),
+        (["A,TRR,5\x1c6,4,"], "row 2: column 'observed' is not numeric: '5\\x1c6'"),
+        ([], "centers file {path} holds no data rows"),
+        (["", ""], "centers file {path} holds no data rows"),
+        (["A,TRR,5,4,", "  ", "B,TRR,5,4,"], "row 3: expected 5 fields, got 1"),
+        (["A,TRR,5,4,", " ,TRR,5,4,"], "row 3: center_id and measure_id are required"),
+        (["A,TRR,5,4,", "A,SAR,5,4, "],
+         "row 3: effective_size is required for binomial measure 'SAR'"),
+        (["A,TRR,5,4,", "B,TRR,5,4"], "row 3: expected 5 fields, got 4"),
+    ], ids=["underscores", "non-ascii-digits", "padding", "blank-lines", "blank-lines-error",
+            "blank-lines-duplicate", "separators-stripped", "separator-inside-a-number",
+            "header-only", "header-and-blank-lines", "whitespace-line", "empty-id",
+            "blank-binomial-size", "field-count"])
+    @pytest.mark.parametrize("last_eol", [True, False])
+    def test_inputs_read_as_before(self, measures, tmp_path, lines, want, last_eol):
+        # the tables and messages the reader gave before it used numpy's
+        # C reader; a warning, such as the one np.loadtxt gives on no data,
+        # is an error here
+        path = tmp_path / "centers.csv"
+        _write_text(path, [",".join(HEADER), *lines], "\n", last_eol)
+        if isinstance(want, str):
+            with pytest.raises(InputError) as got:
+                read_center_stats(path, measures)
+            assert str(got.value) == want.format(path=path)
+        else:
+            assert _table_columns(read_center_stats(path, measures)) == list(map(list, want))
+        assert _outcome(path, measures) == _csv_path_outcome(path, measures)
 
 
 # ---------------------------------------------------------------------------
